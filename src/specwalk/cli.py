@@ -382,7 +382,8 @@ def build_parser() -> _Parser:
     p.add_argument("--stats", default=None, help="per-entity stats CSV")
     p.add_argument("--no-depth1", action="store_true",
                    help="do not concatenate depth-1 walks for depth>1")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="accepted for compatibility; extraction is sequential")
     common(p)
     p.set_defaults(func=cmd_walk)
 
@@ -454,7 +455,10 @@ def build_parser() -> _Parser:
 def _apply_config(argv: list[str], parser: _Parser) -> None:
     if "--config" not in argv:
         return
-    path = argv[argv.index("--config") + 1]
+    i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise UsageError("--config requires a file argument")
+    path = argv[i + 1]
     with open(path, encoding="utf-8") as f:
         config = json.load(f)
     if not isinstance(config, dict):

@@ -11,6 +11,7 @@ import hashlib
 import logging
 import random
 import struct
+from bisect import bisect_left
 
 log = logging.getLogger(__name__)
 
@@ -71,6 +72,9 @@ class Graph:
         self._ids = {t: i for i, t in enumerate(terms)}
         self.rdf_type_id = self._ids.get(rdf_type)
         n = len(terms)
+        # Filled from sorted triples, so out_adj[v] is sorted by (predicate,
+        # object): the edges of one predicate form a contiguous run, which
+        # _edges_with finds by bisection.
         self.out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.type_index: dict[int, set[int]] = {}
@@ -129,15 +133,54 @@ class Graph:
         self._check(v)
         return self.in_adj[v]
 
+    def _edges_with(self, v: int, pred: int) -> list[tuple[int, int]]:
+        """The run of (pred, object) pairs in out_adj[v]."""
+        edges = self.out_adj[v]
+        lo = bisect_left(edges, (pred,))
+        return edges[lo:bisect_left(edges, (pred + 1,), lo)]
+
+    def sample_path(self, v: int, predicates, rng: random.Random) -> list[int] | None:
+        """Walk the predicate sequence from v, choosing uniformly among the
+        matching out-edges at each step.
+
+        Returns the visited nodes v0..vd, or None at a node with no edge for
+        the next predicate. Each step makes one rng.choice over the matches.
+        """
+        nodes = [v]
+        for pred in predicates:
+            run = self._edges_with(v, pred)
+            if not run:
+                return None
+            v = rng.choice(run)[1]
+            nodes.append(v)
+        return nodes
+
+    def path_counts(self, sources, predicates) -> dict[int, int]:
+        """node -> number of paths from the sources realizing the predicate
+        sequence; a source listed twice starts two paths, and an empty
+        sequence gives one path per source."""
+        counts: dict[int, int] = {}
+        for s in sources:
+            counts[s] = counts.get(s, 0) + 1
+        for pred in predicates:
+            nxt: dict[int, int] = {}
+            for v, c in counts.items():
+                for _, o in self._edges_with(v, pred):
+                    nxt[o] = nxt.get(o, 0) + c
+            counts = nxt
+            if not counts:
+                break
+        return counts
+
     def types_of(self, v: int) -> frozenset[int]:
         """Directly asserted rdf:type objects of v (no inference)."""
         self._check(v)
+        if self.rdf_type_id is None:
+            return frozenset()
         if self._types_of is None:
-            tmap: list[frozenset[int]] = []
-            for node in range(len(self.terms)):
-                ts = [o for (p, o) in self.out_adj[node] if p == self.rdf_type_id]
-                tmap.append(frozenset(ts))
-            self._types_of = tmap
+            self._types_of = [
+                frozenset(o for _, o in self._edges_with(node, self.rdf_type_id))
+                for node in range(len(self.terms))]
         return self._types_of[v]
 
     def entities_of_type(self, t) -> frozenset[int]:
@@ -196,8 +239,7 @@ class Graph:
         Corpus lines are whitespace-separated, so embedded whitespace in
         literals is replaced by underscores.
         """
-        t = self.terms[tid]
-        return "_".join(t.split()) if any(c.isspace() for c in t) else t
+        return "_".join(self.terms[tid].split())
 
     def checksum(self) -> str:
         """Content-based sha256 over the sorted triple set (id-order independent)."""
@@ -265,22 +307,30 @@ def write_snapshot(graph: Graph, path: str) -> None:
 
 
 def read_snapshot(path: str) -> Graph:
+    """Load a snapshot; GraphError when it is truncated or inconsistent."""
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != SNAPSHOT_MAGIC:
+        def read(n: int) -> bytes:
+            data = f.read(n)
+            if len(data) != n:
+                raise GraphError(f"truncated graph snapshot: {path}")
+            return data
+
+        if f.read(8) != SNAPSHOT_MAGIC:
             raise GraphError(f"not a graph snapshot: {path}")
-        n_terms, n_triples = struct.unpack("<IQ", f.read(12))
-        (rt_len,) = struct.unpack("<H", f.read(2))
-        rdf_type = f.read(rt_len).decode("utf-8")
+        n_terms, n_triples = struct.unpack("<IQ", read(12))
+        (rt_len,) = struct.unpack("<H", read(2))
+        rdf_type = read(rt_len).decode("utf-8")
         terms: list[str] = []
         literal: list[bool] = []
         for _ in range(n_terms):
-            (tlen,) = struct.unpack("<I", f.read(4))
-            terms.append(f.read(tlen).decode("utf-8"))
-            (flag,) = struct.unpack("<B", f.read(1))
-            literal.append(bool(flag))
-        triples = set()
-        buf = f.read(12 * n_triples)
-        for i in range(n_triples):
-            triples.add(struct.unpack_from("<III", buf, 12 * i))
+            (tlen,) = struct.unpack("<I", read(4))
+            terms.append(read(tlen).decode("utf-8"))
+            literal.append(read(1) != b"\0")
+        buf = f.read()
+    if len(buf) != 12 * n_triples:
+        raise GraphError(f"triple block is {len(buf)} bytes, expected "
+                         f"{12 * n_triples}: {path}")
+    triples = set(struct.iter_unpack("<III", buf))
+    if triples and max(map(max, triples)) >= n_terms:
+        raise GraphError(f"term id out of range in graph snapshot: {path}")
     return Graph(terms, literal, triples, rdf_type)

@@ -94,12 +94,10 @@ def sensitivity_sweep(g, t, base_params: EstimatorParams,
         raise ValueError("provide exactly one of n_walks_values / s_values")
     if n_walks_values is not None:
         parameter, values = "n_walks", sorted(n_walks_values)
-        runs = {v: rank_by_specificity(g, t, replace(base_params, n_walks=v))
-                for v in values}
     else:
         parameter, values = "seed_set_size", sorted(s_values)
-        runs = {v: rank_by_specificity(g, t, replace(base_params, seed_set_size=v))
-                for v in values}
+    runs = {v: rank_by_specificity(g, t, replace(base_params, **{parameter: v}))
+            for v in values}
     ideal = runs[values[-1]]
     points = []
     for v in values:

@@ -145,21 +145,6 @@ def node_to_node_specificity(g: Graph, n1: int, n2: int, depth: int) -> float:
     return fro / total if total else 0.0
 
 
-def forward_reachable(g: Graph, sources, rel: SemanticRelationship) -> set[int]:
-    """Nodes reachable from `sources` via the exact predicate sequence."""
-    frontier = set(sources)
-    for pred in rel.predicates:
-        nxt: set[int] = set()
-        for v in frontier:
-            for p, o in g.out_adj[v]:
-                if p == pred:
-                    nxt.add(o)
-        frontier = nxt
-        if not frontier:
-            break
-    return frontier
-
-
 def exact_specificity(g: Graph, rel: SemanticRelationship, t,
                       seeds=None) -> SpecificityEntry:
     """Exhaustive specificity: mean over reachable nodes of the fraction of
@@ -171,7 +156,7 @@ def exact_specificity(g: Graph, rel: SemanticRelationship, t,
             name = t if isinstance(t, str) else g.terms[t]
             raise GraphError(f"type has no instances: {name!r}")
     origin = frozenset(seeds)
-    reachable = forward_reachable(g, origin, rel)
+    reachable = g.path_counts(origin, rel.predicates).keys()
     if not reachable:
         return SpecificityEntry(rel, 0.0, 0)
     total_paths = 0
@@ -189,17 +174,6 @@ def exact_specificity(g: Graph, rel: SemanticRelationship, t,
 def _candidate_rng(seed: int, rel: SemanticRelationship) -> random.Random:
     # Per-candidate stream: results do not depend on evaluation order.
     return random.Random(f"{seed}|{','.join(map(str, rel.predicates))}")
-
-
-def _forward_walk(g: Graph, start: int, rel: SemanticRelationship,
-                  rng: random.Random) -> int | None:
-    v = start
-    for pred in rel.predicates:
-        matches = [o for p, o in g.out_adj[v] if p == pred]
-        if not matches:
-            return None
-        v = rng.choice(matches)
-    return v
 
 
 def _reverse_walk(g: Graph, start: int, depth: int,
@@ -234,15 +208,15 @@ def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
         rng = _candidate_rng(seed, rel)
         count = 0
         for _ in range(n_walks):
-            v = None
+            path = None
             for _attempt in range(forward_retry_limit + 1):
                 s = seeds[rng.randrange(len(seeds))]
-                v = _forward_walk(g, s, rel, rng)
-                if v is not None:
+                path = g.sample_path(s, rel.predicates, rng)
+                if path is not None:
                     break
-            if v is None:
+            if path is None:
                 continue
-            vp = _reverse_walk(g, v, rel.depth, rng)
+            vp = _reverse_walk(g, path[-1], rel.depth, rng)
             if vp is not None and vp in type_set:
                 count += 1
         results.append(SpecificityEntry(rel, count / n_walks, n_walks))
@@ -250,44 +224,6 @@ def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
 
 
 # -- candidate selection -------------------------------------------------
-
-def _reach_counts(g: Graph, seeds, predicates: tuple[int, ...]) -> dict[int, int]:
-    """node -> number of concrete paths from the seed set realizing the
-    predicate sequence (empty sequence: one path per seed)."""
-    counts: dict[int, int] = {}
-    for s in seeds:
-        counts[s] = counts.get(s, 0) + 1
-    for pred in predicates:
-        nxt: dict[int, int] = {}
-        for v, c in counts.items():
-            for p, o in g.out_adj[v]:
-                if p == pred:
-                    nxt[o] = nxt.get(o, 0) + c
-        counts = nxt
-        if not counts:
-            break
-    return counts
-
-
-def _enumerate_frequencies(g: Graph, seeds, depth: int,
-                           excluded: frozenset[int]) -> dict[tuple[int, ...], int]:
-    """Exact occurrence counts of all length-`depth` predicate sequences
-    originating in the seed set (sequences using excluded predicates dropped)."""
-    freq: dict[tuple[int, ...], int] = {}
-
-    def rec(v: int, prefix: tuple[int, ...], remaining: int) -> None:
-        if remaining == 0:
-            freq[prefix] = freq.get(prefix, 0) + 1
-            return
-        for p, o in g.out_adj[v]:
-            if p in excluded:
-                continue
-            rec(o, prefix + (p,), remaining - 1)
-
-    for s in seeds:
-        rec(s, (), depth)
-    return freq
-
 
 def select_paths(g: Graph, seeds, depth: int, n_paths: int,
                  prev: list[SpecificityEntry] | None = None,
@@ -305,22 +241,34 @@ def select_paths(g: Graph, seeds, depth: int, n_paths: int,
         raise ValueError("seed set must be non-empty")
     excluded = frozenset() if include_type_edges or g.rdf_type_id is None \
         else frozenset({g.rdf_type_id})
+    # (predicate prefix, node) -> number of paths from the seeds
+    frontier: dict[tuple[tuple[int, ...], int], int] = {}
     if prev is None:
-        freq = _enumerate_frequencies(g, seeds, depth, excluded)
+        for v, c in g.path_counts(seeds, ()).items():
+            frontier[(), v] = c
+        steps = depth
     else:
-        freq = {}
         for entry in prev:
             if entry.score < threshold:
                 continue
             if entry.relationship.depth != depth - 1:
                 raise ValueError("prev entries must have depth one less")
             prefix = entry.relationship.predicates
-            for v, c in _reach_counts(g, seeds, prefix).items():
-                for p, _ in g.out_adj[v]:
-                    if p in excluded:
-                        continue
-                    seq = prefix + (p,)
-                    freq[seq] = freq.get(seq, 0) + c
+            for v, c in g.path_counts(seeds, prefix).items():
+                frontier[prefix, v] = frontier.get((prefix, v), 0) + c
+        steps = 1
+    for _ in range(steps):
+        nxt: dict[tuple[tuple[int, ...], int], int] = {}
+        for (prefix, v), c in frontier.items():
+            for p, o in g.out_adj[v]:
+                if p in excluded:
+                    continue
+                key = (prefix + (p,), o)
+                nxt[key] = nxt.get(key, 0) + c
+        frontier = nxt
+    freq: dict[tuple[int, ...], int] = {}
+    for (seq, _), c in frontier.items():
+        freq[seq] = freq.get(seq, 0) + c
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
     return [SemanticRelationship(seq) for seq, _ in ranked[:n_paths]]
 

@@ -134,19 +134,6 @@ def _walk_uniform(g, v0, depth, rng, weight_fn):
     return tokens if len(tokens) >= 3 else None
 
 
-def _walk_template(g, v0, template, rng):
-    tokens = [v0]
-    v = v0
-    for pred in template:
-        matches = [o for p, o in g.out_adj[v] if p == pred]
-        if not matches:
-            return None  # incomplete template: discard
-        o = matches[rng.randrange(len(matches))]
-        tokens.extend((pred, o))
-        v = o
-    return tokens
-
-
 def extract_walks(g: Graph, entity: int, strategy: WalkStrategy,
                   seed: int = 0) -> WalkCorpus:
     """Up to walks_per_entity accepted walks rooted at entity.
@@ -180,11 +167,16 @@ def extract_walks(g: Graph, entity: int, strategy: WalkStrategy,
             if not templates:
                 break
             template = rng.choices(templates, weights=template_weights)[0]
-            tokens = _walk_template(g, entity, template, rng)
+            nodes = g.sample_path(entity, template, rng)
+            if nodes is None:
+                continue  # incomplete template: discard
+            tokens = [0] * (2 * len(nodes) - 1)
+            tokens[0::2] = nodes
+            tokens[1::2] = template
         else:
             tokens = _walk_uniform(g, entity, strategy.depth, rng, weight_fn)
-        if tokens is None:
-            continue
+            if tokens is None:
+                continue
         walk = Walk(tuple(tokens))
         if prune_check(walk, strategy.pruning, g):
             corpus.walks.append(walk)
@@ -198,41 +190,19 @@ def extract_walks(g: Graph, entity: int, strategy: WalkStrategy,
 
 def extract_corpus(g: Graph, entities, strategy: WalkStrategy,
                    seed: int = 0, workers: int = 1) -> WalkCorpus:
-    """Extract walks for many entities; deterministic regardless of workers.
+    """Extract walks for many entities, merged in the given entity order.
 
-    Per-entity random streams are derived from (seed, entity), so results are
-    identical whether entities run sequentially or concurrently; output is
-    merged in the given entity order.
+    Per-entity random streams are derived from (seed, entity). `workers` is
+    accepted for compatibility but extraction always runs sequentially: the
+    walk loop is pure Python holding the interpreter lock, and threads made
+    it slower, not faster.
     """
-    entities = list(entities)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda e: extract_walks(g, e, strategy, seed), entities))
-    else:
-        parts = [extract_walks(g, e, strategy, seed) for e in entities]
     merged = WalkCorpus()
-    for part in parts:
+    for e in entities:
+        part = extract_walks(g, e, strategy, seed)
         merged.walks.extend(part.walks)
         merged.stats.extend(part.stats)
     return merged
-
-
-@dataclass
-class CorpusStats:
-    walks: int
-    distinct: int
-    mean_depth: float
-    millis: float
-
-
-def corpus_stats(corpus: WalkCorpus) -> CorpusStats:
-    n = len(corpus.walks)
-    distinct = len({w.tokens for w in corpus.walks})
-    mean_depth = sum(w.depth for w in corpus.walks) / n if n else 0.0
-    millis = sum(s.millis for s in corpus.stats)
-    return CorpusStats(n, distinct, mean_depth, millis)
 
 
 # -- corpus files --------------------------------------------------------

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from specwalk.graph import RDF_TYPE, GraphBuilder
 from specwalk.synth import franchise_graph, layered_graph
@@ -13,6 +14,26 @@ def build(triples, rdf_type=RDF_TYPE):
     for t in triples:
         s, p, o = t[:3]
         b.add(s, p, o, object_literal=len(t) > 3 and t[3])
+    return b.build()
+
+
+N_NODES = 6
+PREDICATES = [EX + f"p{j}" for j in range(3)] + [RDF_TYPE]
+
+
+@st.composite
+def small_graphs(draw):
+    """Random graph whose node n{i} has term id i (i < N_NODES), with edges
+    labelled by PREDICATES; every predicate is interned even if unused."""
+    b = GraphBuilder()
+    for i in range(N_NODES):
+        b.intern(EX + f"n{i}")
+    for p in PREDICATES:
+        b.intern(p)
+    node = st.integers(0, N_NODES - 1)
+    for s, p, o in draw(st.lists(
+            st.tuples(node, st.sampled_from(PREDICATES), node), max_size=30)):
+        b.add(EX + f"n{s}", p, EX + f"n{o}")
     return b.build()
 
 

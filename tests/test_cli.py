@@ -249,6 +249,13 @@ class TestConfig:
         meta = json.loads((tmp_path / "spec.tsv.meta.json").read_text())
         assert meta["n_walks"] == 90
 
+    def test_config_without_path_is_usage_error(self, pipeline, tmp_path,
+                                                capsys):
+        assert main(["specificity", str(pipeline / "g.snap"),
+                     "--out", str(tmp_path / "t.tsv"), "--type", FILM,
+                     "--config"]) == 1
+        assert "--config" in capsys.readouterr().err
+
     def test_unknown_config_key_is_usage_error(self, pipeline, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"walk_budget": 10}))
@@ -265,6 +272,13 @@ class TestSensitivityAndPagerank:
         rows = [l.split("\t") for l in out.read_text().splitlines()]
         total = sum(float(v) for _, v in rows)
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("size", [30, 3000])
+    def test_truncated_snapshot_is_data_error(self, pipeline, tmp_path, size):
+        snap = tmp_path / "truncated.snap"
+        snap.write_bytes((pipeline / "g.snap").read_bytes()[:size])
+        assert main(["pagerank", str(snap),
+                     "--out", str(tmp_path / "scores.tsv")]) == 2
 
     def test_sensitivity_csv(self, pipeline, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,8 +1,11 @@
 import gzip
 import io
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from specwalk.graph import (RDF_TYPE, GraphBuilder, GraphError,
@@ -11,7 +14,19 @@ from specwalk.graph import (RDF_TYPE, GraphBuilder, GraphError,
 from specwalk.ntriples import (ParseError, load_graph, parse_ntriples,
                                serialize_ntriples)
 
-from conftest import EX, TYPE_T, build
+from conftest import EX, N_NODES, PREDICATES, TYPE_T, build, small_graphs
+
+
+def scan_path(g, v, predicates, rng):
+    """Reference sampler: scan every out-edge for the predicate."""
+    nodes = [v]
+    for pred in predicates:
+        matches = [o for p, o in g.out_adj[v] if p == pred]
+        if not matches:
+            return None
+        v = rng.choice(matches)
+        nodes.append(v)
+    return nodes
 
 
 def parse(text, **kw):
@@ -181,6 +196,30 @@ class TestSampling:
         assert p_value > 0.01
 
 
+class TestSamplePath:
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), start=st.integers(0, N_NODES - 1),
+           names=st.lists(st.sampled_from(PREDICATES), max_size=4),
+           seed=st.integers(0, 2**32))
+    def test_matches_scanning_reference(self, g, start, names, seed):
+        predicates = [g.term_id(p) for p in names]
+        fast, ref = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert (g.sample_path(start, predicates, fast)
+                    == scan_path(g, start, predicates, ref))
+        assert fast.getstate() == ref.getstate()
+
+    def test_follows_predicate_runs(self):
+        g = build([(EX + "s", EX + "p", EX + "a"),
+                   (EX + "s", EX + "q", EX + "b"),
+                   (EX + "b", EX + "p", EX + "c")])
+        ids = [g.term_id(EX + n) for n in ("s", "b", "c")]
+        preds = [g.term_id(EX + "q"), g.term_id(EX + "p")]
+        assert g.sample_path(ids[0], preds, random.Random(0)) == ids
+        assert g.sample_path(ids[0], preds[::-1], random.Random(0)) is None
+        assert g.path_counts([ids[0], ids[0]], preds) == {ids[2]: 2}
+
+
 class TestSerialization:
     def test_parse_serialize_parse_fixed_point(self, layered):
         g, _ = layered
@@ -207,6 +246,28 @@ class TestSerialization:
         path = tmp_path / "bad.snap"
         path.write_bytes(b"not a snapshot")
         with pytest.raises(GraphError):
+            read_snapshot(str(path))
+
+    @pytest.mark.parametrize("where", ["header", "terms", "triples", "trailing"])
+    def test_snapshot_truncated_or_padded(self, tmp_path, where):
+        g = build([(EX + "s", EX + "p", EX + "o"), (EX + "o", EX + "p", EX + "s")])
+        path = tmp_path / "g.snap"
+        write_snapshot(g, str(path))
+        data = path.read_bytes()
+        triples_at = len(data) - 12 * g.n_triples
+        cut = {"header": data[:14], "terms": data[:triples_at - 3],
+               "triples": data[:-5], "trailing": data + b"\0"}[where]
+        path.write_bytes(cut)
+        with pytest.raises(GraphError):
+            read_snapshot(str(path))
+
+    def test_snapshot_term_id_out_of_range(self, tmp_path):
+        g = build([(EX + "s", EX + "p", EX + "o")])
+        path = tmp_path / "g.snap"
+        write_snapshot(g, str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:-4] + struct.pack("<I", g.n_terms))
+        with pytest.raises(GraphError, match="out of range"):
             read_snapshot(str(path))
 
     def test_tsv_round_trip(self):

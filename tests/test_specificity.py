@@ -3,16 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specwalk.graph import RDF_TYPE, GraphBuilder, GraphError
 from specwalk.specificity import (EstimatorParams, SemanticRelationship,
                                   SpecificityEntry, SpecificityTable,
                                   estimate_specificity, exact_specificity,
-                                  forward_reachable, node_to_node_specificity,
+                                  node_to_node_specificity,
                                   rank_by_specificity, select_paths)
 from specwalk.synth import layered_graph, relevance_inversion_graph
 
-from conftest import EX, TYPE_T, build
+from conftest import EX, N_NODES, TYPE_T, build, small_graphs
 
 
 def rel(g, *preds):
@@ -20,6 +22,24 @@ def rel(g, *preds):
 
 
 # -- independent oracles -------------------------------------------------
+
+def enumerate_frequencies(g, seeds, depth, excluded):
+    """Occurrence counts of all length-`depth` predicate sequences from the
+    seeds, by recursive path enumeration (excluded predicates dropped)."""
+    freq = {}
+
+    def rec(v, prefix, remaining):
+        if remaining == 0:
+            freq[prefix] = freq.get(prefix, 0) + 1
+            return
+        for p, o in g.out_adj[v]:
+            if p not in excluded:
+                rec(o, prefix + (p,), remaining - 1)
+
+    for s in seeds:
+        rec(s, (), depth)
+    return freq
+
 
 def brute_force_specificity(g, relationship, t):
     """Separately written exhaustive enumerator for the exact definition."""
@@ -273,6 +293,31 @@ class TestSelectPaths:
         oracle_ids = sorted(((g.term_id(p),) for p in frequencies),
                             key=lambda seq: (-frequencies[g.terms[seq[0]]], seq))
         assert [r.predicates for r in got] == oracle_ids[:25]
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), data=st.data(),
+           seeds=st.sets(st.integers(0, N_NODES - 1), min_size=1),
+           depth=st.integers(1, 3), n_paths=st.integers(1, 12),
+           with_prev=st.booleans(), include_type_edges=st.booleans())
+    def test_ranking_matches_path_enumeration(self, g, data, seeds, depth,
+                                              n_paths, with_prev,
+                                              include_type_edges):
+        seeds = sorted(seeds)
+        excluded = frozenset() if include_type_edges else {g.rdf_type_id}
+        freq = enumerate_frequencies(g, seeds, depth, excluded)
+        prev = None
+        if with_prev and depth > 1:
+            prefixes = enumerate_frequencies(g, seeds, depth - 1, excluded)
+            prev = [SpecificityEntry(SemanticRelationship(seq),
+                                     data.draw(st.sampled_from([0.2, 0.9])), 1)
+                    for seq in sorted(prefixes)]
+            kept = {e.relationship.predicates for e in prev if e.score >= 0.5}
+            freq = {seq: c for seq, c in freq.items() if seq[:-1] in kept}
+        expected = sorted(freq, key=lambda seq: (-freq[seq], seq))[:n_paths]
+        got = select_paths(g, seeds, depth, n_paths, prev=prev,
+                           include_type_edges=include_type_edges)
+        assert [r.predicates for r in got] == expected
 
 
 class TestRanking:

@@ -5,9 +5,9 @@ import pytest
 from specwalk.graph import RDF_TYPE
 from specwalk.specificity import (SemanticRelationship, SpecificityEntry,
                                   SpecificityTable)
-from specwalk.walks import (Walk, WalkStrategy, corpus_stats, extract_corpus,
-                            extract_walks, prune_check, read_corpus_lines,
-                            write_corpus, write_stats_csv)
+from specwalk.walks import (Walk, WalkStrategy, extract_corpus, extract_walks,
+                            prune_check, read_corpus_lines, write_corpus,
+                            write_stats_csv)
 
 from conftest import EX, TYPE_T, build
 
@@ -241,16 +241,13 @@ class TestBiases:
 
 
 class TestCorpusIO:
-    def test_stats_empty_and_duplicates(self, chain_graph):
-        from specwalk.walks import WalkCorpus
-        empty = corpus_stats(WalkCorpus())
-        assert (empty.walks, empty.distinct, empty.mean_depth) == (0, 0, 0.0)
+    def test_stats_empty_and_duplicates(self):
         g = build([(EX + "f", EX + "p", EX + "x")])
         strategy = WalkStrategy(depth=1, walks_per_entity=4)
-        stats = corpus_stats(extract_walks(g, g.term_id(EX + "f"), strategy, 0))
-        assert stats.walks == 4
-        assert stats.distinct == 1
-        assert stats.mean_depth == 1.0
+        (empty,) = extract_walks(g, g.term_id(EX + "x"), strategy, 0).stats
+        assert (empty.attempts, empty.walks, empty.distinct) == (4, 0, 0)
+        (stats,) = extract_walks(g, g.term_id(EX + "f"), strategy, 0).stats
+        assert (stats.attempts, stats.walks, stats.distinct) == (4, 4, 1)
 
     def test_write_read_round_trip(self):
         g = build([(EX + "f", EX + "p", EX + "x")])
