@@ -68,9 +68,10 @@ def cmd_ingest(args) -> int:
     g = load_graph(args.input, strict=args.strict, rdf_type=args.rdf_type)
     write_snapshot(g, args.out)
     _write_sidecar(args.out, "ingest", _public_args(args), g)
-    entities = sum(len(v) for v in g.type_index.values())
+    types = [g.types_of(v) for v in range(g.n_terms)]
     print(f"triples={g.n_triples} terms={g.n_terms} "
-          f"typed_entities={entities} types={len(g.type_index)}")
+          f"typed_entities={sum(map(len, types))} "
+          f"types={len(frozenset().union(*types))}")
     if g.report is not None and g.report.skipped:
         print(f"skipped_lines={g.report.skipped}", file=sys.stderr)
     return 0
@@ -382,8 +383,9 @@ def build_parser() -> _Parser:
     p.add_argument("--stats", default=None, help="per-entity stats CSV")
     p.add_argument("--no-depth1", action="store_true",
                    help="do not concatenate depth-1 walks for depth>1")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="accepted for compatibility; extraction is sequential")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility and ignored; extraction "
+                        "is sequential (default 1)")
     common(p)
     p.set_defaults(func=cmd_walk)
 

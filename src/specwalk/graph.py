@@ -12,6 +12,7 @@ import logging
 import random
 import struct
 from bisect import bisect_left
+from collections.abc import Set
 
 log = logging.getLogger(__name__)
 
@@ -57,17 +58,46 @@ class GraphBuilder:
         self._triples.add((s, p, o))
 
     def build(self) -> "Graph":
-        return Graph(self._terms, self._literal, self._triples, self.rdf_type)
+        return Graph(self._terms, self._literal, sorted(self._triples),
+                     self.rdf_type)
+
+
+class TripleSet(Set):
+    """Read-only set view of a graph's (s, p, o) triples over its out_adj
+    lists; iterates in ascending order."""
+
+    _from_iterable = frozenset  # result type of the Set mixins' &, |, -, ^
+
+    def __init__(self, out_adj: list[list[tuple[int, int]]], n: int):
+        self._out_adj = out_adj
+        self._len = n
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for s, edges in enumerate(self._out_adj):
+            for p, o in edges:
+                yield s, p, o
+
+    def __contains__(self, triple) -> bool:
+        s, p, o = triple
+        if not 0 <= s < len(self._out_adj):
+            return False
+        edges = self._out_adj[s]
+        i = bisect_left(edges, (p, o))
+        return i < len(edges) and edges[i] == (p, o)
 
 
 class Graph:
-    """Immutable triple store with out/in adjacency and a direct-type index."""
+    """Immutable triple store: out/in adjacency lists hold each triple once."""
 
     def __init__(self, terms: list[str], literal: list[bool],
-                 triples: set[tuple[int, int, int]], rdf_type: str = RDF_TYPE):
+                 triples, rdf_type: str = RDF_TYPE):
+        """`triples` must be strictly ascending (s, p, o) id tuples, so
+        sorted and distinct; GraphError otherwise."""
         self.terms = terms
         self.literal = literal
-        self.triples = frozenset(triples)
         self.rdf_type = rdf_type
         self._ids = {t: i for i, t in enumerate(terms)}
         self.rdf_type_id = self._ids.get(rdf_type)
@@ -77,20 +107,24 @@ class Graph:
         # _edges_with finds by bisection.
         self.out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self.in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.type_index: dict[int, set[int]] = {}
-        for s, p, o in sorted(triples):
+        count = 0
+        prev = (-1,)
+        for triple in triples:
+            if triple <= prev:
+                raise GraphError(f"triples must be sorted and distinct: "
+                                 f"triple {count} {triple} follows {prev}")
+            s, p, o = prev = triple
             if self.literal[s]:
                 raise GraphError(f"literal in subject position: {terms[s]!r}")
             if self.literal[p]:
                 raise GraphError(f"literal in predicate position: {terms[p]!r}")
             self.out_adj[s].append((p, o))
             self.in_adj[o].append((p, s))
-            if p == self.rdf_type_id:
-                self.type_index.setdefault(o, set()).add(s)
+            count += 1
+        self.triples = TripleSet(self.out_adj, count)
         self.report = None  # set by parsers
         self._checksum: str | None = None
         self._pred_freq: dict[int, int] | None = None
-        self._types_of: list[frozenset[int]] | None = None
 
     # -- lookups ---------------------------------------------------------
 
@@ -177,11 +211,7 @@ class Graph:
         self._check(v)
         if self.rdf_type_id is None:
             return frozenset()
-        if self._types_of is None:
-            self._types_of = [
-                frozenset(o for _, o in self._edges_with(node, self.rdf_type_id))
-                for node in range(len(self.terms))]
-        return self._types_of[v]
+        return frozenset(o for _, o in self._edges_with(v, self.rdf_type_id))
 
     def entities_of_type(self, t) -> frozenset[int]:
         """Entities with a direct rdf:type assertion to t; empty if t unknown."""
@@ -192,7 +222,7 @@ class Graph:
             t = tid
         else:
             self._check(t)
-        return frozenset(self.type_index.get(t, ()))
+        return frozenset(s for p, s in self.in_adj[t] if p == self.rdf_type_id)
 
     def sample_entities(self, t, n: int, seed: int) -> list[int]:
         """Sample n distinct type-t entities uniformly; deterministic in seed.
@@ -288,7 +318,7 @@ def serialize_tsv(graph: Graph, out) -> None:
 #   u64  triple count
 #   u16  rdf:type IRI length, then the IRI bytes
 #   per term: u32 utf-8 length, bytes, u8 literal flag
-#   per triple (sorted ascending): 3 x u32 (subject, predicate, object)
+#   per triple (strictly ascending): 3 x u32 (subject, predicate, object)
 
 def write_snapshot(graph: Graph, path: str) -> None:
     with open(path, "wb") as f:
@@ -302,7 +332,7 @@ def write_snapshot(graph: Graph, path: str) -> None:
             f.write(struct.pack("<I", len(tb)))
             f.write(tb)
             f.write(struct.pack("<B", 1 if lit else 0))
-        for s, p, o in sorted(graph.triples):
+        for s, p, o in graph.triples:
             f.write(struct.pack("<III", s, p, o))
 
 
@@ -330,7 +360,7 @@ def read_snapshot(path: str) -> Graph:
     if len(buf) != 12 * n_triples:
         raise GraphError(f"triple block is {len(buf)} bytes, expected "
                          f"{12 * n_triples}: {path}")
-    triples = set(struct.iter_unpack("<III", buf))
+    triples = list(struct.iter_unpack("<III", buf))
     if triples and max(map(max, triples)) >= n_terms:
         raise GraphError(f"term id out of range in graph snapshot: {path}")
     return Graph(terms, literal, triples, rdf_type)

@@ -25,7 +25,6 @@ class TrainConfig:
     epochs: int = 5
     lr: float = 0.025
     min_count: int = 1
-    unigram_power: float = 0.75
     subsample: float = 0.0  # off by default; fraction threshold when > 0
     seed: int = 0
 
@@ -106,18 +105,43 @@ class EmbeddingModel:
 
     @classmethod
     def load_text(cls, stream) -> "EmbeddingModel":
+        """Read the word2vec text format written by save_text.
+
+        ValueError naming the line unless the header is a row count >= 0 and
+        a dimension >= 1, followed by exactly that many rows, each a token
+        and `dim` floats.
+        """
         header = stream.readline().split()
+        if (len(header) != 2 or not all(h.isdigit() for h in header)
+                or int(header[1]) < 1):
+            raise ValueError(f"model line 1: expected '<rows> <dim>' with "
+                             f"dim >= 1, got {' '.join(header)!r}")
         n, dim = int(header[0]), int(header[1])
-        tokens, rows = [], []
-        for _ in range(n):
-            parts = stream.readline().rstrip("\n").split(" ")
+        tokens = []
+        w_in = np.empty((n, dim), dtype=np.float32)
+        for i in range(n):
+            lineno = i + 2
+            line = stream.readline()
+            if not line:
+                raise ValueError(f"model line {lineno}: file ends after {i} "
+                                 f"of the header's {n} rows")
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) != dim + 1 or not parts[0]:
+                raise ValueError(f"model line {lineno}: expected a token and "
+                                 f"{dim} values, got {len(parts) - 1} values")
             tokens.append(parts[0])
-            rows.append(np.array(parts[1:], dtype=np.float32))
+            try:
+                w_in[i] = np.array(parts[1:], dtype=np.float32)
+            except ValueError as exc:
+                raise ValueError(f"model line {lineno}: {exc}") from None
+        if stream.readline().strip():
+            raise ValueError(f"model line {n + 2}: more rows than the "
+                             f"header's {n}")
         vocab = Vocabulary.__new__(Vocabulary)
         vocab.tokens = tokens
         vocab.index = {t: i for i, t in enumerate(tokens)}
         vocab.counts = np.zeros(n, dtype=np.int64)
-        return cls(vocab, np.vstack(rows), None, TrainConfig(dim=dim))
+        return cls(vocab, w_in, None, TrainConfig(dim=dim))
 
 
 def init_model(vocab: Vocabulary, config: TrainConfig) -> EmbeddingModel:
@@ -168,7 +192,7 @@ def train(token_lines, config: TrainConfig) -> EmbeddingModel:
     if config.epochs == 0 or not sentences:
         return model
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
-    cum = unigram_table(vocab, config.unigram_power)
+    cum = unigram_table(vocab)
 
     keep_prob = None
     if config.subsample > 0:

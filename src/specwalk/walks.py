@@ -64,10 +64,6 @@ class WalkStrategy:
         if self.bias == "pagerank" and self.pagerank_scores is None:
             raise ValueError("pagerank bias requires node scores")
 
-    def describe(self) -> str:
-        return (f"bias={self.bias} pruning={self.pruning} depth={self.depth} "
-                f"walks={self.walks_per_entity}")
-
 
 @dataclass
 class EntityStats:

@@ -21,20 +21,27 @@ N_NODES = 6
 PREDICATES = [EX + f"p{j}" for j in range(3)] + [RDF_TYPE]
 
 
-@st.composite
-def small_graphs(draw):
-    """Random graph whose node n{i} has term id i (i < N_NODES), with edges
-    labelled by PREDICATES; every predicate is interned even if unused."""
+_node = st.integers(0, N_NODES - 1)
+small_edges = st.lists(st.tuples(_node, st.sampled_from(PREDICATES), _node),
+                       max_size=30)
+
+
+def small_graph(edges):
+    """Graph whose node n{i} has term id i (i < N_NODES), with one triple per
+    (i, predicate IRI, j) edge; every predicate is interned even if unused."""
     b = GraphBuilder()
     for i in range(N_NODES):
         b.intern(EX + f"n{i}")
     for p in PREDICATES:
         b.intern(p)
-    node = st.integers(0, N_NODES - 1)
-    for s, p, o in draw(st.lists(
-            st.tuples(node, st.sampled_from(PREDICATES), node), max_size=30)):
+    for s, p, o in edges:
         b.add(EX + f"n{s}", p, EX + f"n{o}")
     return b.build()
+
+
+def small_graphs():
+    """Random small_graph over up to 30 edges."""
+    return small_edges.map(small_graph)
 
 
 @pytest.fixture

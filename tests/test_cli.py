@@ -184,6 +184,18 @@ class TestWalk:
         assert main(args + ["--out", str(b), "--workers", "4"]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_default_workers_independent_of_cpu_count(self, pipeline, tmp_path,
+                                                      monkeypatch):
+        out = tmp_path / "c.txt"
+        sidecars = []
+        for cpus in (2, 8):
+            monkeypatch.setattr("os.cpu_count", lambda: cpus)
+            assert main(["walk", str(pipeline / "g.snap"), "--out", str(out),
+                         "--type", FILM, "--walks", "5"]) == 0
+            assert read_meta(out)["params"]["workers"] == 1
+            sidecars.append(file_hash(tmp_path / "c.txt.meta.json"))
+        assert sidecars[0] == sidecars[1]
+
 
 class TestTrainRecommendEval:
     def test_recommend_stdout(self, pipeline, capsys):
@@ -200,6 +212,19 @@ class TestTrainRecommendEval:
     def test_recommend_unknown_query_is_data_error(self, pipeline):
         assert main(["recommend", str(pipeline / "model.txt"),
                      "--query", "http://x/none"]) == 2
+
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),                               # empty
+        ("3 2\na 0.1 0.2\nb 0.3 0.4\n", 4),    # fewer rows than the header
+        ("2 2\na 0.1 0.2\nb 0.3\n", 3),        # ragged row
+        ("2 2\na 0.1 0.2 0.5\nb 0.3 0.4\n", 2),  # row wider than dim
+    ], ids=["empty", "short", "ragged", "too-wide"])
+    def test_recommend_malformed_model_is_data_error(self, tmp_path, capsys,
+                                                     text, line):
+        model = tmp_path / "model.txt"
+        model.write_text(text)
+        assert main(["recommend", str(model), "--query", "a"]) == 2
+        assert f"model line {line}:" in capsys.readouterr().err
 
     def test_eval_writes_csv(self, pipeline, tmp_path):
         out = tmp_path / "eval.csv"

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from specwalk.cli import main
 from specwalk.graph import (RDF_TYPE, GraphBuilder, GraphError,
                             UnknownTermError, parse_tsv, read_snapshot,
                             serialize_tsv, write_snapshot)
 from specwalk.ntriples import (ParseError, load_graph, parse_ntriples,
                                serialize_ntriples)
 
-from conftest import EX, N_NODES, PREDICATES, TYPE_T, build, small_graphs
+from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, small_edges,
+                      small_graph, small_graphs)
 
 
 def scan_path(g, v, predicates, rng):
@@ -148,14 +150,39 @@ class TestTypeIndex:
 
     def test_type_index_matches_brute_force(self, layered):
         g, _ = layered
-        for t, members in g.type_index.items():
-            scan = {s for s, p, o in g.triples
-                    if p == g.rdf_type_id and o == t}
-            assert scan == members
+        scan: dict[int, set[int]] = {}
+        for s, p, o in g.triples:
+            if p == g.rdf_type_id:
+                scan.setdefault(o, set()).add(s)
+        assert scan
+        for t, members in scan.items():
+            assert g.entities_of_type(t) == members
 
     def test_custom_rdf_type_predicate(self):
         g = build([(EX + "e", EX + "isa", TYPE_T)], rdf_type=EX + "isa")
         assert g.entities_of_type(TYPE_T) == {g.term_id(EX + "e")}
+
+
+class TestTripleStore:
+    @settings(max_examples=150, deadline=None)
+    @given(edges=small_edges)
+    def test_matches_builder_triples(self, edges):
+        g = small_graph(edges)
+        want = {(s, g.term_id(p), o) for s, p, o in edges}
+        assert g.triples == want and want == g.triples
+        assert len(g.triples) == g.n_triples == len(want)
+        assert list(g.triples) == sorted(want)
+        ids = range(-1, g.n_terms + 1)
+        for s in ids:
+            for p in range(g.n_terms):
+                for o in ids:
+                    assert ((s, p, o) in g.triples) == ((s, p, o) in want)
+        rdf_type = g.rdf_type_id
+        for v in range(g.n_terms):
+            assert g.entities_of_type(v) == {
+                s for s, p, o in want if p == rdf_type and o == v}
+            assert g.types_of(v) == {
+                o for s, p, o in want if p == rdf_type and s == v}
 
 
 class TestSampling:
@@ -269,6 +296,26 @@ class TestSerialization:
         path.write_bytes(data[:-4] + struct.pack("<I", g.n_terms))
         with pytest.raises(GraphError, match="out of range"):
             read_snapshot(str(path))
+
+    @pytest.mark.parametrize("fault", ["swapped", "repeated"])
+    def test_snapshot_triples_not_ascending(self, tmp_path, fault):
+        g = build([(EX + "s", EX + "p", EX + "o"), (EX + "o", EX + "p", EX + "s"),
+                   (EX + "o", EX + "q", EX + "s")])
+        path = tmp_path / "g.snap"
+        write_snapshot(g, str(path))
+        data = path.read_bytes()
+        at = len(data) - 12 * g.n_triples
+        head, block = data[:at], data[at:]
+        if fault == "swapped":
+            block = block[12:24] + block[:12] + block[24:]
+        else:  # a repeated last triple, counted in the header
+            block += block[-12:]
+            head = head[:12] + struct.pack("<Q", g.n_triples + 1) + head[20:]
+        path.write_bytes(head + block)
+        with pytest.raises(GraphError, match="sorted and distinct"):
+            read_snapshot(str(path))
+        assert main(["pagerank", str(path),
+                     "--out", str(tmp_path / "pr.tsv")]) == 2
 
     def test_tsv_round_trip(self):
         g = build([(EX + "s", EX + "p", '"lit with tab?"', True),
