@@ -9,7 +9,7 @@ from .pagerank import ScoreMap, compute_pagerank, load_scores, save_scores
 from .recommend import (Recommendation, ndcg, precision_at_k,
                         sensitivity_sweep, top_k)
 from .skipgram import (EmbeddingModel, TrainConfig, Vocabulary, build_vocab,
-                       context_pairs, sgns_step, train)
+                       sgns_step, train)
 from .specificity import (EstimatorParams, SemanticRelationship,
                           SpecificityEntry, SpecificityTable,
                           estimate_specificity, exact_specificity,

@@ -70,7 +70,7 @@ def cmd_ingest(args) -> int:
     _write_sidecar(args.out, "ingest", _public_args(args), g)
     types = [g.types_of(v) for v in range(g.n_terms)]
     print(f"triples={g.n_triples} terms={g.n_terms} "
-          f"typed_entities={sum(map(len, types))} "
+          f"typed_entities={sum(1 for ts in types if ts)} "
           f"types={len(frozenset().union(*types))}")
     if g.report is not None and g.report.skipped:
         print(f"skipped_lines={g.report.skipped}", file=sys.stderr)

@@ -2,8 +2,21 @@
 
 Plain numpy implementation: input vectors initialized uniformly in
 [-0.5/dim, 0.5/dim], output vectors zero, negatives drawn from the
-unigram^0.75 distribution, learning rate decayed linearly over all processed
-pairs. Single-worker training is bit-deterministic given the seed.
+unigram^0.75 distribution.
+
+Training runs in minibatches of ``BATCH_SIZE`` (center, context) pairs. Each
+epoch builds its pairs as index arrays (every ordered pair of positions at
+most ``window`` apart within a line, after subsampling), shuffles them with
+the training RNG and steps through them a batch at a time. A batch draws
+``negatives`` per pair, computes every gradient from the weights as they were
+before the batch, and adds the *summed* update of each row: a token that
+appears k times in a batch moves as far as k single-pair steps would from
+the same start. ``sgns_step`` is the one-pair batch.
+
+The learning rate decays linearly from ``lr`` to ``lr * 1e-4`` over the pairs
+actually trained: epoch e covers the fraction [e/epochs, (e+1)/epochs) of the
+schedule, split evenly over that epoch's pairs, so subsampling does not stop
+the decay short. Single-worker training is bit-deterministic given the seed.
 """
 from __future__ import annotations
 
@@ -15,6 +28,10 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 SIGMOID_CLAMP = 30.0  # |x| beyond this contributes negligible gradient
+# Pairs per gradient step. Summed row updates grow with the batch, so larger
+# batches take larger steps on frequent tokens: 256 diverges on the
+# criterion-7 corpus at the default learning rate.
+BATCH_SIZE = 64
 
 
 @dataclass
@@ -31,6 +48,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.negatives < 1:
             raise ValueError("dim, window and negatives must all be >= 1")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not self.subsample >= 0:
+            raise ValueError(f"subsample must be >= 0, got {self.subsample}")
+        if self.min_count < 1:
+            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
 
 
 class Vocabulary:
@@ -57,17 +82,28 @@ def build_vocab(token_lines, min_count: int = 1) -> Vocabulary:
     return Vocabulary(counts, min_count=min_count)
 
 
-def context_pairs(tokens, window: int):
-    """All ordered (center, context) pairs within the window."""
+def context_pair_arrays(flat: np.ndarray, lengths: np.ndarray,
+                        window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, contexts): every ordered pair of positions at most `window`
+    apart within a line, for lines stored back to back in `flat`.
+
+    Lines of one length share one (i, j) offset pattern, so the only Python
+    loop is over the distinct lengths.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
-    pairs = []
-    n = len(tokens)
-    for i in range(n):
-        for j in range(max(0, i - window), min(n, i + window + 1)):
-            if i != j:
-                pairs.append((tokens[i], tokens[j]))
-    return pairs
+    starts = np.cumsum(lengths) - lengths
+    centers, contexts = [], []
+    for n in np.flatnonzero(np.bincount(lengths)[2:]) + 2:
+        pos = np.arange(n)
+        gap = np.abs(pos[:, None] - pos[None, :])
+        i, j = np.nonzero((gap > 0) & (gap <= window))
+        rows = flat[starts[lengths == n][:, None] + pos]
+        centers.append(rows[:, i].ravel())
+        contexts.append(rows[:, j].ravel())
+    if not centers:
+        return flat[:0], flat[:0]
+    return np.concatenate(centers), np.concatenate(contexts)
 
 
 def unigram_table(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:
@@ -77,8 +113,9 @@ def unigram_table(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:
     return cum / cum[-1]
 
 
-def sample_negatives(cum: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    return np.searchsorted(cum, rng.random(k)).astype(np.int64)
+def sample_negatives(cum: np.ndarray, shape, rng: np.random.Generator) -> np.ndarray:
+    """Vocabulary indices of the given shape drawn from the table `cum`."""
+    return np.searchsorted(cum, rng.random(shape)).astype(np.int64)
 
 
 def _sigmoid(x):
@@ -92,6 +129,8 @@ class EmbeddingModel:
     w_out: np.ndarray | None
     config: TrainConfig
     epoch_losses: list[float] = field(default_factory=list)
+    epoch_pairs: list[int] = field(default_factory=list)  # pairs trained
+    final_lr: float = 0.0  # learning rate of the last batch trained
 
     def vector(self, token: str) -> np.ndarray:
         return self.w_in[self.vocab.index[token]]
@@ -152,29 +191,48 @@ def init_model(vocab: Vocabulary, config: TrainConfig) -> EmbeddingModel:
     return EmbeddingModel(vocab, w_in, w_out, config)
 
 
+def _scatter_add(w: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """w[r] += sum of the updates for row r, for each distinct r in rows."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    w[rows[first]] += np.add.reduceat(updates[order], first, axis=0)
+
+
+def sgns_batch(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
+               contexts: np.ndarray, negatives: np.ndarray, lr: float) -> float:
+    """One summed gradient step on sum_b log s(u_ctx.v) + sum log s(-u_neg.v).
+
+    `negatives` has one row per (center, context) pair. Every gradient is
+    taken at the weights before the step, and the updates that land on one
+    row add up. Updates both matrices in place; returns the objective before
+    the update.
+    """
+    idx = np.concatenate((contexts[:, None], negatives), axis=1)
+    v = w_in[centers]
+    us = w_out[idx]
+    f = _sigmoid(np.einsum("bd,bkd->bk", v, us))
+    obj = (np.log(np.maximum(f[:, 0], 1e-12)).sum(dtype=np.float64)
+           + np.log(np.maximum(1.0 - f[:, 1:], 1e-12)).sum(dtype=np.float64))
+    gscale = -f
+    gscale[:, 0] += 1.0
+    gscale *= lr
+    _scatter_add(w_in, centers, np.einsum("bk,bkd->bd", gscale, us))
+    _scatter_add(w_out, idx.ravel(),
+                 (gscale[:, :, None] * v[:, None, :]).reshape(-1, v.shape[1]))
+    return float(obj)
+
+
 def sgns_step(model: EmbeddingModel, center: int, context: int,
               negatives, lr: float) -> float:
-    """One gradient step on log s(u_ctx.v) + sum log s(-u_neg.v).
+    """One gradient step for one pair: `sgns_batch` with a batch of one.
 
     Updates both matrices in place; returns the objective value before the
     update. lr=0 leaves the model unchanged.
     """
-    w_in, w_out = model.w_in, model.w_out
-    idx = np.empty(1 + len(negatives), dtype=np.int64)
-    idx[0] = context
-    idx[1:] = negatives
-    v = w_in[center]
-    us = w_out[idx]
-    dots = us @ v
-    f = _sigmoid(dots)
-    obj = float(np.log(max(f[0], 1e-12)) + np.log(np.maximum(1.0 - f[1:], 1e-12)).sum())
-    labels = np.zeros(len(idx), dtype=np.float32)
-    labels[0] = 1.0
-    gscale = (labels - f.astype(np.float32)) * lr
-    v_grad = gscale @ us
-    np.add.at(w_out, idx, gscale[:, None] * v[None, :])
-    w_in[center] += v_grad
-    return obj
+    return sgns_batch(model.w_in, model.w_out, np.array([center]),
+                      np.array([context]),
+                      np.asarray(negatives, dtype=np.int64).reshape(1, -1), lr)
 
 
 def train(token_lines, config: TrainConfig) -> EmbeddingModel:
@@ -183,14 +241,16 @@ def train(token_lines, config: TrainConfig) -> EmbeddingModel:
     vocab = build_vocab(lines, min_count=config.min_count)
     if len(vocab) == 0:
         raise ValueError("empty vocabulary after min-count filtering")
-    sentences = []
-    for tokens in lines:
-        ids = [vocab.index[t] for t in tokens if t in vocab.index]
-        if len(ids) >= 2:
-            sentences.append(np.array(ids, dtype=np.int64))
+    ids = [[vocab.index[t] for t in tokens if t in vocab.index]
+           for tokens in lines]
+    ids = [s for s in ids if len(s) >= 2]
     model = init_model(vocab, config)
-    if config.epochs == 0 or not sentences:
+    if config.epochs == 0 or not ids:
         return model
+    lengths = np.array([len(s) for s in ids], dtype=np.int64)
+    # int32 token ids keep each epoch's pair arrays at 8 bytes a pair
+    flat = np.fromiter((t for s in ids for t in s), dtype=np.int32,
+                       count=int(lengths.sum()))
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
     cum = unigram_table(vocab)
 
@@ -200,38 +260,37 @@ def train(token_lines, config: TrainConfig) -> EmbeddingModel:
         keep_prob = np.minimum(
             1.0, np.sqrt(config.subsample / np.maximum(freq, 1e-12))
             + config.subsample / np.maximum(freq, 1e-12))
+        line_starts = np.cumsum(lengths) - lengths
+    else:
+        all_pairs = context_pair_arrays(flat, lengths, config.window)
 
-    pairs_per_epoch = 0
-    for sent in sentences:
-        n = len(sent)
-        for i in range(n):
-            pairs_per_epoch += min(n, i + config.window + 1) - max(0, i - config.window) - 1
-    total_pairs = pairs_per_epoch * config.epochs
-    processed = 0
     lr_floor = config.lr * 1e-4
-
+    lr = config.lr
     for epoch in range(config.epochs):
+        if keep_prob is None:
+            centers, contexts = all_pairs
+        else:
+            kept = rng.random(len(flat)) < keep_prob[flat]
+            centers, contexts = context_pair_arrays(
+                flat[kept], np.add.reduceat(kept, line_starts), config.window)
+        n_pairs = len(centers)
+        order = rng.permutation(n_pairs)
+        centers, contexts = centers[order], contexts[order]
         epoch_obj = 0.0
-        epoch_pairs = 0
-        for sent in sentences:
-            if keep_prob is not None:
-                mask = rng.random(len(sent)) < keep_prob[sent]
-                sent = sent[mask]
-            n = len(sent)
-            for i in range(n):
-                center = int(sent[i])
-                lo, hi = max(0, i - config.window), min(n, i + config.window + 1)
-                for j in range(lo, hi):
-                    if j == i:
-                        continue
-                    lr = max(lr_floor, config.lr * (1.0 - processed / total_pairs))
-                    negs = sample_negatives(cum, config.negatives, rng)
-                    epoch_obj += sgns_step(model, center, int(sent[j]), negs, lr)
-                    processed += 1
-                    epoch_pairs += 1
-        mean = epoch_obj / epoch_pairs if epoch_pairs else 0.0
+        for start in range(0, n_pairs, BATCH_SIZE):
+            stop = min(start + BATCH_SIZE, n_pairs)
+            progress = (epoch + start / n_pairs) / config.epochs
+            lr = max(lr_floor, config.lr * (1.0 - progress))
+            negs = sample_negatives(cum, (stop - start, config.negatives), rng)
+            epoch_obj += sgns_batch(model.w_in, model.w_out,
+                                    centers[start:stop], contexts[start:stop],
+                                    negs, lr)
+        mean = epoch_obj / n_pairs if n_pairs else 0.0
         model.epoch_losses.append(-mean)  # negative objective = loss
-        log.info("epoch %d/%d: mean loss %.4f", epoch + 1, config.epochs, -mean)
+        model.epoch_pairs.append(n_pairs)
+        log.info("epoch %d/%d: mean loss %.4f over %d pairs", epoch + 1,
+                 config.epochs, -mean, n_pairs)
+    model.final_lr = lr
     if not np.isfinite(model.w_in).all() or not np.isfinite(model.w_out).all():
         raise ArithmeticError("non-finite values in trained embeddings")
     return model

@@ -50,6 +50,15 @@ class TestIngest:
         assert "triples=5" in out
         assert "terms=7" in out
 
+    def test_typed_entities_counts_nodes_not_type_triples(self, tmp_path,
+                                                          capsys):
+        rdf_type = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+        nt = tmp_path / "typed.nt"
+        nt.write_text(f"<http://x/e> <{rdf_type}> <http://x/A> .\n"
+                      f"<http://x/e> <{rdf_type}> <http://x/B> .\n")
+        assert main(["ingest", str(nt), "--out", str(tmp_path / "g.snap")]) == 0
+        assert "typed_entities=1 types=2" in capsys.readouterr().out
+
     def test_gzip_input_same_checksum(self, tmp_path):
         text = "<http://x/s> <http://x/p> <http://x/o> .\n"
         plain = tmp_path / "g.nt"
@@ -225,6 +234,17 @@ class TestTrainRecommendEval:
         model.write_text(text)
         assert main(["recommend", str(model), "--query", "a"]) == 2
         assert f"model line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "-1"), ("--lr", "0"), ("--epochs", "-2"),
+        ("--subsample", "-0.5"), ("--min-count", "0"), ("--dim", "0"),
+    ])
+    def test_train_invalid_config_is_data_error(self, pipeline, tmp_path,
+                                                flag, value):
+        out = tmp_path / "model.txt"
+        assert main(["train", str(pipeline / "walks.txt"), "--out", str(out),
+                     flag, value]) == 2
+        assert not out.exists()
 
     def test_eval_writes_csv(self, pipeline, tmp_path):
         out = tmp_path / "eval.csv"

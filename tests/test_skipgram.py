@@ -1,14 +1,17 @@
 import io
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specwalk.skipgram import (EmbeddingModel, TrainConfig, Vocabulary,
-                               build_vocab, context_pairs, init_model,
-                               sample_negatives, sgns_step, train,
-                               unigram_table)
+from specwalk.skipgram import (BATCH_SIZE, EmbeddingModel, TrainConfig,
+                               Vocabulary, build_vocab, context_pair_arrays,
+                               init_model, sample_negatives, sgns_batch,
+                               sgns_step, train, unigram_table)
 
 
 def two_clique_corpus(seed=0, lines=300):
@@ -47,22 +50,61 @@ class TestVocab:
         assert v.tokens == ["a", "z"]
 
 
+def reference_pairs(tokens, window: int):
+    """Reference for context_pair_arrays: all ordered (center, context) pairs
+    within the window of one line, by explicit loops."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    pairs = []
+    n = len(tokens)
+    for i in range(n):
+        for j in range(max(0, i - window), min(n, i + window + 1)):
+            if i != j:
+                pairs.append((tokens[i], tokens[j]))
+    return pairs
+
+
+def vectorised_pairs(lines, window: int):
+    """context_pair_arrays over token lines, mapped back to token pairs."""
+    tokens = sorted({t for line in lines for t in line})
+    index = {t: i for i, t in enumerate(tokens)}
+    flat = np.array([index[t] for line in lines for t in line], dtype=np.int64)
+    lengths = np.array([len(line) for line in lines], dtype=np.int64)
+    centers, contexts = context_pair_arrays(flat, lengths, window)
+    return [(tokens[c], tokens[x]) for c, x in zip(centers, contexts)]
+
+
 class TestContextPairs:
     def test_window_one(self):
-        got = context_pairs(["a", "b", "c"], 1)
-        assert got == [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]
+        want = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]
+        assert reference_pairs(["a", "b", "c"], 1) == want
+        assert vectorised_pairs([["a", "b", "c"]], 1) == want
 
     def test_single_token_no_pairs(self):
-        assert context_pairs(["a"], 5) == []
+        assert reference_pairs(["a"], 5) == []
+        assert vectorised_pairs([["a"]], 5) == []
 
     def test_wide_window_all_ordered_pairs(self):
-        got = context_pairs(["a", "b", "c", "d"], 10)
-        assert len(got) == 12
-        assert set(got) == {(x, y) for x in "abcd" for y in "abcd" if x != y}
+        want = {(x, y) for x in "abcd" for y in "abcd" if x != y}
+        for got in (reference_pairs(list("abcd"), 10),
+                    vectorised_pairs([list("abcd")], 10)):
+            assert len(got) == 12
+            assert set(got) == want
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
-            context_pairs(["a", "b"], 0)
+            reference_pairs(["a", "b"], 0)
+        with pytest.raises(ValueError):
+            context_pair_arrays(np.array([0, 1]), np.array([2]), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.lists(st.sampled_from("abcdef"), max_size=12),
+                          max_size=8),
+           window=st.integers(1, 12))
+    def test_matches_reference_loop(self, lines, window):
+        want = Counter(p for line in lines
+                       for p in reference_pairs(line, window))
+        assert Counter(vectorised_pairs(lines, window)) == want
 
 
 class TestNegativeSampling:
@@ -99,27 +141,37 @@ class TestGradients:
         assert np.array_equal(model.w_out, w_out_before)
 
     def test_gradient_matches_finite_differences(self):
+        """One pair via sgns_step, then batches whose centers, contexts and
+        negatives repeat, against the summed objective's finite differences."""
         rng = np.random.Generator(np.random.PCG64(3))
         v = build_vocab([[f"t{i}" for i in range(10)]])
         h = 1e-5
 
-        def objective(w_in, w_out, center, context, negs):
-            idx = [context] + list(negs)
-            dots = w_out[idx] @ w_in[center]
+        def objective(w_in, w_out, centers, contexts, negs):
+            idx = np.concatenate((contexts[:, None], negs), axis=1)
+            dots = np.einsum("bd,bkd->bk", w_in[centers], w_out[idx])
             f = 1.0 / (1.0 + np.exp(-dots))
-            return np.log(f[0]) + np.log(1.0 - f[1:]).sum()
+            return np.log(f[:, 0]).sum() + np.log(1.0 - f[:, 1:]).sum()
 
-        for case in range(50):
+        for case in range(100):
             model = init_model(v, TrainConfig(dim=8, seed=case))
             model.w_in = rng.normal(0, 0.5, model.w_in.shape).astype(np.float64)
             model.w_out = rng.normal(0, 0.5, model.w_out.shape).astype(np.float64)
-            center = int(rng.integers(10))
-            context = int(rng.integers(10))
-            negs = rng.integers(0, 10, size=3)
             base_in = model.w_in.copy()
             base_out = model.w_out.copy()
             lr = 1.0
-            sgns_step(model, center, context, negs, lr)
+            if case < 50:
+                centers = rng.integers(10, size=1)
+                contexts = rng.integers(10, size=1)
+                negs = rng.integers(0, 10, size=(1, 3))
+                sgns_step(model, int(centers[0]), int(contexts[0]), negs[0], lr)
+            else:
+                # four tokens over up to 8 pairs: every role repeats
+                b = int(rng.integers(2, 9))
+                centers = rng.integers(4, size=b)
+                contexts = rng.integers(4, size=b)
+                negs = rng.integers(0, 4, size=(b, 3))
+                sgns_batch(model.w_in, model.w_out, centers, contexts, negs, lr)
             analytic_in = model.w_in - base_in
             analytic_out = model.w_out - base_out
             # check several coordinates of each matrix numerically
@@ -136,8 +188,9 @@ class TestGradients:
                     else:
                         wp_out[r, c] += h
                         wm_out[r, c] -= h
-                    num = (objective(wp_in, wp_out, center, context, negs)
-                           - objective(wm_in, wm_out, center, context, negs)) / (2 * h)
+                    num = (objective(wp_in, wp_out, centers, contexts, negs)
+                           - objective(wm_in, wm_out, centers, contexts,
+                                       negs)) / (2 * h)
                     got = analytic[r, c] / lr
                     assert got == pytest.approx(num, rel=1e-4, abs=1e-7)
 
@@ -165,6 +218,24 @@ class TestGradients:
         moved_twice = model.w_out[2] - 0.1
         moved_once = single.w_out[2] - 0.1
         assert np.allclose(moved_twice, 2 * moved_once)
+
+        # one batch holding the same pair twice (so the center, context and
+        # negative all repeat) moves every row it touches twice as far as one
+        # step on that pair from the same weights
+        single = init_model(v, TrainConfig(dim=4, seed=2))
+        single.w_out += 0.1
+        batch = init_model(v, TrainConfig(dim=4, seed=2))
+        batch.w_out += 0.1
+        start_in = batch.w_in.copy()
+        sgns_batch(batch.w_in, batch.w_out, np.array([0, 0]), np.array([1, 1]),
+                   np.array([[2], [2]]), lr=0.5)
+        sgns_step(single, 0, 1, np.array([2]), lr=0.5)
+        assert np.allclose(batch.w_in[0] - start_in[0],
+                           2 * (single.w_in[0] - start_in[0]))
+        for row in (1, 2):
+            assert np.allclose(batch.w_out[row] - 0.1,
+                               2 * (single.w_out[row] - 0.1))
+        assert np.array_equal(batch.w_in[1:], start_in[1:])
 
 
 class TestTraining:
@@ -214,6 +285,22 @@ class TestTraining:
                                        seed=12))
         assert not np.array_equal(m1.w_in, m3.w_in)
 
+    @pytest.mark.parametrize("subsample", [0.0, 0.01])
+    def test_learning_rate_decays_to_floor(self, subsample):
+        corpus, _, _ = two_clique_corpus()
+        cfg = TrainConfig(dim=8, window=4, negatives=2, epochs=2,
+                          subsample=subsample, seed=0)
+        model = train(corpus, cfg)
+        full = sum(len(reference_pairs(line, cfg.window)) for line in corpus)
+        if subsample:
+            # subsampling drops tokens, so fewer pairs train than the corpus has
+            assert all(0 < n < full for n in model.epoch_pairs)
+        else:
+            assert model.epoch_pairs == [full] * cfg.epochs
+        # the last batch starts one batch short of the end of the schedule
+        step = cfg.lr * BATCH_SIZE / (model.epoch_pairs[-1] * cfg.epochs)
+        assert abs(model.final_lr - cfg.lr * 1e-4) <= step
+
     def test_all_values_finite(self):
         corpus, _, _ = two_clique_corpus(lines=100)
         model = train(corpus, TrainConfig(dim=8, window=3, negatives=3,
@@ -241,3 +328,8 @@ class TestTraining:
             TrainConfig(dim=0)
         with pytest.raises(ValueError):
             TrainConfig(negatives=0)
+        for field, value in (("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+                             ("epochs", -1), ("subsample", -0.5),
+                             ("subsample", float("nan")), ("min_count", 0)):
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: value})
