@@ -79,8 +79,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_pagerank(args) -> int:
     g = read_snapshot(args.snapshot)
-    scores = compute_pagerank(g, damping=args.damping, epsilon=args.epsilon,
-                              max_iters=args.max_iters)
+    scores = compute_pagerank(g, damping=args.damping)
     with open(args.out, "w", encoding="utf-8") as f:
         save_scores(scores, f)
     _write_sidecar(args.out, "pagerank", _public_args(args), g)
@@ -88,14 +87,12 @@ def cmd_pagerank(args) -> int:
     return 0
 
 
-def _estimator_params(args, depth: int | None = None) -> EstimatorParams:
+def _estimator_params(args) -> EstimatorParams:
     return EstimatorParams(
         seed_set_size=args.seed_set_size,
         n_walks=args.n_walks,
-        candidates_per_depth=args.candidates,
-        max_depth=depth if depth is not None else args.depth,
+        max_depth=args.depth,
         threshold=args.threshold,
-        forward_retry_limit=args.retry_limit,
         seed=args.seed,
         mode="eq2" if getattr(args, "exact", False) else "alg2",
         include_type_edges=args.include_type_edges,
@@ -313,7 +310,8 @@ def cmd_synth(args) -> int:
 
 # -- parser --------------------------------------------------------------
 
-def build_parser() -> _Parser:
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="specwalk", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True,
@@ -337,8 +335,6 @@ def build_parser() -> _Parser:
     p.add_argument("snapshot")
     p.add_argument("--out", required=True)
     p.add_argument("--damping", type=float, default=0.85)
-    p.add_argument("--epsilon", type=float, default=1e-12)
-    p.add_argument("--max-iters", type=int, default=200)
     common(p)
     p.set_defaults(func=cmd_pagerank)
 
@@ -347,10 +343,7 @@ def build_parser() -> _Parser:
         p.add_argument("--depth", type=int, default=2)
         p.add_argument("--seed-set-size", type=int, default=300)
         p.add_argument("--n-walks", type=int, default=2000)
-        p.add_argument("--candidates", type=int, default=None,
-                       help="candidates per depth (default 25*depth)")
         p.add_argument("--threshold", type=float, default=0.5)
-        p.add_argument("--retry-limit", type=int, default=10)
         p.add_argument("--include-type-edges", action="store_true")
 
     p = sub.add_parser("specificity", help="ranked specificity table")
@@ -451,45 +444,36 @@ def build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=cmd_synth)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(argv: list[str], parser: _Parser) -> None:
-    if "--config" not in argv:
-        return
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise UsageError("--config requires a file argument")
-    path = argv[i + 1]
-    with open(path, encoding="utf-8") as f:
+def _read_config(args) -> dict:
+    with open(args.config, encoding="utf-8") as f:
         config = json.load(f)
     if not isinstance(config, dict):
         raise UsageError("config file must contain a JSON object")
     # config keys use flag spelling without dashes, e.g. "n_walks"
-    sub_actions = [a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    command = next((a for a in argv if not a.startswith("-")), None)
-    for action in sub_actions:
-        sp = action.choices.get(command)
-        if sp is not None:
-            known = {a.dest for a in sp._actions}
-            unknown = set(config) - known
-            if unknown:
-                raise UsageError(f"unknown config keys: {sorted(unknown)}")
-            sp.set_defaults(**config)
+    unknown = set(config) - (set(vars(args)) - {"func", "config", "command"})
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    return config
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        _apply_config(argv, parser)
+        if argv and argv[-1] == "--config":  # exit 1 without a SystemExit
+            raise UsageError("--config requires a file argument")
         args = parser.parse_args(argv)
+        if args.config is not None:
+            commands[args.command].set_defaults(**_read_config(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (GraphError, KeyError, ValueError, OSError) as exc:
+    except (GraphError, KeyError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

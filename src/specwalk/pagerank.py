@@ -15,6 +15,9 @@ from .graph import Graph, GraphError
 
 log = logging.getLogger(__name__)
 
+EPSILON = 1e-12
+MAX_ITERS = 200
+
 
 @dataclass
 class ScoreMap:
@@ -37,12 +40,12 @@ class ScoreMap:
         return bound
 
 
-def compute_pagerank(graph: Graph, damping: float = 0.85,
-                     epsilon: float = 1e-12, max_iters: int = 200) -> ScoreMap:
+def compute_pagerank(graph: Graph, damping: float = 0.85) -> ScoreMap:
     """Standard power iteration with uniform teleport over resource nodes.
 
     Dangling mass is redistributed uniformly; iteration stops when the L1
-    change drops below epsilon. Output is normalized.
+    change drops below EPSILON or after MAX_ITERS steps. Output is
+    normalized.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0,1)")
@@ -66,7 +69,7 @@ def compute_pagerank(graph: Graph, damping: float = 0.85,
     inv_deg = np.where(out_deg > 0, 1.0 / np.maximum(out_deg, 1), 0.0)
     dangling = out_deg == 0
     rank = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         contrib = rank * inv_deg
         new = np.zeros(n)
         np.add.at(new, dst_a, contrib[src_a])
@@ -74,7 +77,7 @@ def compute_pagerank(graph: Graph, damping: float = 0.85,
         new = damping * new + (1.0 - damping) / n
         delta = np.abs(new - rank).sum()
         rank = new
-        if delta < epsilon:
+        if delta < EPSILON:
             break
     rank = rank / rank.sum()
     return ScoreMap({graph.terms[v]: float(rank[index[v]]) for v in nodes},

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field, replace
 
 from .graph import Graph, GraphError
 
+# Fixed implementation values, not parameters of the method.
+FORWARD_RETRY_LIMIT = 10
+CANDIDATES_PER_DEPTH = 25
+
 
 @dataclass(frozen=True, order=True)
 class SemanticRelationship:
@@ -50,24 +54,21 @@ class SpecificityEntry:
 class EstimatorParams:
     seed_set_size: int = 300
     n_walks: int = 2000
-    candidates_per_depth: int | None = None  # None -> 25 * depth
     max_depth: int = 1
     threshold: float = 0.5
-    forward_retry_limit: int = 10
     seed: int = 0
     mode: str = "alg2"  # "alg2" (estimator) or "eq2" (exact)
     include_type_edges: bool = False
 
     def __post_init__(self):
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be in [0,1]")
         if self.mode not in ("alg2", "eq2"):
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.n_walks <= self.seed_set_size:
             raise ValueError("n_walks must exceed seed_set_size")
-
-    def candidates_at(self, depth: int) -> int:
-        return self.candidates_per_depth or 25 * depth
 
 
 @dataclass
@@ -188,14 +189,14 @@ def _reverse_walk(g: Graph, start: int, depth: int,
 
 
 def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
-                         seed: int = 0,
-                         forward_retry_limit: int = 10) -> list[SpecificityEntry]:
+                         seed: int = 0) -> list[SpecificityEntry]:
     """Monte-Carlo specificity per candidate via bidirectional walks.
 
     Each of the n_walks trials forward-walks from a random seed along the
     candidate's exact predicate sequence, then reverse-walks the same depth
     along arbitrary incoming edges; the trial counts when it lands on a node
-    of type t. Dead-ended trials (after forward retries) count as misses.
+    of type t. A forward walk that dead-ends is retried from a fresh seed up
+    to FORWARD_RETRY_LIMIT times; a trial still dead-ended counts as a miss.
     """
     seeds = sorted(seeds)
     if not seeds:
@@ -209,7 +210,7 @@ def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
         count = 0
         for _ in range(n_walks):
             path = None
-            for _attempt in range(forward_retry_limit + 1):
+            for _attempt in range(FORWARD_RETRY_LIMIT + 1):
                 s = seeds[rng.randrange(len(seeds))]
                 path = g.sample_path(s, rel.predicates, rng)
                 if path is not None:
@@ -293,8 +294,6 @@ def rank_by_specificity(g: Graph, t, params: EstimatorParams) -> SpecificityTabl
         "n_walks": params.n_walks,
         "threshold": params.threshold,
         "max_depth": params.max_depth,
-        "candidates_per_depth": params.candidates_per_depth,
-        "forward_retry_limit": params.forward_retry_limit,
         "mode": params.mode,
         "estimator_note": ("alg2 weights destinations by forward-path "
                            "multiplicity; eq2 averages uniformly over "
@@ -304,7 +303,7 @@ def rank_by_specificity(g: Graph, t, params: EstimatorParams) -> SpecificityTabl
     prev: list[SpecificityEntry] | None = None
     for depth in range(1, params.max_depth + 1):
         candidates = select_paths(
-            g, seeds, depth, params.candidates_at(depth), prev=prev,
+            g, seeds, depth, CANDIDATES_PER_DEPTH * depth, prev=prev,
             threshold=params.threshold,
             include_type_edges=params.include_type_edges)
         if not candidates:
@@ -315,10 +314,8 @@ def rank_by_specificity(g: Graph, t, params: EstimatorParams) -> SpecificityTabl
             entries = [exact_specificity(g, rel, t_id, seeds=seeds)
                        for rel in candidates]
         else:
-            entries = estimate_specificity(
-                g, candidates, seeds, t_id, params.n_walks,
-                seed=params.seed,
-                forward_retry_limit=params.forward_retry_limit)
+            entries = estimate_specificity(g, candidates, seeds, t_id,
+                                           params.n_walks, seed=params.seed)
         entries.sort(key=lambda e: (-e.score, e.relationship.predicates))
         table.depths[depth] = entries
         prev = entries

@@ -9,7 +9,6 @@ schemes NRSE / UE / NRST / UET.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 
 from .graph import Graph
@@ -59,6 +58,10 @@ class WalkStrategy:
             raise ValueError(f"unknown pruning scheme: {self.pruning!r}")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        if self.walks_per_entity < 1:
+            raise ValueError("walks_per_entity must be >= 1")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must be in [0,1]")
         if self.bias == "specificity" and self.specificity_table is None:
             raise ValueError("specificity bias requires a specificity table")
         if self.bias == "pagerank" and self.pagerank_scores is None:
@@ -71,7 +74,6 @@ class EntityStats:
     attempts: int
     walks: int
     distinct: int
-    millis: float
 
 
 @dataclass
@@ -139,7 +141,6 @@ def extract_walks(g: Graph, entity: int, strategy: WalkStrategy,
     """
     g._check(entity)
     rng = random.Random(f"{seed}|{entity}")
-    start = time.perf_counter()
     corpus = WalkCorpus()
 
     weight_fn = None
@@ -177,10 +178,9 @@ def extract_walks(g: Graph, entity: int, strategy: WalkStrategy,
         if prune_check(walk, strategy.pruning, g):
             corpus.walks.append(walk)
 
-    millis = (time.perf_counter() - start) * 1000.0
     corpus.stats.append(EntityStats(
         entity=entity, attempts=attempts, walks=len(corpus.walks),
-        distinct=len({w.tokens for w in corpus.walks}), millis=millis))
+        distinct=len({w.tokens for w in corpus.walks})))
     return corpus
 
 
@@ -214,10 +214,9 @@ def write_corpus(g: Graph, corpus: WalkCorpus, out,
 
 
 def write_stats_csv(g: Graph, corpus: WalkCorpus, out) -> None:
-    out.write("entity,attempts,walks,distinct,millis\n")
+    out.write("entity,attempts,walks,distinct\n")
     for s in corpus.stats:
-        out.write(f"{g.terms[s.entity]},{s.attempts},{s.walks},"
-                  f"{s.distinct},{s.millis:.3f}\n")
+        out.write(f"{g.terms[s.entity]},{s.attempts},{s.walks},{s.distinct}\n")
 
 
 def read_corpus_lines(stream):

@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -38,6 +39,67 @@ def pipeline(tmp_path_factory):
                  "--window", "4", "--negatives", "5", "--epochs", "2",
                  "--seed", "3"]) == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def spec_table(pipeline):
+    """A depth-1 specificity table of the pipeline graph, small budget."""
+    table = pipeline / "spec.tsv"
+    assert main(["specificity", str(pipeline / "g.snap"), "--out", str(table),
+                 "--type", FILM, "--depth", "1", "--seed-set-size", "10",
+                 "--n-walks", "80"]) == 0
+    return table
+
+
+# Every flag of every subcommand; a new or removed flag shows up here.
+OPTIONS = {
+    "ingest": "--config --help --out --rdf-type --seed --strict",
+    "pagerank": "--config --damping --help --out --seed",
+    "specificity": "--config --depth --exact --help --include-type-edges "
+                   "--n-walks --out --seed --seed-set-size --threshold --type",
+    "walk": "--bias --config --depth --entities --help --limit --no-depth1 "
+            "--out --pruning --scores --seed --stats --table --threshold "
+            "--type --walks --workers",
+    "train": "--config --dim --epochs --help --lr --min-count --negatives "
+             "--out --seed --subsample --window",
+    "recommend": "--config --help --k --out --query --seed --snapshot --type",
+    "eval": "--allow-mismatch --config --depth --help --k --label --out "
+            "--seed --snapshot --truth --type",
+    "sensitivity": "--config --depth --help --include-type-edges --n-walks "
+                   "--out --repeats --seed --seed-set-size --sweep "
+                   "--threshold --type --values",
+    "synth": "--config --distractors --films-per --franchises --help "
+             "--info-out --kind --out --seed --truth-out",
+}
+
+
+def test_subcommand_option_strings(capsys):
+    found = {}
+    for command in OPTIONS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        found[command] = " ".join(
+            sorted(set(re.findall(r"--[a-z][a-z0-9-]*", help_text))))
+    assert found == OPTIONS
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("specificity", ["--depth", "0"]),
+    ("walk", ["--walks", "0"]),
+    ("walk", ["--walks", "-3"]),
+    ("walk", ["--threshold", "5", "--bias", "specificity",
+              "--table", "TABLE"]),
+], ids=["depth-0", "walks-0", "walks-negative", "walk-threshold-5"])
+def test_out_of_range_value_is_data_error(pipeline, spec_table, tmp_path,
+                                          command, extra):
+    out = tmp_path / "out.txt"
+    extra = [str(spec_table) if a == "TABLE" else a for a in extra]
+    assert main([command, str(pipeline / "g.snap"), "--out", str(out),
+                 "--type", FILM] + extra) == 2
+    assert not out.exists()
+    assert not (tmp_path / "out.txt.meta.json").exists()
 
 
 class TestIngest:
@@ -205,6 +267,18 @@ class TestWalk:
             sidecars.append(file_hash(tmp_path / "c.txt.meta.json"))
         assert sidecars[0] == sidecars[1]
 
+    def test_stats_csv_rerun_identical(self, pipeline, tmp_path):
+        stats = []
+        for name in ("a", "b"):
+            stats.append(tmp_path / f"{name}.csv")
+            assert main(["walk", str(pipeline / "g.snap"), "--type", FILM,
+                         "--out", str(tmp_path / f"{name}.txt"),
+                         "--walks", "20", "--seed", "5",
+                         "--stats", str(stats[-1])]) == 0
+        assert stats[0].read_bytes() == stats[1].read_bytes()
+        assert stats[0].read_text().splitlines()[0] == \
+            "entity,attempts,walks,distinct"
+
 
 class TestTrainRecommendEval:
     def test_recommend_stdout(self, pipeline, capsys):
@@ -244,6 +318,13 @@ class TestTrainRecommendEval:
         out = tmp_path / "model.txt"
         assert main(["train", str(pipeline / "walks.txt"), "--out", str(out),
                      flag, value]) == 2
+        assert not out.exists()
+
+    def test_train_divergence_is_data_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "model.txt"
+        assert main(["train", str(pipeline / "walks.txt"), "--out", str(out),
+                     "--lr", "1", "--dim", "16", "--epochs", "2"]) == 2
+        assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_writes_csv(self, pipeline, tmp_path):
@@ -294,6 +375,22 @@ class TestConfig:
         meta = json.loads((tmp_path / "spec.tsv.meta.json").read_text())
         assert meta["n_walks"] == 90
 
+    def test_config_equals_form(self, pipeline, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth": 1, "n_walks": 80,
+                                   "seed_set_size": 10}))
+        tables = []
+        for name, flag in (("a", ["--config", str(cfg)]),
+                           ("b", [f"--config={cfg}"])):
+            tables.append(tmp_path / f"{name}.tsv")
+            assert main(["specificity", str(pipeline / "g.snap"),
+                         "--out", str(tables[-1]), "--type", FILM] + flag) == 0
+        a, b = tables
+        assert a.read_bytes() == b.read_bytes()
+        meta = tmp_path / "b.tsv.meta.json"
+        assert meta.read_bytes() == (tmp_path / "a.tsv.meta.json").read_bytes()
+        assert json.loads(meta.read_text())["n_walks"] == 80
+
     def test_config_without_path_is_usage_error(self, pipeline, tmp_path,
                                                 capsys):
         assert main(["specificity", str(pipeline / "g.snap"),
@@ -307,6 +404,22 @@ class TestConfig:
         assert main(["specificity", str(pipeline / "g.snap"),
                      "--out", str(tmp_path / "t.tsv"), "--type", FILM,
                      "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("specificity", "candidates", 5),
+        ("specificity", "retry_limit", 3),
+        ("pagerank", "epsilon", 1e-6),
+        ("pagerank", "max_iters", 0),
+    ])
+    def test_removed_config_key_is_usage_error(self, pipeline, tmp_path,
+                                               command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out.tsv"
+        extra = ["--type", FILM] if command == "specificity" else []
+        assert main([command, str(pipeline / "g.snap"), "--out", str(out),
+                     "--config", str(cfg)] + extra) == 1
+        assert not out.exists()
 
 
 class TestSensitivityAndPagerank:

@@ -278,7 +278,7 @@ class TestCorpusIO:
         buf = io.StringIO()
         write_stats_csv(g, corpus, buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "entity,attempts,walks,distinct,millis"
+        assert lines[0] == "entity,attempts,walks,distinct"
         fields = lines[1].split(",")
         assert fields[0] == EX + "f"
         assert fields[1:4] == ["3", "3", "1"]
