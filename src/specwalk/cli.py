@@ -13,7 +13,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -116,16 +115,13 @@ def cmd_specificity(args) -> int:
 
 
 def _load_table(g: Graph, path: str) -> SpecificityTable:
-    meta_path = path + ".meta.json"
-    metadata = None
-    if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as f:
-            metadata = json.load(f)
     with open(path, encoding="utf-8") as f:
-        return SpecificityTable.from_tsv(g, f, metadata)
+        return SpecificityTable.from_tsv(g, f)
 
 
 def _walk_entities(g: Graph, args) -> list[int]:
+    if args.limit is not None and args.limit < 1:
+        raise ValueError("--limit must be >= 1")
     if args.entities:
         with open_text(args.entities) as f:
             return [g.term_id(line.strip()) for line in f if line.strip()]
@@ -134,7 +130,7 @@ def _walk_entities(g: Graph, args) -> list[int]:
     members = sorted(g.entities_of_type(g.term_id(args.type)))
     if not members:
         raise GraphError(f"type has no instances: {args.type!r}")
-    if args.limit and args.limit < len(members):
+    if args.limit is not None and args.limit < len(members):
         return g.sample_entities(g.term_id(args.type), args.limit, args.seed)
     return members
 
@@ -259,6 +255,8 @@ def cmd_sensitivity(args) -> int:
     g = read_snapshot(args.snapshot)
     t = g.term_id(args.type)
     values = [int(v) for v in args.values.split(",")]
+    if args.repeats < 1:
+        raise ValueError("--repeats must be >= 1")
     acc: dict[tuple[int, int], list[float]] = {}
     parameter = args.sweep
     for r in range(args.repeats):
@@ -322,7 +320,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--config", default=None,
                        help="JSON file of flag defaults (flags override)")
 
-    p = sub.add_parser("ingest", help="parse N-Triples/TSV into a snapshot")
+    p = sub.add_parser("ingest",
+                       help="parse N-Triples (.nt or .nt.gz) into a snapshot")
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.add_argument("--strict", action="store_true")
@@ -456,7 +455,18 @@ def _read_config(args) -> dict:
     unknown = set(config) - (set(vars(args)) - {"func", "config", "command"})
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return config
+    # A switch takes true/false. Any other flag gets its value as a string,
+    # which argparse runs through the flag's type= like a command-line value.
+    defaults = {}
+    for key, value in config.items():
+        switch = isinstance(getattr(args, key), bool)
+        if switch != isinstance(value, bool) \
+                or not isinstance(value, (str, int, float)):
+            wanted = "true or false" if switch else "a string or a number"
+            raise UsageError(f"config key {key!r} takes {wanted}, "
+                             f"not {json.dumps(value)}")
+        defaults[key] = value if switch else str(value)
+    return defaults
 
 
 def main(argv=None) -> int:

@@ -145,27 +145,9 @@ class Graph:
         except KeyError:
             raise UnknownTermError(f"term not in graph: {term!r}") from None
 
-    def term(self, tid: int) -> str:
-        self._check(tid)
-        return self.terms[tid]
-
-    def is_literal(self, tid: int) -> bool:
-        self._check(tid)
-        return self.literal[tid]
-
     def _check(self, tid: int) -> None:
         if not isinstance(tid, int) or tid < 0 or tid >= len(self.terms):
             raise UnknownTermError(f"unknown term id: {tid!r}")
-
-    def out_neighbors(self, v: int) -> list[tuple[int, int]]:
-        """All (predicate, object) pairs for triples with subject v."""
-        self._check(v)
-        return self.out_adj[v]
-
-    def in_neighbors(self, v: int) -> list[tuple[int, int]]:
-        """All (predicate, subject) pairs for triples with object v."""
-        self._check(v)
-        return self.in_adj[v]
 
     def _edges_with(self, v: int, pred: int) -> list[tuple[int, int]]:
         """The run of (pred, object) pairs in out_adj[v]."""
@@ -284,30 +266,6 @@ class Graph:
                 h.update(b"\n")
             self._checksum = h.hexdigest()
         return self._checksum
-
-
-# -- TSV edge lists (synthetic test graphs) ------------------------------
-
-def parse_tsv(lines, rdf_type: str = RDF_TYPE) -> Graph:
-    """Build a graph from TSV rows: subject, predicate, object, is_literal."""
-    b = GraphBuilder(rdf_type=rdf_type)
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4 or parts[3] not in ("0", "1"):
-            raise GraphError(f"bad TSV row at line {lineno}: {line!r}")
-        b.add(parts[0], parts[1], parts[2], object_literal=parts[3] == "1")
-    return b.build()
-
-
-def serialize_tsv(graph: Graph, out) -> None:
-    lines = sorted(
-        f"{graph.terms[s]}\t{graph.terms[p]}\t{graph.terms[o]}\t"
-        f"{'1' if graph.literal[o] else '0'}\n"
-        for s, p, o in graph.triples)
-    out.writelines(lines)
 
 
 # -- binary snapshot -----------------------------------------------------

@@ -11,7 +11,8 @@ import io
 import re
 from dataclasses import dataclass, field
 
-from .graph import RDF_TYPE, Graph, GraphBuilder, GraphError
+from .graph import (RDF_TYPE, SNAPSHOT_MAGIC, Graph, GraphBuilder, GraphError,
+                    read_snapshot)
 
 _IRI = r"<([^<>\s]*)>"
 _BNODE = r"(_:[A-Za-z0-9][A-Za-z0-9_.\-]*)"
@@ -82,16 +83,11 @@ def open_text(path: str):
 
 
 def load_graph(path: str, strict: bool = False, rdf_type: str = RDF_TYPE) -> Graph:
-    """Load a graph from a snapshot, N-Triples (.nt/.nt.gz) or TSV file."""
-    from .graph import SNAPSHOT_MAGIC, parse_tsv, read_snapshot
-
+    """Load a graph from a snapshot or an N-Triples file (gzipped if the
+    name ends in .gz)."""
     with open(path, "rb") as f:
         magic = f.read(len(SNAPSHOT_MAGIC))
     if magic == SNAPSHOT_MAGIC:
         return read_snapshot(path)
-    name = str(path)
-    base = name[:-3] if name.endswith(".gz") else name
     with open_text(path) as f:
-        if base.endswith(".tsv"):
-            return parse_tsv(f, rdf_type=rdf_type)
         return parse_ntriples(f, strict=strict, rdf_type=rdf_type)

@@ -95,8 +95,8 @@ class SpecificityTable:
         return json.dumps(self.metadata, sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_tsv(cls, graph: Graph, lines, metadata: dict | None = None):
-        table = cls(metadata=metadata or {})
+    def from_tsv(cls, graph: Graph, lines):
+        table = cls()
         header = next(iter(lines), None)
         if header is None or not header.startswith("depth\t"):
             raise ValueError("missing specificity table header")
@@ -116,24 +116,15 @@ class SpecificityTable:
 def _incoming_path_counts(g: Graph, node: int, depth: int,
                           origins: frozenset[int] | set[int]) -> tuple[int, int]:
     """(total, from-origins) counts of length-`depth` paths ending at node."""
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def rec(v: int, r: int) -> tuple[int, int]:
-        if r == 0:
-            return 1, 1 if v in origins else 0
-        key = (v, r)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = fro = 0
-        for _, u in g.in_adj[v]:
-            a, b = rec(u, r - 1)
-            total += a
-            fro += b
-        memo[key] = (total, fro)
-        return total, fro
-
-    return rec(node, depth)
+    counts = {node: 1}  # start u -> number of paths from u to node so far
+    for _ in range(depth):
+        nxt: dict[int, int] = {}
+        for v, c in counts.items():
+            for _, u in g.in_adj[v]:
+                nxt[u] = nxt.get(u, 0) + c
+        counts = nxt
+    return (sum(counts.values()),
+            sum(c for v, c in counts.items() if v in origins))
 
 
 def node_to_node_specificity(g: Graph, n1: int, n2: int, depth: int) -> float:

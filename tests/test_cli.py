@@ -85,13 +85,22 @@ def test_subcommand_option_strings(capsys):
     assert found == OPTIONS
 
 
+SWEEP = ["--sweep", "n_walks", "--values", "60,120", "--depth", "1",
+         "--seed-set-size", "10"]
+
+
 @pytest.mark.parametrize("command, extra", [
     ("specificity", ["--depth", "0"]),
     ("walk", ["--walks", "0"]),
     ("walk", ["--walks", "-3"]),
     ("walk", ["--threshold", "5", "--bias", "specificity",
               "--table", "TABLE"]),
-], ids=["depth-0", "walks-0", "walks-negative", "walk-threshold-5"])
+    ("walk", ["--limit", "0"]),
+    ("walk", ["--limit", "-2"]),
+    ("sensitivity", SWEEP + ["--repeats", "0"]),
+    ("sensitivity", SWEEP + ["--repeats", "-1"]),
+], ids=["depth-0", "walks-0", "walks-negative", "walk-threshold-5",
+        "limit-0", "limit-negative", "repeats-0", "repeats-negative"])
 def test_out_of_range_value_is_data_error(pipeline, spec_table, tmp_path,
                                           command, extra):
     out = tmp_path / "out.txt"
@@ -267,6 +276,17 @@ class TestWalk:
             sidecars.append(file_hash(tmp_path / "c.txt.meta.json"))
         assert sidecars[0] == sidecars[1]
 
+    @pytest.mark.parametrize("limit", [None, "30", "31"])
+    def test_limit_at_or_above_member_count_walks_all(self, pipeline,
+                                                      tmp_path, limit):
+        # the franchise graph has 30 films; corpus headers omit --limit
+        out = tmp_path / "c.txt"
+        extra = [] if limit is None else ["--limit", limit]
+        assert main(["walk", str(pipeline / "g.snap"), "--out", str(out),
+                     "--type", FILM, "--depth", "2", "--walks", "60",
+                     "--seed", "3", "--workers", "2"] + extra) == 0
+        assert out.read_bytes() == (pipeline / "walks.txt").read_bytes()
+
     def test_stats_csv_rerun_identical(self, pipeline, tmp_path):
         stats = []
         for name in ("a", "b"):
@@ -420,6 +440,39 @@ class TestConfig:
         assert main([command, str(pipeline / "g.snap"), "--out", str(out),
                      "--config", str(cfg)] + extra) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("specificity", "depth", 2.5),
+        ("specificity", "depth", None),
+        ("specificity", "n_walks", True),
+        ("ingest", "strict", "false"),
+        ("walk", "no_depth1", 1),
+    ])
+    def test_config_value_type_mismatch_is_usage_error(
+            self, pipeline, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        source = "g.nt" if command == "ingest" else "g.snap"
+        extra = [] if command == "ingest" else ["--type", FILM]
+        # argparse rejects a bad value by SystemExit, main() the others by
+        # returning 1; both reach the shell as exit code 1
+        with pytest.raises(SystemExit) as exc:
+            raise SystemExit(main([command, str(pipeline / source),
+                                   "--out", str(out), "--config", str(cfg)]
+                                  + extra))
+        assert exc.value.code == 1
+        assert re.search(key.replace("_", "[_-]"), capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("strict, code", [(True, 2), (False, 0)])
+    def test_config_switch_value(self, tmp_path, strict, code):
+        nt = tmp_path / "bad.nt"
+        nt.write_text("not a triple\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strict": strict}))
+        assert main(["ingest", str(nt), "--out", str(tmp_path / "g.snap"),
+                     "--config", str(cfg)]) == code
 
 
 class TestSensitivityAndPagerank:

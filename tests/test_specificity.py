@@ -14,7 +14,7 @@ from specwalk.specificity import (EstimatorParams, SemanticRelationship,
                                   rank_by_specificity, select_paths)
 from specwalk.synth import layered_graph, relevance_inversion_graph
 
-from conftest import EX, N_NODES, TYPE_T, build, small_graphs
+from conftest import EX, N_NODES, PREDICATES, TYPE_T, build, small_graphs
 
 
 def rel(g, *preds):
@@ -41,9 +41,12 @@ def enumerate_frequencies(g, seeds, depth, excluded):
     return freq
 
 
-def brute_force_specificity(g, relationship, t):
-    """Separately written exhaustive enumerator for the exact definition."""
-    seeds = g.entities_of_type(t)
+def brute_force_specificity(g, relationship, t, seeds=None):
+    """Separately written exhaustive enumerator for the exact definition:
+    (score, number of length-d paths into the reachable nodes). Seeds
+    default to the entities of type t."""
+    if seeds is None:
+        seeds = g.entities_of_type(t)
     d = relationship.depth
 
     def forward(v, preds):
@@ -59,7 +62,7 @@ def brute_force_specificity(g, relationship, t):
     for s in seeds:
         reachable |= forward(s, list(relationship.predicates))
     if not reachable:
-        return 0.0
+        return 0.0, 0
 
     def incoming_paths(v, depth):
         if depth == 0:
@@ -70,11 +73,13 @@ def brute_force_specificity(g, relationship, t):
         return origins
 
     acc = 0.0
-    for k in reachable:
+    support = 0
+    for k in sorted(reachable):
         origins = incoming_paths(k, d)
+        support += len(origins)
         if origins:
             acc += sum(1 for v in origins if v in seeds) / len(origins)
-    return acc / len(reachable)
+    return acc / len(reachable), support
 
 
 def count_matrix(g):
@@ -167,7 +172,25 @@ class TestExact:
                 for _ in range(10):
                     r = rel(g, *[rng.choice(preds) for _ in range(d)])
                     assert exact_specificity(g, r, t).score == pytest.approx(
-                        brute_force_specificity(g, r, t), abs=1e-12)
+                        brute_force_specificity(g, r, t)[0], abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=small_graphs(), data=st.data(),
+           seeds=st.sets(st.integers(0, N_NODES - 1), min_size=1),
+           depth=st.integers(1, 3))
+    def test_matches_path_enumeration_small_graphs(self, g, data, seeds,
+                                                   depth):
+        # small graphs have cycles, several predicates and type edges; draw
+        # a realizable relationship when the seeds have one
+        realizable = sorted(enumerate_frequencies(g, seeds, depth, frozenset()))
+        preds = [g.term_id(p) for p in PREDICATES]
+        seq = data.draw(st.sampled_from(realizable) if realizable else
+                        st.tuples(*[st.sampled_from(preds)] * depth))
+        r = SemanticRelationship(seq)
+        entry = exact_specificity(g, r, None, seeds=seeds)
+        score, support = brute_force_specificity(g, r, None, seeds=seeds)
+        assert entry.score == pytest.approx(score, abs=1e-12)
+        assert entry.support == support
 
 
 class TestEstimator:
