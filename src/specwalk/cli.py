@@ -37,28 +37,24 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise UsageError(message)
 
 
-def _write_sidecar(out_path: str, command: str, params: dict,
-                   graph: Graph | None = None) -> None:
+def _write_sidecar(args, graph: Graph | None = None) -> None:
+    """Write <args.out>.meta.json recording the command's parameters."""
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("func", "config")}
     payload = json.dumps(params, sort_keys=True, default=str)
     meta = {
-        "command": command,
+        "command": args.command,
         "params": json.loads(payload),
         "config_hash": hashlib.sha256(payload.encode()).hexdigest(),
         "graph_checksum": graph.checksum() if graph is not None else None,
         "tool_version": __version__,
     }
-    with open(str(out_path) + ".meta.json", "w", encoding="utf-8") as f:
+    with open(args.out + ".meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, sort_keys=True, indent=2)
         f.write("\n")
-
-
-def _public_args(args) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if k not in ("func", "config") and not k.startswith("_")}
 
 
 # -- commands ------------------------------------------------------------
@@ -66,7 +62,7 @@ def _public_args(args) -> dict:
 def cmd_ingest(args) -> int:
     g = load_graph(args.input, strict=args.strict, rdf_type=args.rdf_type)
     write_snapshot(g, args.out)
-    _write_sidecar(args.out, "ingest", _public_args(args), g)
+    _write_sidecar(args, g)
     types = [g.types_of(v) for v in range(g.n_terms)]
     print(f"triples={g.n_triples} terms={g.n_terms} "
           f"typed_entities={sum(1 for ts in types if ts)} "
@@ -81,7 +77,7 @@ def cmd_pagerank(args) -> int:
     scores = compute_pagerank(g, damping=args.damping)
     with open(args.out, "w", encoding="utf-8") as f:
         save_scores(scores, f)
-    _write_sidecar(args.out, "pagerank", _public_args(args), g)
+    _write_sidecar(args, g)
     print(f"scored_nodes={len(scores.scores)}")
     return 0
 
@@ -104,9 +100,7 @@ def cmd_specificity(args) -> int:
                                 _estimator_params(args))
     with open(args.out, "w", encoding="utf-8") as f:
         table.to_tsv(g, f)
-    with open(args.out + ".meta.json", "w", encoding="utf-8") as f:
-        f.write(table.metadata_json())
-    _write_sidecar(args.out + ".run", "specificity", _public_args(args), g)
+    _write_sidecar(args, g)
     for depth in sorted(table.depths):
         kept = sum(1 for e in table.depths[depth] if e.score >= args.threshold)
         print(f"depth={depth} candidates={len(table.depths[depth])} "
@@ -122,11 +116,9 @@ def _load_table(g: Graph, path: str) -> SpecificityTable:
 def _walk_entities(g: Graph, args) -> list[int]:
     if args.limit is not None and args.limit < 1:
         raise ValueError("--limit must be >= 1")
-    if args.entities:
+    if args.entities is not None:
         with open_text(args.entities) as f:
             return [g.term_id(line.strip()) for line in f if line.strip()]
-    if not args.type:
-        raise UsageError("walk requires --type or --entities")
     members = sorted(g.entities_of_type(g.term_id(args.type)))
     if not members:
         raise GraphError(f"type has no instances: {args.type!r}")
@@ -136,6 +128,8 @@ def _walk_entities(g: Graph, args) -> list[int]:
 
 
 def cmd_walk(args) -> int:
+    if args.entities is not None and args.limit is not None:
+        raise UsageError("--limit applies to --type, not --entities")
     g = read_snapshot(args.snapshot)
     if args.bias == "specificity" and not args.table:
         raise UsageError("bias=specificity requires --table")
@@ -168,7 +162,7 @@ def cmd_walk(args) -> int:
               "graph": g.checksum()}
     with open(args.out, "w", encoding="utf-8") as f:
         write_corpus(g, merged, f, header)
-    _write_sidecar(args.out, "walk", _public_args(args), g)
+    _write_sidecar(args, g)
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as f:
             write_stats_csv(g, merged, f)
@@ -189,14 +183,16 @@ def cmd_train(args) -> int:
         model = train(read_corpus_lines(f), config)
     with open(args.out, "w", encoding="utf-8") as f:
         model.save_text(f)
-    _write_sidecar(args.out, "train", _public_args(args))
+    _write_sidecar(args)
     print(f"vocab={len(model.vocab)} dim={config.dim} "
           f"final_loss={model.epoch_losses[-1] if model.epoch_losses else 0.0:.4f}")
     return 0
 
 
 def _candidate_tokens(args) -> set[str] | None:
-    if not args.snapshot or not args.type:
+    if (args.snapshot is None) != (args.type is None):
+        raise UsageError("--snapshot and --type must be given together")
+    if args.snapshot is None:
         return None
     g = read_snapshot(args.snapshot)
     return {g.render_token(v)
@@ -204,16 +200,17 @@ def _candidate_tokens(args) -> set[str] | None:
 
 
 def cmd_recommend(args) -> int:
+    candidates = _candidate_tokens(args)
     with open(args.model, encoding="utf-8") as f:
         model = EmbeddingModel.load_text(f)
-    rec = top_k(model, args.query, args.k, candidates=_candidate_tokens(args))
+    rec = top_k(model, args.query, args.k, candidates=candidates)
     rows = [(args.query, token, f"{score:.6f}") for token, score in rec.ranked]
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
             w.writerow(["query", "token", "cosine"])
             w.writerows(rows)
-        _write_sidecar(args.out, "recommend", _public_args(args))
+        _write_sidecar(args)
     else:
         for _, token, score in rows:
             print(f"{token}\t{score}")
@@ -221,11 +218,11 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    candidates = _candidate_tokens(args)
     with open(args.model, encoding="utf-8") as f:
         model = EmbeddingModel.load_text(f)
     with open(args.truth, encoding="utf-8") as f:
         truth = {q: set(v) for q, v in json.load(f).items()}
-    candidates = _candidate_tokens(args)
     rows = []
     for query in sorted(truth):
         relevant = truth[query]
@@ -244,7 +241,7 @@ def cmd_eval(args) -> int:
         w = csv.writer(f)
         w.writerow(["scheme", "depth", "query", "k", "precision"])
         w.writerows(rows)
-    _write_sidecar(args.out, "eval", _public_args(args))
+    _write_sidecar(args)
     if rows:
         mean = sum(float(r[4]) for r in rows) / len(rows)
         print(f"queries={len(rows)} mean_precision={mean:.4f}")
@@ -254,7 +251,6 @@ def cmd_eval(args) -> int:
 def cmd_sensitivity(args) -> int:
     g = read_snapshot(args.snapshot)
     t = g.term_id(args.type)
-    values = [int(v) for v in args.values.split(",")]
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
     acc: dict[tuple[int, int], list[float]] = {}
@@ -262,8 +258,8 @@ def cmd_sensitivity(args) -> int:
     for r in range(args.repeats):
         base = _estimator_params(args)
         base = replace(base, seed=args.seed + r)
-        kwargs = {"n_walks_values": values} if parameter == "n_walks" \
-            else {"s_values": values}
+        kwargs = {"n_walks_values": args.values} if parameter == "n_walks" \
+            else {"s_values": args.values}
         for point in sensitivity_sweep(g, t, base, **kwargs):
             acc.setdefault((point.value, point.depth), []).append(point.ndcg)
     with open(args.out, "w", newline="", encoding="utf-8") as f:
@@ -272,7 +268,7 @@ def cmd_sensitivity(args) -> int:
         for (value, depth), scores in sorted(acc.items()):
             w.writerow([value, depth,
                         f"{sum(scores) / len(scores):.6f}", len(scores)])
-    _write_sidecar(args.out, "sensitivity", _public_args(args), g)
+    _write_sidecar(args, g)
     return 0
 
 
@@ -285,13 +281,11 @@ def cmd_synth(args) -> int:
         g, info = relevance_inversion_graph(seed=args.seed)
     elif args.kind == "layered":
         g, info = layered_graph(seed=args.seed)
-    elif args.kind == "sensitivity":
+    else:  # "sensitivity", the last of --kind's choices
         g, info = sensitivity_fixture(seed=args.seed)
-    else:  # argparse choices guard this
-        raise UsageError(f"unknown kind: {args.kind}")
     with open(args.out, "w", encoding="utf-8") as f:
         serialize_ntriples(g, f)
-    _write_sidecar(args.out, "synth", _public_args(args), g)
+    _write_sidecar(args, g)
     if args.truth_out:
         truth = info.get("truth", {})
         with open(args.truth_out, "w", encoding="utf-8") as f:
@@ -308,8 +302,12 @@ def cmd_synth(args) -> int:
 
 # -- parser --------------------------------------------------------------
 
-def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and its subcommand parsers by name."""
+def _int_list(text: str) -> list[int]:
+    """Comma-separated integers, such as "60,120"."""
+    return [int(v) for v in text.split(",")]
+
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="specwalk", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True,
@@ -364,9 +362,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--walks", type=int, default=500,
                    help="walk attempts per entity")
-    p.add_argument("--type", default=None)
-    p.add_argument("--entities", default=None,
-                   help="file of entity IRIs, one per line")
+    roots = p.add_mutually_exclusive_group(required=True)
+    roots.add_argument("--type", default=None)
+    roots.add_argument("--entities", default=None,
+                       help="file of entity IRIs, one per line")
     p.add_argument("--limit", type=int, default=None,
                    help="sample this many entities of --type")
     p.add_argument("--table", default=None, help="specificity table TSV")
@@ -425,7 +424,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--out", required=True)
     p.add_argument("--sweep", required=True,
                    choices=["n_walks", "seed_set_size"])
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, type=_int_list,
+                   help="comma-separated values")
     p.add_argument("--repeats", type=int, default=1)
     estimator_flags(p)
     common(p)
@@ -443,21 +443,20 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     common(p)
     p.set_defaults(func=cmd_synth)
 
-    return parser, sub.choices
+    return parser
 
 
-def _read_config(args) -> dict:
+def _config_flags(args) -> list[str]:
+    """The config file's keys as command-line flags: "n_walks": 80 becomes
+    --n-walks=80, "strict": true becomes --strict and false adds nothing."""
     with open(args.config, encoding="utf-8") as f:
         config = json.load(f)
     if not isinstance(config, dict):
         raise UsageError("config file must contain a JSON object")
-    # config keys use flag spelling without dashes, e.g. "n_walks"
     unknown = set(config) - (set(vars(args)) - {"func", "config", "command"})
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    # A switch takes true/false. Any other flag gets its value as a string,
-    # which argparse runs through the flag's type= like a command-line value.
-    defaults = {}
+    flags = []
     for key, value in config.items():
         switch = isinstance(getattr(args, key), bool)
         if switch != isinstance(value, bool) \
@@ -465,20 +464,22 @@ def _read_config(args) -> dict:
             wanted = "true or false" if switch else "a string or a number"
             raise UsageError(f"config key {key!r} takes {wanted}, "
                              f"not {json.dumps(value)}")
-        defaults[key] = value if switch else str(value)
-    return defaults
+        flag = "--" + key.replace("_", "-")
+        if not switch:
+            flags.append(f"{flag}={value}")
+        elif value:
+            flags.append(flag)
+    return flags
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
+    parser = build_parser()
     try:
-        if argv and argv[-1] == "--config":  # exit 1 without a SystemExit
-            raise UsageError("--config requires a file argument")
         args = parser.parse_args(argv)
         if args.config is not None:
-            commands[args.command].set_defaults(**_read_config(args))
-            args = parser.parse_args(argv)
+            # flags placed before the user's own, so the user's win
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

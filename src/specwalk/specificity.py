@@ -5,12 +5,10 @@ counts (mode "eq2") and a bidirectional random-walk Monte-Carlo estimator
 (mode "alg2", the default). The estimator samples destination nodes in
 proportion to forward-path multiplicity and weights reverse paths by the
 product of inverse in-degrees, whereas the exact form averages uniformly over
-distinct reachable nodes and counts paths uniformly; the discrepancy is
-surfaced in output metadata.
+distinct reachable nodes and counts paths uniformly.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
 
@@ -73,10 +71,9 @@ class EstimatorParams:
 
 @dataclass
 class SpecificityTable:
-    """Per-depth ranked relationship lists plus run metadata."""
+    """Per-depth ranked relationship lists."""
 
     depths: dict[int, list[SpecificityEntry]] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     def entries_at(self, depth: int) -> list[SpecificityEntry]:
         return self.depths.get(depth, [])
@@ -90,9 +87,6 @@ class SpecificityTable:
             for e in self.depths[depth]:
                 out.write(f"{depth}\t{e.relationship.render(graph)}\t"
                           f"{e.score:.6f}\t{e.support}\n")
-
-    def metadata_json(self) -> str:
-        return json.dumps(self.metadata, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_tsv(cls, graph: Graph, lines):
@@ -278,19 +272,7 @@ def rank_by_specificity(g: Graph, t, params: EstimatorParams) -> SpecificityTabl
     else:
         t_id = t
     seeds = sorted(g.sample_entities(t_id, params.seed_set_size, params.seed))
-    table = SpecificityTable(metadata={
-        "type": g.terms[t_id],
-        "seed": params.seed,
-        "seed_set_size": len(seeds),
-        "n_walks": params.n_walks,
-        "threshold": params.threshold,
-        "max_depth": params.max_depth,
-        "mode": params.mode,
-        "estimator_note": ("alg2 weights destinations by forward-path "
-                           "multiplicity; eq2 averages uniformly over "
-                           "distinct reachable nodes"),
-        "graph_checksum": g.checksum(),
-    })
+    table = SpecificityTable()
     prev: list[SpecificityEntry] | None = None
     for depth in range(1, params.max_depth + 1):
         candidates = select_paths(

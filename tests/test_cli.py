@@ -160,9 +160,7 @@ class TestIngest:
                      "--out", str(tmp_path / "g.snap")]) == 2
 
     def test_missing_required_flag_exit_one(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["ingest", str(tmp_path / "x.nt")])
-        assert exc.value.code == 1
+        assert main(["ingest", str(tmp_path / "x.nt")]) == 1
 
 
 class TestSpecificity:
@@ -182,6 +180,19 @@ class TestSpecificity:
         assert lines[0] == "depth\trelationship\tscore\tsupport"
         depth, rel, score, support = lines[1].split("\t")
         assert (depth, rel, score) == ("1", "http://x/p", "1.000000")
+
+    def test_one_sidecar_like_every_command(self, pipeline, tmp_path):
+        table = tmp_path / "spec.tsv"
+        assert main(["specificity", str(pipeline / "g.snap"),
+                     "--out", str(table), "--type", FILM, "--depth", "1",
+                     "--seed-set-size", "10", "--n-walks", "80"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["spec.tsv", "spec.tsv.meta.json"]
+        meta = read_meta(table)
+        snap_meta = read_meta(pipeline / "g.snap")
+        assert meta.keys() == snap_meta.keys()
+        assert meta["command"] == "specificity"
+        assert meta["graph_checksum"] == snap_meta["graph_checksum"]
 
     def test_unknown_type_is_data_error(self, pipeline, tmp_path):
         assert main(["specificity", str(pipeline / "g.snap"),
@@ -228,6 +239,21 @@ class TestWalk:
     def test_type_or_entities_required(self, pipeline, tmp_path):
         assert main(["walk", str(pipeline / "g.snap"),
                      "--out", str(tmp_path / "c.txt")]) == 1
+
+    @pytest.mark.parametrize("extra", [
+        ["--type", FILM, "--entities", "ENTITIES"],
+        ["--type", "http://x/NotAType", "--entities", "ENTITIES"],
+        ["--entities", "ENTITIES", "--limit", "1"],
+    ], ids=["type-and-entities", "absent-type-and-entities",
+            "entities-with-limit"])
+    def test_conflicting_root_flags_are_usage_errors(self, pipeline,
+                                                     tmp_path, extra):
+        entities = tmp_path / "entities.txt"
+        entities.write_text(SYNTH + "film/f0_0\n" + SYNTH + "film/f0_1\n")
+        extra = [str(entities) if a == "ENTITIES" else a for a in extra]
+        assert main(["walk", str(pipeline / "g.snap"),
+                     "--out", str(tmp_path / "c.txt")] + extra) == 1
+        assert list(tmp_path.iterdir()) == [entities]
 
     def test_entity_without_edges_warns_empty(self, tmp_path, capsys):
         nt = tmp_path / "chain.nt"
@@ -312,6 +338,18 @@ class TestTrainRecommendEval:
         assert token.startswith(SYNTH + "film/")
         float(score)
 
+    @pytest.mark.parametrize("command", ["recommend", "eval"])
+    @pytest.mark.parametrize("half", ["--snapshot", "--type"])
+    def test_candidate_filter_needs_both_halves(self, pipeline, tmp_path,
+                                                command, half):
+        out = tmp_path / "out.csv"
+        value = str(pipeline / "g.snap") if half == "--snapshot" else FILM
+        extra = (["--query", SYNTH + "film/f0_0"] if command == "recommend"
+                 else ["--truth", str(pipeline / "truth.json")])
+        assert main([command, str(pipeline / "model.txt"), "--out", str(out),
+                     half, value] + extra) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_recommend_unknown_query_is_data_error(self, pipeline):
         assert main(["recommend", str(pipeline / "model.txt"),
                      "--query", "http://x/none"]) == 2
@@ -379,10 +417,10 @@ class TestConfig:
         assert main(["specificity", str(pipeline / "g.snap"),
                      "--out", str(table), "--type", FILM,
                      "--config", str(cfg)]) == 0
-        meta = json.loads((tmp_path / "spec.tsv.meta.json").read_text())
+        meta = read_meta(table)["params"]
         assert meta["n_walks"] == 80
         assert meta["seed_set_size"] == 10
-        assert meta["max_depth"] == 1
+        assert meta["depth"] == 1
 
     def test_flag_overrides_config(self, pipeline, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -392,8 +430,7 @@ class TestConfig:
         assert main(["specificity", str(pipeline / "g.snap"),
                      "--out", str(table), "--type", FILM,
                      "--config", str(cfg), "--n-walks", "90"]) == 0
-        meta = json.loads((tmp_path / "spec.tsv.meta.json").read_text())
-        assert meta["n_walks"] == 90
+        assert read_meta(table)["params"]["n_walks"] == 90
 
     def test_config_equals_form(self, pipeline, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -407,9 +444,11 @@ class TestConfig:
                          "--out", str(tables[-1]), "--type", FILM] + flag) == 0
         a, b = tables
         assert a.read_bytes() == b.read_bytes()
-        meta = tmp_path / "b.tsv.meta.json"
-        assert meta.read_bytes() == (tmp_path / "a.tsv.meta.json").read_bytes()
-        assert json.loads(meta.read_text())["n_walks"] == 80
+        params = [read_meta(t)["params"] for t in tables]
+        for p in params:
+            del p["out"]
+        assert params[0] == params[1]
+        assert params[1]["n_walks"] == 80
 
     def test_config_without_path_is_usage_error(self, pipeline, tmp_path,
                                                 capsys):
@@ -447,6 +486,9 @@ class TestConfig:
         ("specificity", "n_walks", True),
         ("ingest", "strict", "false"),
         ("walk", "no_depth1", 1),
+        ("walk", "bias", "bogus"),
+        ("walk", "pruning", "bogus"),
+        ("walk", "snapshot", "other.snap"),
     ])
     def test_config_value_type_mismatch_is_usage_error(
             self, pipeline, tmp_path, capsys, command, key, value):
@@ -455,15 +497,35 @@ class TestConfig:
         out = tmp_path / "out"
         source = "g.nt" if command == "ingest" else "g.snap"
         extra = [] if command == "ingest" else ["--type", FILM]
-        # argparse rejects a bad value by SystemExit, main() the others by
-        # returning 1; both reach the shell as exit code 1
-        with pytest.raises(SystemExit) as exc:
-            raise SystemExit(main([command, str(pipeline / source),
-                                   "--out", str(out), "--config", str(cfg)]
-                                  + extra))
-        assert exc.value.code == 1
+        assert main([command, str(pipeline / source), "--out", str(out),
+                     "--config", str(cfg)] + extra) == 1
         assert re.search(key.replace("_", "[_-]"), capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command, config, flags", [
+        ("specificity",
+         {"exact": True, "depth": 2, "threshold": 0.25, "seed_set_size": 10},
+         ["--exact", "--depth", "2", "--threshold", "0.25",
+          "--seed-set-size", "10"]),
+        ("walk",
+         {"no_depth1": True, "walks": 20, "threshold": 0.25,
+          "pruning": "UE", "depth": 3},
+         ["--no-depth1", "--walks", "20", "--threshold", "0.25",
+          "--pruning", "UE", "--depth", "3"]),
+    ])
+    def test_config_equals_its_flags(self, pipeline, tmp_path, command,
+                                     config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        base = [command, str(pipeline / "g.snap"), "--out", str(out),
+                "--type", FILM, "--seed", "4"]
+        written = []
+        for extra in (["--config", str(cfg)], flags):
+            assert main(base + extra) == 0
+            written.append((out.read_bytes(),
+                            file_hash(tmp_path / "out.meta.json")))
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("strict, code", [(True, 2), (False, 0)])
     def test_config_switch_value(self, tmp_path, strict, code):
@@ -503,3 +565,16 @@ class TestSensitivityAndPagerank:
                   for l in lines[1:]}
         assert values[120] == pytest.approx(1.0)
         assert set(values) == {60, 120}
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_malformed_values_is_usage_error(self, pipeline, tmp_path,
+                                             via_config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"values": "60,1x0"}))
+        values = ["--values", "60,120", "--config", str(cfg)] if via_config \
+            else ["--values", "60,1x0"]
+        out = tmp_path / "sweep.csv"
+        assert main(["sensitivity", str(pipeline / "g.snap"),
+                     "--out", str(out), "--sweep", "n_walks", "--type", FILM,
+                     "--depth", "1", "--seed-set-size", "10"] + values) == 1
+        assert not out.exists()

@@ -390,7 +390,7 @@ class TestRanking:
             table = rank_by_specificity(g, g.term_id(info["type"]), params)
             buf = io.StringIO()
             table.to_tsv(g, buf)
-            outs.append(buf.getvalue() + table.metadata_json())
+            outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
     def test_table_tsv_round_trip(self, layered):
