@@ -303,8 +303,11 @@ def cmd_synth(args) -> int:
 # -- parser --------------------------------------------------------------
 
 def _int_list(text: str) -> list[int]:
-    """Comma-separated integers, such as "60,120"."""
-    return [int(v) for v in text.split(",")]
+    """Comma-separated distinct integers, such as "60,120"."""
+    values = [int(v) for v in text.split(",")]
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+    return values
 
 
 def build_parser() -> _Parser:

@@ -2,8 +2,8 @@
 
 Terms (IRIs, blank node labels, literal lexical forms) are interned to dense
 integer ids. After construction the graph is never mutated, so it can be
-shared freely across threads; random sampling takes an explicit seed so reads
-stay side-effect free.
+shared freely across threads; random sampling takes an explicit seed or
+explicit uniforms so reads stay side-effect free.
 """
 from __future__ import annotations
 
@@ -13,6 +13,10 @@ import random
 import struct
 from bisect import bisect_left
 from collections.abc import Set
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -89,8 +93,40 @@ class TripleSet(Set):
         return i < len(edges) and edges[i] == (p, o)
 
 
+def uniforms(rng: random.Random, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) block of floats k / 2**53 in [0, 1) from rng.randbytes,
+    filled row by row, so the first r rows do not depend on `rows`."""
+    words = np.frombuffer(rng.randbytes(8 * rows * cols), dtype="<u8")
+    return ((words >> 11) * 2.0 ** -53).reshape(rows, cols)
+
+
+def slice_pick(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray,
+               u: np.ndarray) -> np.ndarray:
+    """Per row, targets[lo + floor(u * (hi - lo))] clamped to hi - 1, or -1
+    where the slice [lo, hi) is empty."""
+    out = np.full(len(lo), -1, dtype=np.int64)
+    live = hi > lo
+    lo, hi = lo[live], hi[live]
+    pick = lo + (u[live] * (hi - lo)).astype(np.int64)
+    out[live] = targets[np.minimum(pick, hi - 1)]
+    return out
+
+
+class PathIndex(NamedTuple):
+    """Array form of the adjacency. out_key[i] = s * n_terms + p and
+    out_obj[i] = o for the i-th triple in ascending (s, p, o) order, so each
+    (node, predicate) owns one sorted slice of out_key. in_src[in_ptr[o]:
+    in_ptr[o + 1]] are the subjects of the triples into o, in in_adj order."""
+
+    out_key: np.ndarray
+    out_obj: np.ndarray
+    in_ptr: np.ndarray
+    in_src: np.ndarray
+
+
 class Graph:
-    """Immutable triple store: out/in adjacency lists hold each triple once."""
+    """Immutable triple store: out/in adjacency lists hold each triple once;
+    path_index() adds an array copy on first use, for batched sampling."""
 
     def __init__(self, terms: list[str], literal: list[bool],
                  triples, rdf_type: str = RDF_TYPE):
@@ -125,6 +161,7 @@ class Graph:
         self.report = None  # set by parsers
         self._checksum: str | None = None
         self._pred_freq: dict[int, int] | None = None
+        self._index: PathIndex | None = None
 
     # -- lookups ---------------------------------------------------------
 
@@ -155,20 +192,41 @@ class Graph:
         lo = bisect_left(edges, (pred,))
         return edges[lo:bisect_left(edges, (pred + 1,), lo)]
 
-    def sample_path(self, v: int, predicates, rng: random.Random) -> list[int] | None:
-        """Walk the predicate sequence from v, choosing uniformly among the
-        matching out-edges at each step.
+    def path_index(self) -> PathIndex:
+        """The PathIndex, built on first use and cached."""
+        if self._index is None:
+            n = len(self.terms)
+            spo = np.fromiter(chain.from_iterable(self.triples), np.int64,
+                              3 * len(self.triples)).reshape(-1, 3)
+            in_deg = np.array([len(e) for e in self.in_adj], dtype=np.int64)
+            in_ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(in_deg, out=in_ptr[1:])
+            in_src = np.fromiter((s for edges in self.in_adj for _, s in edges),
+                                 np.int64, len(spo))
+            self._index = PathIndex(spo[:, 0] * n + spo[:, 1], spo[:, 2],
+                                    in_ptr, in_src)
+        return self._index
 
-        Returns the visited nodes v0..vd, or None at a node with no edge for
-        the next predicate. Each step makes one rng.choice over the matches.
+    def sample_paths(self, starts, predicates, u: np.ndarray) -> np.ndarray:
+        """Walk the predicate sequence from each start, one row per walk.
+
+        Step k of row i takes the matching out-edge lo + floor(u[i, k] *
+        (hi - lo)) of the current node's (node, predicate) slice [lo, hi).
+        Returns the visited nodes, shape (len(starts), len(predicates) + 1);
+        a row that reaches a node with no edge for the next predicate holds
+        -1 from there on.
         """
-        nodes = [v]
-        for pred in predicates:
-            run = self._edges_with(v, pred)
-            if not run:
-                return None
-            v = rng.choice(run)[1]
-            nodes.append(v)
+        index = self.path_index()
+        nodes = np.empty((len(starts), len(predicates) + 1), dtype=np.int64)
+        nodes[:, 0] = starts
+        v = nodes[:, 0]
+        for k, pred in enumerate(predicates):
+            # a dead row's v = -1 gives a negative key, below every out_key
+            key = v * len(self.terms) + pred
+            v = nodes[:, k + 1] = slice_pick(
+                np.searchsorted(index.out_key, key, "left"),
+                np.searchsorted(index.out_key, key, "right"),
+                index.out_obj, u[:, k])
         return nodes
 
     def path_counts(self, sources, predicates) -> dict[int, int]:

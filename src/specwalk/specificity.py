@@ -10,9 +10,11 @@ distinct reachable nodes and counts paths uniformly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError
+import numpy as np
+
+from .graph import Graph, GraphError, slice_pick, uniforms
 
 # Fixed implementation values, not parameters of the method.
 FORWARD_RETRY_LIMIT = 10
@@ -157,20 +159,55 @@ def exact_specificity(g: Graph, rel: SemanticRelationship, t,
 
 # -- bidirectional random-walk estimator ---------------------------------
 
-def _candidate_rng(seed: int, rel: SemanticRelationship) -> random.Random:
-    # Per-candidate stream: results do not depend on evaluation order.
-    return random.Random(f"{seed}|{','.join(map(str, rel.predicates))}")
+def _candidate_rng(seed: int, rel: SemanticRelationship,
+                   block: str) -> random.Random:
+    # One stream per (candidate, block): results do not depend on evaluation
+    # order, and a block's first n rows do not depend on how many it holds.
+    return random.Random(
+        f"{seed}|{','.join(map(str, rel.predicates))}|{block}")
 
 
-def _reverse_walk(g: Graph, start: int, depth: int,
-                  rng: random.Random) -> int | None:
-    v = start
-    for _ in range(depth):
-        edges = g.in_adj[v]
-        if not edges:
-            return None
-        v = rng.choice(edges)[1]
-    return v
+def trial_outcomes(g: Graph, rel: SemanticRelationship, seeds, type_set,
+                   n_walks: int, seed: int = 0) -> np.ndarray:
+    """Hit (True) or miss of each of the n_walks trials of one candidate.
+
+    All trials advance together. Forward attempt a of trial i reads row i of
+    block "f{a}", (1 + depth) uniforms: its seed is seeds[floor(u0 * |S|)]
+    of the sorted seed set, then it walks the candidate's predicates with
+    Graph.sample_paths. Trials that dead-end retry with the next block, up to
+    FORWARD_RETRY_LIMIT times, and a block is drawn only when some trial
+    needs it. The reverse walk reads row i of block "r": each step takes an
+    in-edge of the current node, lo + floor(u * (hi - lo)) of its in-edge
+    slice. A trial hits when it lands on a member of type_set; a forward or
+    reverse dead-end is a miss. Trial i never depends on n_walks, so the
+    outcomes at budget n are the first n outcomes at any larger budget.
+    """
+    seeds = np.array(sorted(seeds), dtype=np.int64)
+    depth = rel.depth
+    ends = np.full(n_walks, -1, dtype=np.int64)
+    todo = np.arange(n_walks)
+    for attempt in range(FORWARD_RETRY_LIMIT + 1):
+        u = uniforms(_candidate_rng(seed, rel, f"f{attempt}"),
+                     n_walks, 1 + depth)[todo]
+        starts = slice_pick(np.zeros(len(todo), dtype=np.int64),
+                            np.full(len(todo), len(seeds)), seeds, u[:, 0])
+        end = g.sample_paths(starts, rel.predicates, u[:, 1:])[:, -1]
+        done = end >= 0
+        ends[todo[done]] = end[done]
+        todo = todo[~done]
+        if not len(todo):
+            break
+    index = g.path_index()
+    u = uniforms(_candidate_rng(seed, rel, "r"), n_walks, depth)
+    v = ends
+    for k in range(depth):
+        lo, hi = index.in_ptr[v], index.in_ptr[v + 1]
+        hi[v < 0] = lo[v < 0]  # a dead trial (v = -1) gets an empty slice
+        v = slice_pick(lo, hi, index.in_src, u[:, k])
+    # one slot past the last term, False, is what v = -1 reads
+    member = np.zeros(g.n_terms + 1, dtype=bool)
+    member[list(type_set)] = True
+    return member[v]
 
 
 def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
@@ -182,6 +219,7 @@ def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
     along arbitrary incoming edges; the trial counts when it lands on a node
     of type t. A forward walk that dead-ends is retried from a fresh seed up
     to FORWARD_RETRY_LIMIT times; a trial still dead-ended counts as a miss.
+    The score is the mean of trial_outcomes.
     """
     seeds = sorted(seeds)
     if not seeds:
@@ -191,21 +229,9 @@ def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
     type_set = g.entities_of_type(t)
     results = []
     for rel in candidates:
-        rng = _candidate_rng(seed, rel)
-        count = 0
-        for _ in range(n_walks):
-            path = None
-            for _attempt in range(FORWARD_RETRY_LIMIT + 1):
-                s = seeds[rng.randrange(len(seeds))]
-                path = g.sample_path(s, rel.predicates, rng)
-                if path is not None:
-                    break
-            if path is None:
-                continue
-            vp = _reverse_walk(g, path[-1], rel.depth, rng)
-            if vp is not None and vp in type_set:
-                count += 1
-        results.append(SpecificityEntry(rel, count / n_walks, n_walks))
+        hits = int(trial_outcomes(g, rel, seeds, type_set, n_walks,
+                                  seed).sum())
+        results.append(SpecificityEntry(rel, hits / n_walks, n_walks))
     return results
 
 

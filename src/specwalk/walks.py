@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graph import Graph
+import numpy as np
+
+from .graph import Graph, uniforms
 from .specificity import SpecificityTable
 
 BIASES = ("uniform", "frequency", "pagerank", "specificity")
@@ -132,6 +134,31 @@ def _walk_uniform(g, v0, depth, rng, weight_fn):
     return tokens if len(tokens) >= 3 else None
 
 
+def _template_walks(g, v0, templates, weights, attempts, rng):
+    """Each attempt's tokens (None when its template dead-ends), in attempt
+    order. Templates for all attempts are drawn first, then one (attempts,
+    longest template) block of uniforms; the attempts of one template walk
+    together through Graph.sample_paths."""
+    if not templates:
+        return []
+    picks = np.array(rng.choices(range(len(templates)), weights=weights,
+                                 k=attempts))
+    u = uniforms(rng, attempts, max(map(len, templates)))
+    out: list[list[int] | None] = [None] * attempts
+    for j, template in enumerate(templates):
+        rows = np.flatnonzero(picks == j)
+        if not len(rows):
+            continue
+        tokens = np.empty((len(rows), 2 * len(template) + 1), dtype=np.int64)
+        tokens[:, 0::2] = g.sample_paths(np.full(len(rows), v0), template,
+                                         u[rows])
+        tokens[:, 1::2] = template
+        for a, row in zip(rows.tolist(), tokens.tolist()):
+            if row[-1] >= 0:
+                out[a] = row
+    return out
+
+
 def extract_walks(g: Graph, entity: int, strategy: WalkStrategy,
                   seed: int = 0) -> WalkCorpus:
     """Up to walks_per_entity accepted walks rooted at entity.
@@ -159,21 +186,15 @@ def extract_walks(g: Graph, entity: int, strategy: WalkStrategy,
             template_weights.append(e.score)
 
     attempts = strategy.walks_per_entity
-    for _ in range(attempts):
-        if strategy.bias == "specificity":
-            if not templates:
-                break
-            template = rng.choices(templates, weights=template_weights)[0]
-            nodes = g.sample_path(entity, template, rng)
-            if nodes is None:
-                continue  # incomplete template: discard
-            tokens = [0] * (2 * len(nodes) - 1)
-            tokens[0::2] = nodes
-            tokens[1::2] = template
-        else:
-            tokens = _walk_uniform(g, entity, strategy.depth, rng, weight_fn)
-            if tokens is None:
-                continue
+    if strategy.bias == "specificity":
+        attempt_tokens = _template_walks(g, entity, templates,
+                                         template_weights, attempts, rng)
+    else:
+        attempt_tokens = (_walk_uniform(g, entity, strategy.depth, rng,
+                                        weight_fn) for _ in range(attempts))
+    for tokens in attempt_tokens:
+        if tokens is None:
+            continue  # dead end, or an incomplete template: discard
         walk = Walk(tuple(tokens))
         if prune_check(walk, strategy.pruning, g):
             corpus.walks.append(walk)

@@ -569,12 +569,15 @@ class TestSensitivityAndPagerank:
     @pytest.mark.parametrize("via_config", [False, True])
     def test_malformed_values_is_usage_error(self, pipeline, tmp_path,
                                              via_config):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"values": "60,1x0"}))
-        values = ["--values", "60,120", "--config", str(cfg)] if via_config \
-            else ["--values", "60,1x0"]
-        out = tmp_path / "sweep.csv"
-        assert main(["sensitivity", str(pipeline / "g.snap"),
-                     "--out", str(out), "--sweep", "n_walks", "--type", FILM,
-                     "--depth", "1", "--seed-set-size", "10"] + values) == 1
-        assert not out.exists()
+        # a repeated value would be averaged in as an extra repeat
+        for bad in ("60,1x0", "60,60,120"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"values": bad}))
+            values = ["--values", "60,120", "--config", str(cfg)] \
+                if via_config else ["--values", bad]
+            out = tmp_path / "sweep.csv"
+            assert main(["sensitivity", str(pipeline / "g.snap"),
+                         "--out", str(out), "--sweep", "n_walks",
+                         "--type", FILM, "--depth", "1",
+                         "--seed-set-size", "10"] + values) == 1
+            assert not out.exists()

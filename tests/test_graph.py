@@ -3,6 +3,7 @@ import io
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,8 @@ from scipy import stats
 
 from specwalk.cli import main
 from specwalk.graph import (RDF_TYPE, GraphBuilder, GraphError,
-                            UnknownTermError, read_snapshot, write_snapshot)
+                            UnknownTermError, read_snapshot, uniforms,
+                            write_snapshot)
 from specwalk.ntriples import (ParseError, load_graph, parse_ntriples,
                                serialize_ntriples)
 
@@ -18,14 +20,16 @@ from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, small_edges,
                       small_graph, small_graphs)
 
 
-def scan_path(g, v, predicates, rng):
-    """Reference sampler: scan every out-edge for the predicate."""
+TOP_UNIFORM = 1.0 - 2.0 ** -53  # the largest value uniforms() returns
+
+
+def scan_path(g, v, predicates, u):
+    """Reference sampler: scan every out-edge for the predicate and take
+    matches[floor(u[k] * len(matches))]; -1 from a dead end on."""
     nodes = [v]
-    for pred in predicates:
-        matches = [o for p, o in g.out_adj[v] if p == pred]
-        if not matches:
-            return None
-        v = rng.choice(matches)
+    for pred, uk in zip(predicates, u):
+        matches = [o for p, o in g.out_adj[v] if p == pred] if v >= 0 else []
+        v = matches[int(uk * len(matches))] if matches else -1
         nodes.append(v)
     return nodes
 
@@ -225,16 +229,40 @@ class TestSampling:
 
 class TestSamplePath:
     @settings(max_examples=150, deadline=None)
-    @given(g=small_graphs(), start=st.integers(0, N_NODES - 1),
-           names=st.lists(st.sampled_from(PREDICATES), max_size=4),
-           seed=st.integers(0, 2**32))
-    def test_matches_scanning_reference(self, g, start, names, seed):
+    @given(g=small_graphs(), data=st.data(),
+           starts=st.lists(st.integers(0, N_NODES - 1), min_size=1,
+                           max_size=8),
+           names=st.lists(st.sampled_from(PREDICATES), max_size=4))
+    def test_matches_scanning_reference(self, g, data, starts, names):
         predicates = [g.term_id(p) for p in names]
-        fast, ref = random.Random(seed), random.Random(seed)
-        for _ in range(5):
-            assert (g.sample_path(start, predicates, fast)
-                    == scan_path(g, start, predicates, ref))
-        assert fast.getstate() == ref.getstate()
+        u = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0.0, 0.5, TOP_UNIFORM])
+                     | st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53),
+                     min_size=len(predicates), max_size=len(predicates)),
+            min_size=len(starts), max_size=len(starts)))).reshape(
+                len(starts), len(predicates))
+        got = g.sample_paths(np.array(starts), predicates, u)
+        assert got.shape == (len(starts), len(predicates) + 1)
+        assert got.tolist() == [scan_path(g, v, predicates, row)
+                                for v, row in zip(starts, u)]
+
+    def test_pick_rule_on_every_slice_width(self):
+        # one node with w edges for predicate p{w}, w = 1..40, and a second
+        # node after it whose edges a pick past a slice's end would read
+        triples = [(EX + "s", EX + f"p{w:02d}", EX + f"o{w:02d}_{i:02d}")
+                   for w in range(1, 41) for i in range(w)]
+        g = build(triples + [(EX + "t", EX + "p01", EX + "x")])
+        s = g.term_id(EX + "s")
+        for w in range(1, 41):
+            u = [i / w for i in range(w)] + [(i + 0.999) / w
+                                             for i in range(w)] + [TOP_UNIFORM]
+            got = g.sample_paths(np.full(len(u), s),
+                                 [g.term_id(EX + f"p{w:02d}")],
+                                 np.array(u).reshape(-1, 1))
+            picked = [int(x * w) for x in u]
+            assert picked[-1] == w - 1
+            assert got[:, 1].tolist() == [
+                g.term_id(EX + f"o{w:02d}_{i:02d}") for i in picked]
 
     def test_follows_predicate_runs(self):
         g = build([(EX + "s", EX + "p", EX + "a"),
@@ -242,9 +270,20 @@ class TestSamplePath:
                    (EX + "b", EX + "p", EX + "c")])
         ids = [g.term_id(EX + n) for n in ("s", "b", "c")]
         preds = [g.term_id(EX + "q"), g.term_id(EX + "p")]
-        assert g.sample_path(ids[0], preds, random.Random(0)) == ids
-        assert g.sample_path(ids[0], preds[::-1], random.Random(0)) is None
+        u = np.zeros((1, 2))
+        assert g.sample_paths([ids[0]], preds, u).tolist() == [ids]
+        assert g.sample_paths([ids[0]], preds[::-1], u).tolist() == [
+            [ids[0], g.term_id(EX + "a"), -1]]
+        assert g.sample_paths([ids[0]], [], u[:, :0]).tolist() == [[ids[0]]]
         assert g.path_counts([ids[0], ids[0]], preds) == {ids[2]: 2}
+
+    def test_uniforms_fill_row_by_row_in_unit_interval(self):
+        small = uniforms(random.Random("x"), 3, 4)
+        large = uniforms(random.Random("x"), 50, 4)
+        assert small.shape == (3, 4)
+        assert np.array_equal(small, large[:3])
+        assert large.min() >= 0.0 and large.max() <= TOP_UNIFORM
+        assert np.array_equal(large * 2.0 ** 53, np.floor(large * 2.0 ** 53))
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import numpy as np
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specwalk.graph import RDF_TYPE, GraphBuilder, GraphError
-from specwalk.specificity import (EstimatorParams, SemanticRelationship,
-                                  SpecificityEntry, SpecificityTable,
-                                  estimate_specificity, exact_specificity,
-                                  node_to_node_specificity,
-                                  rank_by_specificity, select_paths)
+from specwalk.specificity import (FORWARD_RETRY_LIMIT, EstimatorParams,
+                                  SemanticRelationship, SpecificityEntry,
+                                  SpecificityTable, estimate_specificity,
+                                  exact_specificity, node_to_node_specificity,
+                                  rank_by_specificity, select_paths,
+                                  trial_outcomes)
 from specwalk.synth import layered_graph, relevance_inversion_graph
 
 from conftest import EX, N_NODES, PREDICATES, TYPE_T, build, small_graphs
@@ -80,6 +82,46 @@ def brute_force_specificity(g, relationship, t, seeds=None):
         if origins:
             acc += sum(1 for v in origins if v in seeds) / len(origins)
     return acc / len(reachable), support
+
+
+def alg2_expectation(g, relationship, seeds, type_set):
+    """Exact mean of one alg2 trial, by propagating probability mass.
+
+    One forward attempt starts at a uniform seed and takes a uniform
+    matching edge per predicate; it dead-ends with probability q, and the
+    R + 1 attempts of a trial reach the endpoint distribution with
+    probability 1 - q^(R+1). The reverse walk takes a uniform in-edge per
+    step; the trial hits when it lands in type_set."""
+    mass = {s: 1.0 / len(seeds) for s in seeds}
+    for pred in relationship.predicates:
+        nxt = {}
+        for v, m in mass.items():
+            matches = [o for p, o in g.out_adj[v] if p == pred]
+            for o in matches:
+                nxt[o] = nxt.get(o, 0.0) + m / len(matches)
+        mass = nxt
+    reached = sum(mass.values())
+    if not mass:
+        return 0.0
+    success = 1.0 - (1.0 - reached) ** (FORWARD_RETRY_LIMIT + 1)
+    back = {v: m / reached for v, m in mass.items()}
+    for _ in range(relationship.depth):
+        nxt = {}
+        for v, m in back.items():
+            for _, u in g.in_adj[v]:
+                nxt[u] = nxt.get(u, 0.0) + m / len(g.in_adj[v])
+        back = nxt
+    return success * sum(m for v, m in back.items() if v in type_set)
+
+
+def draw_relationship(g, data, seeds, depth):
+    """A relationship realizable from the seeds when they have one, else
+    any predicate sequence of the depth."""
+    realizable = sorted(enumerate_frequencies(g, seeds, depth, frozenset()))
+    preds = [g.term_id(p) for p in PREDICATES]
+    return SemanticRelationship(data.draw(
+        st.sampled_from(realizable) if realizable else
+        st.tuples(*[st.sampled_from(preds)] * depth)))
 
 
 def count_matrix(g):
@@ -180,13 +222,8 @@ class TestExact:
            depth=st.integers(1, 3))
     def test_matches_path_enumeration_small_graphs(self, g, data, seeds,
                                                    depth):
-        # small graphs have cycles, several predicates and type edges; draw
-        # a realizable relationship when the seeds have one
-        realizable = sorted(enumerate_frequencies(g, seeds, depth, frozenset()))
-        preds = [g.term_id(p) for p in PREDICATES]
-        seq = data.draw(st.sampled_from(realizable) if realizable else
-                        st.tuples(*[st.sampled_from(preds)] * depth))
-        r = SemanticRelationship(seq)
+        # small graphs have cycles, several predicates and type edges
+        r = draw_relationship(g, data, seeds, depth)
         entry = exact_specificity(g, r, None, seeds=seeds)
         score, support = brute_force_specificity(g, r, None, seeds=seeds)
         assert entry.score == pytest.approx(score, abs=1e-12)
@@ -259,6 +296,63 @@ class TestEstimator:
                     for s in range(25)]
             maes.append(sum(errs) / len(errs))
         assert all(b <= a + 0.01 for a, b in zip(maes, maes[1:]))
+
+
+class TestEstimatorExpectation:
+    """alg2 against its exact expectation on graphs whose in-degrees are not
+    balanced, where it differs from eq2 by design."""
+
+    N = 20_000
+    Z = 5.0  # a 5-sigma miss has probability ~6e-7 per check
+
+    def assert_within(self, estimate, expected):
+        p = min(max(expected, 0.0), 1.0)  # float sums can stray past 1
+        se = math.sqrt(p * (1.0 - p) / self.N)
+        assert abs(estimate - expected) <= self.Z * se + 1e-9, \
+            (estimate, expected)
+
+    @pytest.mark.parametrize("kind", ["franchise", "inversion"])
+    def test_planted_graphs(self, kind, franchise):
+        g, info = franchise if kind == "franchise" else \
+            relevance_inversion_graph(seed=0)
+        t = g.term_id(info["type"])
+        # ten seeds that are not films make forward dead-ends, and retries,
+        # common
+        others = random.Random(3).sample(
+            [v for v in range(g.n_terms) if g.out_adj[v]], 10)
+        seeds = sorted(set(g.sample_entities(t, 20, seed=3)) | set(others))
+        candidates = [r for d in (1, 2, 3)
+                      for r in select_paths(g, seeds, d, 25 * d)]
+        type_set = g.entities_of_type(t)
+        for entry in estimate_specificity(g, candidates, seeds, t, self.N,
+                                          seed=5):
+            self.assert_within(entry.score, alg2_expectation(
+                g, entry.relationship, seeds, type_set))
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs(), data=st.data(),
+           seeds=st.sets(st.integers(0, N_NODES - 1), min_size=1),
+           type_set=st.sets(st.integers(0, N_NODES - 1)),
+           depth=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_small_graphs(self, g, data, seeds, type_set, depth, seed):
+        r = draw_relationship(g, data, seeds, depth)
+        outcomes = trial_outcomes(g, r, seeds, type_set, self.N, seed)
+        self.assert_within(outcomes.mean(), alg2_expectation(
+            g, r, sorted(seeds), type_set))
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), data=st.data(),
+           seeds=st.sets(st.integers(0, N_NODES - 1), min_size=1),
+           type_set=st.sets(st.integers(0, N_NODES - 1)),
+           depth=st.integers(1, 3), n=st.integers(1, 40),
+           extra=st.integers(1, 300), seed=st.integers(0, 2**16))
+    def test_budget_prefix(self, g, data, seeds, type_set, depth, n, extra,
+                           seed):
+        # trial i does not depend on the budget, dead-end retries included
+        r = draw_relationship(g, data, seeds, depth)
+        small = trial_outcomes(g, r, seeds, type_set, n, seed)
+        large = trial_outcomes(g, r, seeds, type_set, n + extra, seed)
+        assert small.tolist() == large[:n].tolist()
 
 
 class TestSelectPaths:

@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -218,6 +219,26 @@ class TestBiases:
         corpus = extract_walks(g, films[0], strategy, seed=0)
         assert len(corpus.walks) == 100
         assert all(w.predicates == chain for w in corpus.walks)
+
+    def test_specificity_walks_in_attempt_order(self, franchise):
+        # attempts draw their templates first, walk grouped by template and
+        # come out in attempt order
+        g, info = franchise
+        templates = [tuple(g.term_id(SYNTH + p) for p in names) for names in
+                     (("p/director", "p/knownFor"),
+                      ("p/director", "p/birthPlace"))]
+        table = SpecificityTable(depths={2: [
+            SpecificityEntry(SemanticRelationship(t), score, 100)
+            for t, score in zip(templates, (1.0, 0.6))]})
+        strategy = WalkStrategy(bias="specificity", depth=2,
+                                specificity_table=table, walks_per_entity=60)
+        film = sorted(g.entities_of_type(info["type"]))[0]
+        picks = random.Random(f"4|{film}").choices(range(2), weights=[1.0, 0.6],
+                                                  k=60)
+        corpus = extract_walks(g, film, strategy, seed=4)
+        assert len(set(picks)) == 2
+        assert [w.predicates for w in corpus.walks] == [templates[j]
+                                                       for j in picks]
 
     def test_specificity_bias_no_templates_empty(self, chain_graph):
         g = chain_graph
