@@ -16,6 +16,8 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .graph import Graph, GraphError, read_snapshot, write_snapshot
 from .ntriples import load_graph, open_text, serialize_ntriples
@@ -63,10 +65,10 @@ def cmd_ingest(args) -> int:
     g = load_graph(args.input, strict=args.strict, rdf_type=args.rdf_type)
     write_snapshot(g, args.out)
     _write_sidecar(args, g)
-    types = [g.types_of(v) for v in range(g.n_terms)]
+    typed = g.out_pred == g.rdf_type_id  # all False without rdf:type
     print(f"triples={g.n_triples} terms={g.n_terms} "
-          f"typed_entities={sum(1 for ts in types if ts)} "
-          f"types={len(frozenset().union(*types))}")
+          f"typed_entities={len(np.unique(g.out_src[typed]))} "
+          f"types={len(np.unique(g.out_obj[typed]))}")
     if g.report is not None and g.report.skipped:
         print(f"skipped_lines={g.report.skipped}", file=sys.stderr)
     return 0

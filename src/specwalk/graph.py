@@ -1,4 +1,4 @@
-"""Immutable, integer-indexed RDF multigraph with forward/reverse adjacency.
+"""Immutable, integer-indexed RDF multigraph over sorted triple arrays.
 
 Terms (IRIs, blank node labels, literal lexical forms) are interned to dense
 integer ids. After construction the graph is never mutated, so it can be
@@ -11,10 +11,9 @@ import hashlib
 import logging
 import random
 import struct
-from bisect import bisect_left
-from collections.abc import Set
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence, Set
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,35 +61,47 @@ class GraphBuilder:
         self._triples.add((s, p, o))
 
     def build(self) -> "Graph":
-        return Graph(self._terms, self._literal, sorted(self._triples),
+        spo = np.fromiter(chain.from_iterable(self._triples), np.int64,
+                          3 * len(self._triples)).reshape(-1, 3)
+        return Graph(self._terms, self._literal, spo[np.lexsort(spo.T[::-1])],
                      self.rdf_type)
 
 
 class TripleSet(Set):
-    """Read-only set view of a graph's (s, p, o) triples over its out_adj
-    lists; iterates in ascending order."""
+    """Read-only set view of a graph's (s, p, o) triples; iterates in
+    ascending order."""
 
     _from_iterable = frozenset  # result type of the Set mixins' &, |, -, ^
 
-    def __init__(self, out_adj: list[list[tuple[int, int]]], n: int):
-        self._out_adj = out_adj
-        self._len = n
+    def __init__(self, graph: "Graph"):
+        self._graph = graph
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._graph.out_src)
 
     def __iter__(self):
-        for s, edges in enumerate(self._out_adj):
-            for p, o in edges:
-                yield s, p, o
+        g = self._graph
+        return zip(g.out_src.tolist(), g.out_pred.tolist(), g.out_obj.tolist())
 
     def __contains__(self, triple) -> bool:
         s, p, o = triple
-        if not 0 <= s < len(self._out_adj):
-            return False
-        edges = self._out_adj[s]
-        i = bisect_left(edges, (p, o))
-        return i < len(edges) and edges[i] == (p, o)
+        return 0 <= s < self._graph.n_terms and (p, o) in self._graph.out_adj[s]
+
+
+class EdgeLists(Sequence):
+    """Read-only per-node view of one side of the triple arrays: view[v] is
+    the list of (predicate, other end) pairs in v's slice [ptr[v],
+    ptr[v + 1]), in array order."""
+
+    def __init__(self, ptr: np.ndarray, pred: np.ndarray, other: np.ndarray):
+        self._ptr, self._pred, self._other = ptr, pred, other
+
+    def __len__(self) -> int:
+        return len(self._ptr) - 1
+
+    def __getitem__(self, v: int) -> list[tuple[int, int]]:
+        lo, hi = self._ptr[v], self._ptr[v + 1]
+        return list(zip(self._pred[lo:hi].tolist(), self._other[lo:hi].tolist()))
 
 
 def uniforms(rng: random.Random, rows: int, cols: int) -> np.ndarray:
@@ -112,56 +123,61 @@ def slice_pick(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray,
     return out
 
 
-class PathIndex(NamedTuple):
-    """Array form of the adjacency. out_key[i] = s * n_terms + p and
-    out_obj[i] = o for the i-th triple in ascending (s, p, o) order, so each
-    (node, predicate) owns one sorted slice of out_key. in_src[in_ptr[o]:
-    in_ptr[o + 1]] are the subjects of the triples into o, in in_adj order."""
-
-    out_key: np.ndarray
-    out_obj: np.ndarray
-    in_ptr: np.ndarray
-    in_src: np.ndarray
-
-
 class Graph:
-    """Immutable triple store: out/in adjacency lists hold each triple once;
-    path_index() adds an array copy on first use, for batched sampling."""
+    """Immutable triple store: int64 arrays, built once, that hold each
+    triple once on the out side and once on the in side.
+
+    Out side, in ascending (s, p, o) order: out_src, out_pred and out_obj;
+    out_key = s * n_terms + p, so each (node, predicate) owns one slice of
+    out_key; out_ptr, the offsets of each subject's slice. In side, in
+    (object, subject, predicate) order: in_src, in_pred and in_ptr, the
+    offsets of each object's slice. out_adj[v] and in_adj[v] list v's
+    (predicate, other end) pairs from these arrays.
+    """
 
     def __init__(self, terms: list[str], literal: list[bool],
-                 triples, rdf_type: str = RDF_TYPE):
-        """`triples` must be strictly ascending (s, p, o) id tuples, so
-        sorted and distinct; GraphError otherwise."""
+                 triples: np.ndarray, rdf_type: str = RDF_TYPE):
+        """`triples` is an (n, 3) integer array of strictly ascending (s, p,
+        o) rows, so sorted and distinct; GraphError otherwise, or when an id
+        is out of range, a subject or predicate is a literal or a term is
+        repeated."""
         self.terms = terms
         self.literal = literal
         self.rdf_type = rdf_type
         self._ids = {t: i for i, t in enumerate(terms)}
+        if len(self._ids) != len(terms):
+            term = next(t for i, t in enumerate(terms) if self._ids[t] != i)
+            raise GraphError(f"term table repeats a term: {term!r}")
         self.rdf_type_id = self._ids.get(rdf_type)
         n = len(terms)
-        # Filled from sorted triples, so out_adj[v] is sorted by (predicate,
-        # object): the edges of one predicate form a contiguous run, which
-        # _edges_with finds by bisection.
-        self.out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        count = 0
-        prev = (-1,)
-        for triple in triples:
-            if triple <= prev:
-                raise GraphError(f"triples must be sorted and distinct: "
-                                 f"triple {count} {triple} follows {prev}")
-            s, p, o = prev = triple
-            if self.literal[s]:
-                raise GraphError(f"literal in subject position: {terms[s]!r}")
-            if self.literal[p]:
-                raise GraphError(f"literal in predicate position: {terms[p]!r}")
-            self.out_adj[s].append((p, o))
-            self.in_adj[o].append((p, s))
-            count += 1
-        self.triples = TripleSet(self.out_adj, count)
+        spo = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        self.out_src, self.out_pred, self.out_obj = np.ascontiguousarray(spo.T)
+        self.out_key = self.out_src * n + self.out_pred
+        key, obj = self.out_key, self.out_obj
+
+        def reject(bad: np.ndarray, problem: str) -> None:
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise GraphError(f"{problem}: triple {i} "
+                                 f"{tuple(spo[i].tolist())}")
+
+        reject(((spo < 0) | (spo >= n)).any(axis=1), "term id out of range")
+        reject(np.append(False, (key[1:] < key[:-1]) | (
+            (key[1:] == key[:-1]) & (obj[1:] <= obj[:-1]))),
+               "triples must be sorted and distinct")
+        lit = np.array(literal, dtype=bool)
+        reject(lit[spo[:, 0]] | lit[spo[:, 1]],
+               "literal in subject or predicate position")
+        self.out_ptr = np.searchsorted(self.out_src, np.arange(n + 1))
+        order = np.argsort(obj, kind="stable")
+        self.in_src, self.in_pred = self.out_src[order], self.out_pred[order]
+        self.in_ptr = np.searchsorted(obj[order], np.arange(n + 1))
+        self.out_adj = EdgeLists(self.out_ptr, self.out_pred, self.out_obj)
+        self.in_adj = EdgeLists(self.in_ptr, self.in_pred, self.in_src)
+        self.triples = TripleSet(self)
         self.report = None  # set by parsers
         self._checksum: str | None = None
-        self._pred_freq: dict[int, int] | None = None
-        self._index: PathIndex | None = None
+        self._pred_freq: list[int] | None = None
 
     # -- lookups ---------------------------------------------------------
 
@@ -171,7 +187,7 @@ class Graph:
 
     @property
     def n_triples(self) -> int:
-        return len(self.triples)
+        return len(self.out_src)
 
     def has_term(self, term: str) -> bool:
         return term in self._ids
@@ -186,27 +202,6 @@ class Graph:
         if not isinstance(tid, int) or tid < 0 or tid >= len(self.terms):
             raise UnknownTermError(f"unknown term id: {tid!r}")
 
-    def _edges_with(self, v: int, pred: int) -> list[tuple[int, int]]:
-        """The run of (pred, object) pairs in out_adj[v]."""
-        edges = self.out_adj[v]
-        lo = bisect_left(edges, (pred,))
-        return edges[lo:bisect_left(edges, (pred + 1,), lo)]
-
-    def path_index(self) -> PathIndex:
-        """The PathIndex, built on first use and cached."""
-        if self._index is None:
-            n = len(self.terms)
-            spo = np.fromiter(chain.from_iterable(self.triples), np.int64,
-                              3 * len(self.triples)).reshape(-1, 3)
-            in_deg = np.array([len(e) for e in self.in_adj], dtype=np.int64)
-            in_ptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(in_deg, out=in_ptr[1:])
-            in_src = np.fromiter((s for edges in self.in_adj for _, s in edges),
-                                 np.int64, len(spo))
-            self._index = PathIndex(spo[:, 0] * n + spo[:, 1], spo[:, 2],
-                                    in_ptr, in_src)
-        return self._index
-
     def sample_paths(self, starts, predicates, u: np.ndarray) -> np.ndarray:
         """Walk the predicate sequence from each start, one row per walk.
 
@@ -216,7 +211,6 @@ class Graph:
         a row that reaches a node with no edge for the next predicate holds
         -1 from there on.
         """
-        index = self.path_index()
         nodes = np.empty((len(starts), len(predicates) + 1), dtype=np.int64)
         nodes[:, 0] = starts
         v = nodes[:, 0]
@@ -224,34 +218,41 @@ class Graph:
             # a dead row's v = -1 gives a negative key, below every out_key
             key = v * len(self.terms) + pred
             v = nodes[:, k + 1] = slice_pick(
-                np.searchsorted(index.out_key, key, "left"),
-                np.searchsorted(index.out_key, key, "right"),
-                index.out_obj, u[:, k])
+                np.searchsorted(self.out_key, key, "left"),
+                np.searchsorted(self.out_key, key, "right"),
+                self.out_obj, u[:, k])
         return nodes
 
     def path_counts(self, sources, predicates) -> dict[int, int]:
         """node -> number of paths from the sources realizing the predicate
         sequence; a source listed twice starts two paths, and an empty
         sequence gives one path per source."""
-        counts: dict[int, int] = {}
-        for s in sources:
-            counts[s] = counts.get(s, 0) + 1
+        nodes, counts = np.unique(np.fromiter(sources, np.int64),
+                                  return_counts=True)
         for pred in predicates:
-            nxt: dict[int, int] = {}
-            for v, c in counts.items():
-                for _, o in self._edges_with(v, pred):
-                    nxt[o] = nxt.get(o, 0) + c
-            counts = nxt
-            if not counts:
-                break
-        return counts
+            key = nodes * len(self.terms) + pred
+            lo = np.searchsorted(self.out_key, key, "left")
+            lens = np.searchsorted(self.out_key, key, "right") - lo
+            # the matching edges of all nodes, each with its node's count
+            at = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(
+                lens.sum())
+            nodes, inv = np.unique(self.out_obj[at], return_inverse=True)
+            paths = np.repeat(counts, lens)
+            counts = np.zeros(len(nodes), dtype=np.int64)
+            np.add.at(counts, inv, paths)
+        return dict(zip(nodes.tolist(), counts.tolist()))
 
     def types_of(self, v: int) -> frozenset[int]:
         """Directly asserted rdf:type objects of v (no inference)."""
         self._check(v)
         if self.rdf_type_id is None:
             return frozenset()
-        return frozenset(o for _, o in self._edges_with(v, self.rdf_type_id))
+        # bisection inside v's slice: a scalar np.searchsorted costs more
+        key = v * len(self.terms) + self.rdf_type_id
+        lo, hi = self.out_ptr[v:v + 2].tolist()
+        lo = bisect_left(self.out_key, key, lo, hi)
+        return frozenset(
+            self.out_obj[lo:bisect_right(self.out_key, key, lo, hi)].tolist())
 
     def entities_of_type(self, t) -> frozenset[int]:
         """Entities with a direct rdf:type assertion to t; empty if t unknown."""
@@ -262,7 +263,9 @@ class Graph:
             t = tid
         else:
             self._check(t)
-        return frozenset(s for p, s in self.in_adj[t] if p == self.rdf_type_id)
+        lo, hi = self.in_ptr[t:t + 2].tolist()
+        return frozenset(
+            self.in_src[lo:hi][self.in_pred[lo:hi] == self.rdf_type_id].tolist())
 
     def sample_entities(self, t, n: int, seed: int) -> list[int]:
         """Sample n distinct type-t entities uniformly; deterministic in seed.
@@ -285,13 +288,12 @@ class Graph:
             return members
         return rng.sample(members, n)
 
-    def predicate_frequency(self) -> dict[int, int]:
-        """Global triple count per predicate id."""
+    def predicate_frequency(self) -> list[int]:
+        """Global triple count per term id (0 for a term that is never a
+        predicate)."""
         if self._pred_freq is None:
-            freq: dict[int, int] = {}
-            for _, p, _ in self.triples:
-                freq[p] = freq.get(p, 0) + 1
-            self._pred_freq = freq
+            self._pred_freq = np.bincount(self.out_pred,
+                                          minlength=len(self.terms)).tolist()
         return self._pred_freq
 
     # -- rendering & checksum --------------------------------------------
@@ -339,7 +341,7 @@ class Graph:
 def write_snapshot(graph: Graph, path: str) -> None:
     with open(path, "wb") as f:
         f.write(SNAPSHOT_MAGIC)
-        f.write(struct.pack("<IQ", len(graph.terms), len(graph.triples)))
+        f.write(struct.pack("<IQ", len(graph.terms), graph.n_triples))
         rt = graph.rdf_type.encode("utf-8")
         f.write(struct.pack("<H", len(rt)))
         f.write(rt)
@@ -348,8 +350,8 @@ def write_snapshot(graph: Graph, path: str) -> None:
             f.write(struct.pack("<I", len(tb)))
             f.write(tb)
             f.write(struct.pack("<B", 1 if lit else 0))
-        for s, p, o in graph.triples:
-            f.write(struct.pack("<III", s, p, o))
+        f.write(np.stack([graph.out_src, graph.out_pred, graph.out_obj],
+                         axis=1).astype("<u4").tobytes())
 
 
 def read_snapshot(path: str) -> Graph:
@@ -376,7 +378,5 @@ def read_snapshot(path: str) -> Graph:
     if len(buf) != 12 * n_triples:
         raise GraphError(f"triple block is {len(buf)} bytes, expected "
                          f"{12 * n_triples}: {path}")
-    triples = list(struct.iter_unpack("<III", buf))
-    if triples and max(map(max, triples)) >= n_terms:
-        raise GraphError(f"term id out of range in graph snapshot: {path}")
-    return Graph(terms, literal, triples, rdf_type)
+    return Graph(terms, literal, np.frombuffer(buf, "<u4").reshape(-1, 3),
+                 rdf_type)

@@ -49,23 +49,17 @@ def compute_pagerank(graph: Graph, damping: float = 0.85) -> ScoreMap:
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0,1)")
-    nodes = [i for i in range(graph.n_terms) if not graph.literal[i]]
-    if not nodes:
+    literal = np.array(graph.literal, dtype=bool)
+    nodes = np.flatnonzero(~literal)
+    if not len(nodes):
         raise GraphError("graph has no resource nodes")
-    index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
-    # resource-to-resource edges only
-    src, dst = [], []
-    out_deg = np.zeros(n)
-    for v in nodes:
-        i = index[v]
-        for _, o in graph.out_adj[v]:
-            if not graph.literal[o]:
-                src.append(i)
-                dst.append(index[o])
-                out_deg[i] += 1
-    src_a = np.asarray(src, dtype=np.int64)
-    dst_a = np.asarray(dst, dtype=np.int64)
+    index = np.cumsum(~literal) - 1  # resource id -> its row
+    # resource-to-resource edges only, in triple order
+    to_resource = ~literal[graph.out_obj]
+    src_a = index[graph.out_src[to_resource]]
+    dst_a = index[graph.out_obj[to_resource]]
+    out_deg = np.bincount(src_a, minlength=n).astype(float)
     inv_deg = np.where(out_deg > 0, 1.0 / np.maximum(out_deg, 1), 0.0)
     dangling = out_deg == 0
     rank = np.full(n, 1.0 / n)
@@ -80,7 +74,8 @@ def compute_pagerank(graph: Graph, damping: float = 0.85) -> ScoreMap:
         if delta < EPSILON:
             break
     rank = rank / rank.sum()
-    return ScoreMap({graph.terms[v]: float(rank[index[v]]) for v in nodes},
+    return ScoreMap({graph.terms[v]: r
+                     for v, r in zip(nodes.tolist(), rank.tolist())},
                     normalized=True)
 
 

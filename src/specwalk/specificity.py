@@ -116,7 +116,7 @@ def _incoming_path_counts(g: Graph, node: int, depth: int,
     for _ in range(depth):
         nxt: dict[int, int] = {}
         for v, c in counts.items():
-            for _, u in g.in_adj[v]:
+            for u in g.in_src[g.in_ptr[v]:g.in_ptr[v + 1]].tolist():
                 nxt[u] = nxt.get(u, 0) + c
         counts = nxt
     return (sum(counts.values()),
@@ -197,13 +197,12 @@ def trial_outcomes(g: Graph, rel: SemanticRelationship, seeds, type_set,
         todo = todo[~done]
         if not len(todo):
             break
-    index = g.path_index()
     u = uniforms(_candidate_rng(seed, rel, "r"), n_walks, depth)
     v = ends
     for k in range(depth):
-        lo, hi = index.in_ptr[v], index.in_ptr[v + 1]
+        lo, hi = g.in_ptr[v], g.in_ptr[v + 1]
         hi[v < 0] = lo[v < 0]  # a dead trial (v = -1) gets an empty slice
-        v = slice_pick(lo, hi, index.in_src, u[:, k])
+        v = slice_pick(lo, hi, g.in_src, u[:, k])
     # one slot past the last term, False, is what v = -1 reads
     member = np.zeros(g.n_terms + 1, dtype=bool)
     member[list(type_set)] = True

@@ -118,12 +118,14 @@ def _walk_uniform(g, v0, depth, rng, weight_fn):
     tokens = [v0]
     v = v0
     for _ in range(depth):
-        edges = g.out_adj[v]
-        if not edges:
+        lo, hi = g.out_ptr[v:v + 2].tolist()
+        if lo == hi:
             break
         if weight_fn is None:
-            p, o = edges[rng.randrange(len(edges))]
+            i = lo + rng.randrange(hi - lo)
+            p, o = int(g.out_pred[i]), int(g.out_obj[i])
         else:
+            edges = g.out_adj[v]
             weights = [weight_fn(p, o) for p, o in edges]
             total = sum(weights)
             if total <= 0:
@@ -175,7 +177,7 @@ def extract_walks(g: Graph, entity: int, strategy: WalkStrategy,
     template_weights: list[float] = []
     if strategy.bias == "frequency":
         freq = g.predicate_frequency()
-        weight_fn = lambda p, o: freq.get(p, 0)  # noqa: E731
+        weight_fn = lambda p, o: freq[p]  # noqa: E731
     elif strategy.bias == "pagerank":
         scores = strategy.pagerank_scores
         weight_fn = lambda p, o: scores.get(o, 0.0)  # noqa: E731

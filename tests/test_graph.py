@@ -183,6 +183,8 @@ class TestTripleStore:
                     assert ((s, p, o) in g.triples) == ((s, p, o) in want)
         rdf_type = g.rdf_type_id
         for v in range(g.n_terms):
+            assert g.out_adj[v] == [(p, o) for s, p, o in sorted(want) if s == v]
+            assert g.in_adj[v] == [(p, s) for s, p, o in sorted(want) if o == v]
             assert g.entities_of_type(v) == {
                 s for s, p, o in want if p == rdf_type and o == v}
             assert g.types_of(v) == {
@@ -307,6 +309,39 @@ class TestSerialization:
         assert g2.literal == g.literal
         assert g2.triples == g.triples
         assert g2.checksum() == g.checksum()
+
+    def test_snapshot_golden_bytes(self, tmp_path):
+        g = build([(EX + "a", EX + "p", EX + "b"),
+                   (EX + "a", EX + "q", '"lit"', True),
+                   (EX + "b", EX + "p", EX + "a")])
+        terms = [(EX + "a", 0), (EX + "p", 0), (EX + "b", 0), (EX + "q", 0),
+                 ('"lit"', 1)]
+        triples = [(0, 1, 2), (0, 3, 4), (2, 1, 0)]
+        assert list(zip(g.terms, g.literal)) == [(t, bool(f)) for t, f in terms]
+        want = (b"SWSNAP01" + struct.pack("<IQ", 5, 3)
+                + struct.pack("<H", len(RDF_TYPE)) + RDF_TYPE.encode()
+                + b"".join(struct.pack("<I", len(t)) + t.encode()
+                           + struct.pack("<B", f) for t, f in terms)
+                + b"".join(struct.pack("<III", *t) for t in triples))
+        path = tmp_path / "g.snap"
+        write_snapshot(g, str(path))
+        assert path.read_bytes() == want
+        path.write_bytes(want)
+        g2 = read_snapshot(str(path))
+        assert list(g2.triples) == triples
+        assert g2.terms == g.terms and g2.literal == g.literal
+
+    def test_snapshot_repeated_term(self, tmp_path):
+        g = build([(EX + "a", EX + "p", EX + "b"), (EX + "b", EX + "p", EX + "c")])
+        path = tmp_path / "g.snap"
+        write_snapshot(g, str(path))
+        # same length, so only the term table changes
+        path.write_bytes(path.read_bytes().replace(b"http://x/c", b"http://x/a"))
+        with pytest.raises(GraphError, match="repeats a term"):
+            read_snapshot(str(path))
+        out = tmp_path / "pr.tsv"
+        assert main(["pagerank", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_snapshot_bad_magic(self, tmp_path):
         path = tmp_path / "bad.snap"

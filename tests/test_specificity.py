@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specwalk.graph import RDF_TYPE, GraphBuilder, GraphError
+from specwalk.graph import RDF_TYPE, GraphBuilder, GraphError, uniforms
 from specwalk.specificity import (FORWARD_RETRY_LIMIT, EstimatorParams,
                                   SemanticRelationship, SpecificityEntry,
                                   SpecificityTable, estimate_specificity,
                                   exact_specificity, node_to_node_specificity,
                                   rank_by_specificity, select_paths,
-                                  trial_outcomes)
+                                  _candidate_rng, trial_outcomes)
 from specwalk.synth import layered_graph, relevance_inversion_graph
 
 from conftest import EX, N_NODES, PREDICATES, TYPE_T, build, small_graphs
@@ -112,6 +112,40 @@ def alg2_expectation(g, relationship, seeds, type_set):
                 nxt[u] = nxt.get(u, 0.0) + m / len(g.in_adj[v])
         back = nxt
     return success * sum(m for v, m in back.items() if v in type_set)
+
+
+def scan_trial_outcomes(g, relationship, seeds, type_set, n_walks, seed):
+    """Scalar reference for trial_outcomes: the same blocks of uniforms,
+    with each step's edges found by scanning the sorted triples. A draw u
+    picks options[floor(u * len(options))], clamped to the last option."""
+    triples = sorted(g.triples)
+    seeds = sorted(seeds)
+    d = relationship.depth
+    forward = [uniforms(_candidate_rng(seed, relationship, f"f{a}"),
+                        n_walks, 1 + d)
+               for a in range(FORWARD_RETRY_LIMIT + 1)]
+    reverse = uniforms(_candidate_rng(seed, relationship, "r"), n_walks, d)
+
+    def pick(options, u):
+        return options[min(int(u * len(options)), len(options) - 1)] \
+            if options else -1
+
+    outcomes = []
+    for i in range(n_walks):
+        v = -1
+        for block in forward:  # attempts until one walks every predicate
+            v = pick(seeds, block[i, 0])
+            for pred, u in zip(relationship.predicates, block[i, 1:]):
+                v = pick([o for s, p, o in triples if s == v and p == pred], u)
+                if v < 0:
+                    break
+            if v >= 0:
+                break
+        for u in reverse[i]:
+            if v >= 0:
+                v = pick([s for s, p, o in triples if o == v], u)
+        outcomes.append(v in type_set)
+    return outcomes
 
 
 def draw_relationship(g, data, seeds, depth):
@@ -339,6 +373,18 @@ class TestEstimatorExpectation:
         outcomes = trial_outcomes(g, r, seeds, type_set, self.N, seed)
         self.assert_within(outcomes.mean(), alg2_expectation(
             g, r, sorted(seeds), type_set))
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), data=st.data(),
+           seeds=st.sets(st.integers(0, N_NODES - 1), min_size=1),
+           type_set=st.sets(st.integers(0, N_NODES - 1)),
+           depth=st.integers(1, 3), n=st.integers(1, 40),
+           seed=st.integers(0, 2**16))
+    def test_matches_scalar_reference(self, g, data, seeds, type_set, depth,
+                                      n, seed):
+        r = draw_relationship(g, data, seeds, depth)
+        assert trial_outcomes(g, r, seeds, type_set, n, seed).tolist() == \
+            scan_trial_outcomes(g, r, seeds, type_set, n, seed)
 
     @settings(max_examples=150, deadline=None)
     @given(g=small_graphs(), data=st.data(),
