@@ -15,7 +15,6 @@ from .specificity import (EstimatorParams, SemanticRelationship,
                           estimate_specificity, exact_specificity,
                           node_to_node_specificity, rank_by_specificity,
                           select_paths)
-from .walks import (Walk, WalkCorpus, WalkStrategy, extract_corpus,
-                    extract_walks, prune_check)
+from .walks import Walk, WalkCorpus, WalkStrategy, extract_corpus, prune_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -132,6 +132,8 @@ def _walk_entities(g: Graph, args) -> list[int]:
 def cmd_walk(args) -> int:
     if args.entities is not None and args.limit is not None:
         raise UsageError("--limit applies to --type, not --entities")
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
     g = read_snapshot(args.snapshot)
     if args.bias == "specificity" and not args.table:
         raise UsageError("bias=specificity requires --table")

@@ -81,7 +81,9 @@ class TripleSet(Set):
 
     def __iter__(self):
         g = self._graph
-        return zip(g.out_src.tolist(), g.out_pred.tolist(), g.out_obj.tolist())
+        for lo in range(0, len(g.out_src), 4096):  # bounds the int lists
+            yield from zip(*(a[lo:lo + 4096].tolist()
+                             for a in (g.out_src, g.out_pred, g.out_obj)))
 
     def __contains__(self, triple) -> bool:
         s, p, o = triple
@@ -109,6 +111,39 @@ def uniforms(rng: random.Random, rows: int, cols: int) -> np.ndarray:
     filled row by row, so the first r rows do not depend on `rows`."""
     words = np.frombuffer(rng.randbytes(8 * rows * cols), dtype="<u8")
     return ((words >> 11) * 2.0 ** -53).reshape(rows, cols)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The SplitMix64 output function of state x + golden gamma (uint64
+    arrays wrap on overflow)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def hashed_uniforms(seed: int, entity, attempt, column) -> np.ndarray:
+    """Floats k / 2**53 in [0, 1), one per broadcast (entity, attempt,
+    column) of non-negative integer arrays: a counter-based SplitMix64 hash
+    (Steele, Lea & Flood 2014) of (seed mod 2**64, entity, attempt, column),
+    so each draw depends on those four values alone. The result has at
+    least one dimension."""
+    x = np.full(1, seed & _MASK64, dtype=np.uint64)
+    for part in (entity, attempt, column):
+        x = _splitmix64(x ^ np.asarray(part).astype(np.uint64))
+    return (x >> np.uint64(11)) * 2.0 ** -53
+
+
+def slice_members(lo: np.ndarray, hi: np.ndarray):
+    """(at, owner): every index of the slices [lo[i], hi[i]) in slice order,
+    and the i of the slice each one belongs to."""
+    lens = hi - lo
+    owner = np.repeat(np.arange(len(lo)), lens)
+    return (np.repeat(lo - np.cumsum(lens) + lens, lens)
+            + np.arange(len(owner)), owner)
 
 
 def slice_pick(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray,
@@ -231,13 +266,12 @@ class Graph:
                                   return_counts=True)
         for pred in predicates:
             key = nodes * len(self.terms) + pred
-            lo = np.searchsorted(self.out_key, key, "left")
-            lens = np.searchsorted(self.out_key, key, "right") - lo
             # the matching edges of all nodes, each with its node's count
-            at = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(
-                lens.sum())
+            at, owner = slice_members(
+                np.searchsorted(self.out_key, key, "left"),
+                np.searchsorted(self.out_key, key, "right"))
             nodes, inv = np.unique(self.out_obj[at], return_inverse=True)
-            paths = np.repeat(counts, lens)
+            paths = counts[owner]
             counts = np.zeros(len(nodes), dtype=np.int64)
             np.add.at(counts, inv, paths)
         return dict(zip(nodes.tolist(), counts.tolist()))
@@ -317,10 +351,8 @@ class Graph:
         """Content-based sha256 over the sorted triple set (id-order independent)."""
         if self._checksum is None:
             h = hashlib.sha256()
-            lines = sorted(
-                f"{self.render_term(s)}\t{self.render_term(p)}\t{self.render_term(o)}"
-                for s, p, o in self.triples
-            )
+            r = [self.render_term(t) for t in range(len(self.terms))]
+            lines = sorted(f"{r[s]}\t{r[p]}\t{r[o]}" for s, p, o in self.triples)
             for line in lines:
                 h.update(line.encode("utf-8"))
                 h.update(b"\n")

@@ -1,8 +1,9 @@
 """Entity recommendation over trained embeddings plus ranking metrics.
 
-Cosine top-k retrieval (zero vectors score 0 and rank last), precision@k
-(equal to recall@k when k matches the ground-truth size), and NDCG with
-graded gains taken from the ideal ranking's scores.
+Cosine top-k retrieval (a zero vector scores 0, so it ranks below positive
+and above negative cosines), precision@k (equal to recall@k when k matches
+the ground-truth size), and NDCG with graded gains taken from the ideal
+ranking's scores.
 """
 from __future__ import annotations
 

@@ -1,23 +1,32 @@
-"""Per-entity walk corpus extraction with biased edge choice and pruning.
+"""Walk corpus extraction with biased edge choice and pruning.
 
 Bias modes: uniform over outgoing edges; frequency (global predicate
 frequency); pagerank (next-node score, literals unscored); specificity (walk
 follows a relationship template drawn from above-threshold table entries with
 probability proportional to score). Pruning predicates follow the four
 schemes NRSE / UE / NRST / UET.
+
+Every attempt of every entity advances together, one step at a time, over
+the graph's triple arrays. Attempt a of entity e reads only the draws
+hashed_uniforms(seed, e, a, column): column 0 picks a specificity template,
+column k + 1 picks step k. So an entity's walks depend only on (seed,
+entity), and attempt a does not depend on the budget.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
-from .graph import Graph, uniforms
+from .graph import Graph, hashed_uniforms, slice_members, slice_pick
 from .specificity import SpecificityTable
 
 BIASES = ("uniform", "frequency", "pagerank", "specificity")
 PRUNING_SCHEMES = ("none", "NRSE", "UE", "NRST", "UET")
+
+CHUNK_ROWS = 8192  # attempts advanced together; bounds the working arrays
 
 
 @dataclass(frozen=True)
@@ -84,144 +93,173 @@ class WalkCorpus:
     stats: list[EntityStats] = field(default_factory=list)
 
 
-def prune_check(walk: Walk, scheme: str, g: Graph) -> bool:
-    """True when the walk passes the pruning predicate.
+def prune_mask(g: Graph, nodes: np.ndarray, scheme: str) -> np.ndarray:
+    """Per row of `nodes`, one walk's nodes padded with -1 after its last,
+    True when the walk passes the pruning predicate.
 
     NRSE: the root must not reappear. UE: all nodes unique. NRST: no
     intermediate node (strictly before the terminal) shares a type with the
-    root; the terminal may. UET: no two nodes anywhere share a type.
+    root; the terminal may. UET: no two nodes anywhere share a type. A type
+    shared within a row shows as a repeated (row, type) pair; a repeated
+    typed node counts as sharing its types.
     """
+    if scheme not in PRUNING_SCHEMES:
+        raise ValueError(f"unknown pruning scheme: {scheme!r}")
+    ok = np.ones(len(nodes), dtype=bool)
     if scheme == "none":
-        return True
-    nodes = walk.nodes
+        return ok
     if scheme == "NRSE":
-        return nodes[0] not in nodes[1:]
+        return ~(nodes[:, 1:] == nodes[:, :1]).any(axis=1)
     if scheme == "UE":
-        return len(set(nodes)) == len(nodes)
-    if scheme == "NRST":
-        root_types = g.types_of(nodes[0])
-        if not root_types:
-            return True
-        return all(not (g.types_of(v) & root_types) for v in nodes[1:-1])
+        s = np.sort(nodes, axis=1)
+        return ~((s[:, 1:] == s[:, :-1]) & (s[:, 1:] >= 0)).any(axis=1)
+    if g.rdf_type_id is None:
+        return ok
+    row, col = np.nonzero(nodes >= 0)
+    key = nodes[row, col] * g.n_terms + g.rdf_type_id
+    at, owner = slice_members(np.searchsorted(g.out_key, key, "left"),
+                              np.searchsorted(g.out_key, key, "right"))
+    row, col = row[owner], col[owner]
+    pair = row * g.n_terms + g.out_obj[at]
     if scheme == "UET":
-        seen: set[int] = set()
-        for v in nodes:
-            ts = g.types_of(v)
-            if ts & seen:
-                return False
-            seen |= ts
-        return True
-    raise ValueError(f"unknown pruning scheme: {scheme!r}")
+        pair = np.sort(pair)
+        bad = pair[1:][pair[1:] == pair[:-1]] // g.n_terms
+    else:
+        last = (nodes >= 0).sum(axis=1) - 1
+        inner = (col > 0) & (col < last[row])
+        bad = row[inner][np.isin(pair[inner], pair[col == 0])]
+    ok[bad] = False
+    return ok
 
 
-def _walk_uniform(g, v0, depth, rng, weight_fn):
-    tokens = [v0]
-    v = v0
-    for _ in range(depth):
-        lo, hi = g.out_ptr[v:v + 2].tolist()
-        if lo == hi:
-            break
-        if weight_fn is None:
-            i = lo + rng.randrange(hi - lo)
-            p, o = int(g.out_pred[i]), int(g.out_obj[i])
-        else:
-            edges = g.out_adj[v]
-            weights = [weight_fn(p, o) for p, o in edges]
-            total = sum(weights)
-            if total <= 0:
-                break
-            p, o = rng.choices(edges, weights=weights)[0]
-        tokens.extend((p, o))
-        v = o
-    return tokens if len(tokens) >= 3 else None
+def prune_check(walk: Walk, scheme: str, g: Graph) -> bool:
+    """True when the walk passes the pruning predicate (see prune_mask)."""
+    return bool(prune_mask(g, np.array([walk.nodes]), scheme)[0])
 
 
-def _template_walks(g, v0, templates, weights, attempts, rng):
-    """Each attempt's tokens (None when its template dead-ends), in attempt
-    order. Templates for all attempts are drawn first, then one (attempts,
-    longest template) block of uniforms; the attempts of one template walk
-    together through Graph.sample_paths."""
-    if not templates:
-        return []
-    picks = np.array(rng.choices(range(len(templates)), weights=weights,
-                                 k=attempts))
-    u = uniforms(rng, attempts, max(map(len, templates)))
-    out: list[list[int] | None] = [None] * attempts
-    for j, template in enumerate(templates):
-        rows = np.flatnonzero(picks == j)
-        if not len(rows):
-            continue
-        tokens = np.empty((len(rows), 2 * len(template) + 1), dtype=np.int64)
-        tokens[:, 0::2] = g.sample_paths(np.full(len(rows), v0), template,
-                                         u[rows])
-        tokens[:, 1::2] = template
-        for a, row in zip(rows.tolist(), tokens.tolist()):
-            if row[-1] >= 0:
-                out[a] = row
+def _cumulative(weights):
+    """(cum, last): cum[i] sums weights[:i]; last[i] is the last index <= i
+    with a positive weight, -1 if none."""
+    w = np.asarray(weights, dtype=np.float64)
+    return (np.concatenate(([0.0], np.cumsum(w))),
+            np.maximum.accumulate(np.where(w > 0, np.arange(len(w)), -1)))
+
+
+def weighted_pick(cum, last, lo, hi, u) -> np.ndarray:
+    """Per row, the index i in [lo, hi) whose cumulative weight first
+    exceeds cum[lo] + u * (cum[hi] - cum[lo]), or, where rounding leaves
+    none, the slice's last positive-weight index; -1 where the slice's total
+    is zero. A zero-weight index is never picked."""
+    base = cum[lo]
+    total = cum[hi] - base
+    out = np.full(len(lo), -1, dtype=np.int64)
+    ok = total > 0
+    i = np.searchsorted(cum, base[ok] + u[ok] * total[ok], "right") - 1
+    out[ok] = last[np.minimum(i, hi[ok] - 1)]
     return out
 
 
-def extract_walks(g: Graph, entity: int, strategy: WalkStrategy,
-                  seed: int = 0) -> WalkCorpus:
-    """Up to walks_per_entity accepted walks rooted at entity.
-
-    The budget counts attempts: walks rejected by pruning (or incomplete
-    specificity templates) consume budget without being retried.
-    """
-    g._check(entity)
-    rng = random.Random(f"{seed}|{entity}")
-    corpus = WalkCorpus()
-
-    weight_fn = None
-    templates: list[tuple[int, ...]] = []
-    template_weights: list[float] = []
+def _edge_picker(g: Graph, strategy: WalkStrategy):
+    """pick(lo, hi, u): one out-edge index per row inside [lo, hi), or -1."""
+    if strategy.bias == "uniform":
+        edges = np.arange(g.n_triples)
+        return lambda lo, hi, u: slice_pick(lo, hi, edges, u)
     if strategy.bias == "frequency":
-        freq = g.predicate_frequency()
-        weight_fn = lambda p, o: freq[p]  # noqa: E731
-    elif strategy.bias == "pagerank":
-        scores = strategy.pagerank_scores
-        weight_fn = lambda p, o: scores.get(o, 0.0)  # noqa: E731
-    elif strategy.bias == "specificity":
-        for e in strategy.specificity_table.above_threshold(
-                strategy.depth, strategy.threshold):
-            templates.append(e.relationship.predicates)
-            template_weights.append(e.score)
-
-    attempts = strategy.walks_per_entity
-    if strategy.bias == "specificity":
-        attempt_tokens = _template_walks(g, entity, templates,
-                                         template_weights, attempts, rng)
+        weights = np.asarray(g.predicate_frequency())[g.out_pred]
     else:
-        attempt_tokens = (_walk_uniform(g, entity, strategy.depth, rng,
-                                        weight_fn) for _ in range(attempts))
-    for tokens in attempt_tokens:
-        if tokens is None:
-            continue  # dead end, or an incomplete template: discard
-        walk = Walk(tuple(tokens))
-        if prune_check(walk, strategy.pruning, g):
-            corpus.walks.append(walk)
+        scores = np.zeros(g.n_terms)
+        bound = strategy.pagerank_scores
+        scores[np.fromiter(bound.keys(), np.int64, len(bound))] = list(
+            bound.values())
+        weights = scores[g.out_obj]
+    cum, last = _cumulative(weights)
+    return lambda lo, hi, u: weighted_pick(cum, last, lo, hi, u)
 
-    corpus.stats.append(EntityStats(
-        entity=entity, attempts=attempts, walks=len(corpus.walks),
-        distinct=len({w.tokens for w in corpus.walks})))
-    return corpus
+
+def _free_walks(g, seed, root, attempt, *, depth, pick) -> np.ndarray:
+    """Token rows v0,e1,v1,... of up to depth steps, -1 after a dead end."""
+    tokens = np.full((len(root), 2 * depth + 1), -1, dtype=np.int64)
+    tokens[:, 0] = v = root
+    live = np.arange(len(root))
+    for k in range(depth):
+        edge = pick(g.out_ptr[v], g.out_ptr[v + 1],
+                    hashed_uniforms(seed, root[live], attempt[live], k + 1))
+        walked = edge >= 0
+        live, edge = live[walked], edge[walked]
+        tokens[live, 2 * k + 1] = g.out_pred[edge]
+        tokens[live, 2 * k + 2] = v = g.out_obj[edge]
+    return tokens
+
+
+def _template_walks(g, seed, root, attempt, *, templates, cum) -> np.ndarray:
+    """Token rows along a template picked by cumulative score; a row whose
+    template dead-ends holds only its root."""
+    longest = max(map(len, templates), default=1)
+    tokens = np.full((len(root), 2 * longest + 1), -1, dtype=np.int64)
+    tokens[:, 0] = root
+    picks = weighted_pick(*cum, np.zeros(len(root), dtype=np.int64),
+                          np.full(len(root), len(templates)),
+                          hashed_uniforms(seed, root, attempt, 0))
+    for j, template in enumerate(templates):
+        rows = np.flatnonzero(picks == j)
+        d = len(template)
+        nodes = g.sample_paths(
+            root[rows], template,
+            hashed_uniforms(seed, root[rows, None], attempt[rows, None],
+                            np.arange(1, d + 1)))
+        done = nodes[:, -1] >= 0
+        rows = rows[done]
+        tokens[rows, 2:2 * d + 1:2] = nodes[done, 1:]
+        tokens[rows, 1:2 * d:2] = template
+    return tokens
 
 
 def extract_corpus(g: Graph, entities, strategy: WalkStrategy,
                    seed: int = 0, workers: int = 1) -> WalkCorpus:
-    """Extract walks for many entities, merged in the given entity order.
+    """Up to walks_per_entity accepted walks rooted at each entity, in entity
+    order, then attempt order; one EntityStats per listed entity.
 
-    Per-entity random streams are derived from (seed, entity). `workers` is
-    accepted for compatibility but extraction always runs sequentially: the
-    walk loop is pure Python holding the interpreter lock, and threads made
-    it slower, not faster.
+    The budget counts attempts: walks rejected by pruning, dead-ended at the
+    root or along an incomplete specificity template consume budget without
+    being retried. A free walk that dead-ends after at least one step is
+    kept, shorter. `workers` is accepted for compatibility and ignored.
     """
-    merged = WalkCorpus()
-    for e in entities:
-        part = extract_walks(g, e, strategy, seed)
-        merged.walks.extend(part.walks)
-        merged.stats.extend(part.stats)
-    return merged
+    roots = list(entities)
+    for e in roots:
+        g._check(e)
+    roots = np.array(roots, dtype=np.int64)
+    attempts = strategy.walks_per_entity
+    if strategy.bias == "specificity":
+        entries = strategy.specificity_table.above_threshold(
+            strategy.depth, strategy.threshold)
+        walk = partial(_template_walks,
+                       templates=[e.relationship.predicates for e in entries],
+                       cum=_cumulative([e.score for e in entries]))
+    else:
+        walk = partial(_free_walks, depth=strategy.depth,
+                       pick=_edge_picker(g, strategy))
+
+    corpus = WalkCorpus()
+    owners = []
+    n_rows = len(roots) * attempts
+    for r0 in range(0, n_rows, CHUNK_ROWS):
+        rows = np.arange(r0, min(r0 + CHUNK_ROWS, n_rows))
+        tokens = walk(g, seed, roots[rows // attempts], rows % attempts)
+        nodes = tokens[:, 0::2]
+        keep = (nodes[:, 1] >= 0) & prune_mask(g, nodes, strategy.pruning)
+        lengths = 2 * (nodes[keep] >= 0).sum(axis=1) - 1
+        corpus.walks.extend(Walk(tuple(t[:n])) for t, n in zip(
+            tokens[keep].tolist(), lengths.tolist()))
+        owners.append(rows[keep] // attempts)
+
+    owner = np.concatenate(owners or [np.zeros(0, dtype=np.int64)])
+    accepted = np.bincount(owner, minlength=len(roots))
+    pairs = set(zip(owner.tolist(), (w.tokens for w in corpus.walks)))
+    distinct = np.bincount(np.fromiter((o for o, _ in pairs), np.int64,
+                                       len(pairs)), minlength=len(roots))
+    corpus.stats = [EntityStats(e, attempts, n, d) for e, n, d in zip(
+        roots.tolist(), accepted.tolist(), distinct.tolist())]
+    return corpus
 
 
 # -- corpus files --------------------------------------------------------
@@ -232,8 +270,10 @@ def write_corpus(g: Graph, corpus: WalkCorpus, out,
     if header:
         fields = " ".join(f"{k}={v}" for k, v in sorted(header.items()))
         out.write(f"# {fields}\n")
-    for walk in corpus.walks:
-        out.write(" ".join(g.render_token(t) for t in walk.tokens) + "\n")
+    token = {t: g.render_token(t)
+             for t in set(chain.from_iterable(w.tokens for w in corpus.walks))}
+    out.writelines(" ".join(map(token.__getitem__, w.tokens)) + "\n"
+                   for w in corpus.walks)
 
 
 def write_stats_csv(g: Graph, corpus: WalkCorpus, out) -> None:

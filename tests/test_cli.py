@@ -97,10 +97,13 @@ SWEEP = ["--sweep", "n_walks", "--values", "60,120", "--depth", "1",
               "--table", "TABLE"]),
     ("walk", ["--limit", "0"]),
     ("walk", ["--limit", "-2"]),
+    ("walk", ["--workers", "0"]),
+    ("walk", ["--workers", "-3"]),
     ("sensitivity", SWEEP + ["--repeats", "0"]),
     ("sensitivity", SWEEP + ["--repeats", "-1"]),
 ], ids=["depth-0", "walks-0", "walks-negative", "walk-threshold-5",
-        "limit-0", "limit-negative", "repeats-0", "repeats-negative"])
+        "limit-0", "limit-negative", "workers-0", "workers-negative",
+        "repeats-0", "repeats-negative"])
 def test_out_of_range_value_is_data_error(pipeline, spec_table, tmp_path,
                                           command, extra):
     out = tmp_path / "out.txt"

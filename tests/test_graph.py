@@ -11,8 +11,8 @@ from scipy import stats
 
 from specwalk.cli import main
 from specwalk.graph import (RDF_TYPE, GraphBuilder, GraphError,
-                            UnknownTermError, read_snapshot, uniforms,
-                            write_snapshot)
+                            UnknownTermError, hashed_uniforms, read_snapshot,
+                            uniforms, write_snapshot)
 from specwalk.ntriples import (ParseError, load_graph, parse_ntriples,
                                serialize_ntriples)
 
@@ -32,6 +32,19 @@ def scan_path(g, v, predicates, u):
         v = matches[int(uk * len(matches))] if matches else -1
         nodes.append(v)
     return nodes
+
+
+def splitmix_reference(seed, *counters):
+    """hashed_uniforms for one draw, in Python integers: SplitMix64 of the
+    state xor each counter in turn, starting from seed mod 2**64."""
+    mask = (1 << 64) - 1
+    x = seed & mask
+    for c in counters:
+        x = ((x ^ c) + 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        x ^= x >> 31
+    return (x >> 11) * 2.0 ** -53
 
 
 def parse(text, **kw):
@@ -287,8 +300,38 @@ class TestSamplePath:
         assert large.min() >= 0.0 and large.max() <= TOP_UNIFORM
         assert np.array_equal(large * 2.0 ** 53, np.floor(large * 2.0 ** 53))
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.one_of(st.integers(-2 ** 70, -1),
+                          st.integers(2 ** 64, 2 ** 70),
+                          st.integers(0, 2 ** 64 - 1)),
+           entity=st.integers(0, 2 ** 40), attempts=st.integers(1, 30))
+    def test_hashed_uniforms_in_unit_interval(self, seed, entity, attempts):
+        entities = np.array([entity, entity + 1])[:, None, None]
+        u = hashed_uniforms(seed, entities, np.arange(attempts)[:, None],
+                            np.arange(4))
+        assert u.shape == (2, attempts, 4)
+        assert u.min() >= 0.0 and u.max() <= TOP_UNIFORM
+        assert np.array_equal(u * 2.0 ** 53, np.floor(u * 2.0 ** 53))
+        # each draw depends on (seed mod 2**64, entity, attempt, column) alone
+        assert np.array_equal(u[0, -1], hashed_uniforms(
+            seed + 2 ** 64, entity, attempts - 1, np.arange(4)))
+        assert u[1].tolist() == [[splitmix_reference(seed, entity + 1, a, c)
+                                  for c in range(4)] for a in range(attempts)]
+        assert len(np.unique(u)) == u.size
+
 
 class TestSerialization:
+    def test_checksum_pinned(self):
+        # digest of the sorted rendered lines, as written before terms
+        # were rendered once each
+        g = build([(EX + "a", EX + "p", "_:b1"),
+                   ("_:b1", EX + "q", '"two words"@en', True),
+                   (EX + "a", RDF_TYPE, EX + "T"),
+                   (EX + "a", EX + "q",
+                    '"1"^^<http://www.w3.org/2001/XMLSchema#integer>', True)])
+        assert g.checksum() == ("a3fab5cb36f6373b7e2fdf70521d6e94"
+                                "016ef006351bc14daf09396952197291")
+
     def test_parse_serialize_parse_fixed_point(self, layered):
         g, _ = layered
         buf = io.StringIO()

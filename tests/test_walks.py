@@ -1,16 +1,20 @@
 import io
-import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specwalk.graph import RDF_TYPE
+from specwalk.graph import RDF_TYPE, hashed_uniforms
 from specwalk.specificity import (SemanticRelationship, SpecificityEntry,
                                   SpecificityTable)
-from specwalk.walks import (Walk, WalkStrategy, extract_corpus, extract_walks,
+from specwalk import walks
+from specwalk.walks import (Walk, WalkCorpus, WalkStrategy, extract_corpus,
                             prune_check, read_corpus_lines, write_corpus,
                             write_stats_csv)
 
-from conftest import EX, TYPE_T, build
+from conftest import EX, N_NODES, PREDICATES, build, small_graphs
 
 FILM = EX + "Film"
 PERSON = EX + "Person"
@@ -93,7 +97,7 @@ class TestPruning:
         films = sorted(g.entities_of_type(info["type"]))
         strategy = WalkStrategy(depth=3, walks_per_entity=200)
         for entity in films[:6]:
-            for walk in extract_walks(g, entity, strategy, seed=3).walks:
+            for walk in extract_corpus(g, [entity], strategy, seed=3).walks:
                 if prune_check(walk, "UE", g):
                     assert prune_check(walk, "NRSE", g)
                 if prune_check(walk, "UET", g):
@@ -117,7 +121,7 @@ class TestExtraction:
         # no type edge, so the p edge is the only choice
         g = build([(EX + "f", EX + "p", EX + "x")])
         strategy = WalkStrategy(depth=1, walks_per_entity=5)
-        corpus = extract_walks(g, g.term_id(EX + "f"), strategy, seed=0)
+        corpus = extract_corpus(g, [g.term_id(EX + "f")], strategy, seed=0)
         assert len(corpus.walks) == 5
         want = (g.term_id(EX + "f"), g.term_id(EX + "p"), g.term_id(EX + "x"))
         assert all(w.tokens == want for w in corpus.walks)
@@ -125,21 +129,21 @@ class TestExtraction:
     def test_shorter_walk_kept_at_dead_end(self, chain_graph):
         g = chain_graph
         strategy = WalkStrategy(depth=3, walks_per_entity=3)
-        corpus = extract_walks(g, g.term_id(EX + "f"), strategy, seed=0)
+        corpus = extract_corpus(g, [g.term_id(EX + "f")], strategy, seed=0)
         # x has no outgoing edges, so depth-3 attempts stop after one hop
         assert {w.depth for w in corpus.walks} <= {1, 2}
 
     def test_no_outgoing_edges_empty(self, chain_graph):
         g = chain_graph
         strategy = WalkStrategy(depth=2, walks_per_entity=10)
-        corpus = extract_walks(g, g.term_id(EX + "x"), strategy, seed=0)
+        corpus = extract_corpus(g, [g.term_id(EX + "x")], strategy, seed=0)
         assert corpus.walks == []
         assert corpus.stats[0].attempts == 10
 
     def test_star_covers_leaves(self):
         g = build([(EX + "root", EX + "p", EX + f"leaf{i}") for i in range(10)])
         strategy = WalkStrategy(depth=1, walks_per_entity=500)
-        corpus = extract_walks(g, g.term_id(EX + "root"), strategy, seed=1)
+        corpus = extract_corpus(g, [g.term_id(EX + "root")], strategy, seed=1)
         assert len(corpus.walks) == 500
         assert len({w.tokens for w in corpus.walks}) >= 9
 
@@ -163,9 +167,9 @@ class TestExtraction:
     def test_deterministic_in_seed_only(self, chain_graph):
         g = build([(EX + "root", EX + "p", EX + f"leaf{i}") for i in range(6)])
         strategy = WalkStrategy(depth=1, walks_per_entity=20)
-        a = extract_walks(g, g.term_id(EX + "root"), strategy, seed=3)
-        b = extract_walks(g, g.term_id(EX + "root"), strategy, seed=3)
-        c = extract_walks(g, g.term_id(EX + "root"), strategy, seed=4)
+        a = extract_corpus(g, [g.term_id(EX + "root")], strategy, seed=3)
+        b = extract_corpus(g, [g.term_id(EX + "root")], strategy, seed=3)
+        c = extract_corpus(g, [g.term_id(EX + "root")], strategy, seed=4)
         assert [w.tokens for w in a.walks] == [w.tokens for w in b.walks]
         assert [w.tokens for w in a.walks] != [w.tokens for w in c.walks]
 
@@ -177,7 +181,7 @@ class TestBiases:
         triples += [(EX + f"s{i}", EX + "p", EX + f"t{i}") for i in range(8)]
         g = build(triples)
         strategy = WalkStrategy(bias="frequency", depth=1, walks_per_entity=2000)
-        corpus = extract_walks(g, g.term_id(EX + "root"), strategy, seed=0)
+        corpus = extract_corpus(g, [g.term_id(EX + "root")], strategy, seed=0)
         p_walks = sum(w.predicates[0] == g.term_id(EX + "p")
                       for w in corpus.walks)
         # edge weights 9:1 by global predicate frequency
@@ -189,7 +193,7 @@ class TestBiases:
         scores = {g.term_id(EX + "hi"): 0.9, g.term_id(EX + "lo"): 0.1}
         strategy = WalkStrategy(bias="pagerank", depth=1, walks_per_entity=2000,
                                 pagerank_scores=scores)
-        corpus = extract_walks(g, g.term_id(EX + "root"), strategy, seed=0)
+        corpus = extract_corpus(g, [g.term_id(EX + "root")], strategy, seed=0)
         hi = sum(w.nodes[-1] == g.term_id(EX + "hi") for w in corpus.walks)
         assert hi / len(corpus.walks) == pytest.approx(0.9, abs=0.03)
 
@@ -199,7 +203,7 @@ class TestBiases:
         scores = {g.term_id(EX + "node"): 0.5}
         strategy = WalkStrategy(bias="pagerank", depth=1, walks_per_entity=200,
                                 pagerank_scores=scores)
-        corpus = extract_walks(g, g.term_id(EX + "root"), strategy, seed=0)
+        corpus = extract_corpus(g, [g.term_id(EX + "root")], strategy, seed=0)
         assert len(corpus.walks) == 200
         assert all(w.nodes[-1] == g.term_id(EX + "node") for w in corpus.walks)
 
@@ -216,13 +220,13 @@ class TestBiases:
                                 specificity_table=table, threshold=0.5,
                                 walks_per_entity=100)
         films = sorted(g.entities_of_type(info["type"]))
-        corpus = extract_walks(g, films[0], strategy, seed=0)
+        corpus = extract_corpus(g, [films[0]], strategy, seed=0)
         assert len(corpus.walks) == 100
         assert all(w.predicates == chain for w in corpus.walks)
 
     def test_specificity_walks_in_attempt_order(self, franchise):
-        # attempts draw their templates first, walk grouped by template and
-        # come out in attempt order
+        # draw column 0 of attempt a picks the template whose cumulative
+        # score first exceeds u * total; walks come out in attempt order
         g, info = franchise
         templates = [tuple(g.term_id(SYNTH + p) for p in names) for names in
                      (("p/director", "p/knownFor"),
@@ -233,9 +237,9 @@ class TestBiases:
         strategy = WalkStrategy(bias="specificity", depth=2,
                                 specificity_table=table, walks_per_entity=60)
         film = sorted(g.entities_of_type(info["type"]))[0]
-        picks = random.Random(f"4|{film}").choices(range(2), weights=[1.0, 0.6],
-                                                  k=60)
-        corpus = extract_walks(g, film, strategy, seed=4)
+        u = hashed_uniforms(4, film, np.arange(60), 0)
+        picks = (u * 1.6 >= 1.0).astype(int).tolist()
+        corpus = extract_corpus(g, [film], strategy, seed=4)
         assert len(set(picks)) == 2
         assert [w.predicates for w in corpus.walks] == [templates[j]
                                                        for j in picks]
@@ -245,7 +249,7 @@ class TestBiases:
         table = SpecificityTable(depths={1: []})
         strategy = WalkStrategy(bias="specificity", depth=1,
                                 specificity_table=table, walks_per_entity=50)
-        corpus = extract_walks(g, g.term_id(EX + "f"), strategy, seed=0)
+        corpus = extract_corpus(g, [g.term_id(EX + "f")], strategy, seed=0)
         assert corpus.walks == []
 
     def test_strategy_validation(self):
@@ -265,15 +269,15 @@ class TestCorpusIO:
     def test_stats_empty_and_duplicates(self):
         g = build([(EX + "f", EX + "p", EX + "x")])
         strategy = WalkStrategy(depth=1, walks_per_entity=4)
-        (empty,) = extract_walks(g, g.term_id(EX + "x"), strategy, 0).stats
+        (empty,) = extract_corpus(g, [g.term_id(EX + "x")], strategy, 0).stats
         assert (empty.attempts, empty.walks, empty.distinct) == (4, 0, 0)
-        (stats,) = extract_walks(g, g.term_id(EX + "f"), strategy, 0).stats
+        (stats,) = extract_corpus(g, [g.term_id(EX + "f")], strategy, 0).stats
         assert (stats.attempts, stats.walks, stats.distinct) == (4, 4, 1)
 
     def test_write_read_round_trip(self):
         g = build([(EX + "f", EX + "p", EX + "x")])
         strategy = WalkStrategy(depth=1, walks_per_entity=2)
-        corpus = extract_walks(g, g.term_id(EX + "f"), strategy, 0)
+        corpus = extract_corpus(g, [g.term_id(EX + "f")], strategy, 0)
         buf = io.StringIO()
         write_corpus(g, corpus, buf, header={"bias": "uniform", "depth": 1})
         buf.seek(0)
@@ -283,7 +287,6 @@ class TestCorpusIO:
 
     def test_literal_whitespace_folded_in_tokens(self):
         g = build([(EX + "f", EX + "p", '"two words"', True)])
-        from specwalk.walks import WalkCorpus
         w = Walk((g.term_id(EX + "f"), g.term_id(EX + "p"),
                   g.term_id('"two words"')))
         buf = io.StringIO()
@@ -292,10 +295,25 @@ class TestCorpusIO:
         assert len(tokens) == 3
         assert tokens[2].rstrip("\n") == '"two_words"'
 
+    def test_bytes_match_per_token_rendering(self):
+        g = build([(EX + "f", EX + "p", '"two  words\tand tab"', True),
+                   (EX + "f", EX + "q", EX + "x"),
+                   (EX + "x", EX + "p", '"two  words\tand tab"', True),
+                   (EX + "x", EX + "q", EX + "f")])
+        corpus = extract_corpus(g, [g.term_id(EX + "f"), g.term_id(EX + "x")],
+                                WalkStrategy(depth=3, walks_per_entity=20), 1)
+        buf = io.StringIO()
+        write_corpus(g, corpus, buf, header={"b": 1, "a": "x"})
+        want = "# a=x b=1\n" + "".join(
+            " ".join(g.render_token(t) for t in w.tokens) + "\n"
+            for w in corpus.walks)
+        assert buf.getvalue() == want
+        assert '"two_words_and_tab"' in want
+
     def test_stats_csv_shape(self):
         g = build([(EX + "f", EX + "p", EX + "x")])
         strategy = WalkStrategy(depth=1, walks_per_entity=3)
-        corpus = extract_walks(g, g.term_id(EX + "f"), strategy, 0)
+        corpus = extract_corpus(g, [g.term_id(EX + "f")], strategy, 0)
         buf = io.StringIO()
         write_stats_csv(g, corpus, buf)
         lines = buf.getvalue().splitlines()
@@ -303,3 +321,185 @@ class TestCorpusIO:
         fields = lines[1].split(",")
         assert fields[0] == EX + "f"
         assert fields[1:4] == ["3", "3", "1"]
+
+
+# -- lockstep extraction against a scalar reference -----------------------
+
+def scan_pick(weights, u):
+    """The first index whose running weight exceeds u * total, the last
+    positive one if rounding leaves none, None for a zero total."""
+    total = sum(weights)
+    if total <= 0:
+        return None
+    run = 0.0
+    for i, w in enumerate(weights):
+        run += w
+        if run > u * total:
+            return i
+    return max(i for i, w in enumerate(weights) if w > 0)
+
+
+def scan_prune(nodes, scheme, g):
+    """The pruning predicates over sets of directly asserted types."""
+    types = [g.types_of(v) for v in nodes]
+    if scheme == "NRSE":
+        return nodes[0] not in nodes[1:]
+    if scheme == "UE":
+        return len(set(nodes)) == len(nodes)
+    if scheme == "NRST":
+        return all(not (t & types[0]) for t in types[1:-1])
+    if scheme == "UET":
+        return all(not (types[i] & types[j]) for i in range(len(nodes))
+                   for j in range(i + 1, len(nodes)))
+    return True
+
+
+def scan_walks(g, entities, strategy, seed):
+    """Reference extraction: one attempt and one step at a time, scanning
+    out_adj and reading draw column c of attempt a of entity e as
+    hashed_uniforms(seed, e, a, c)."""
+    freq = g.predicate_frequency()
+    scores = strategy.pagerank_scores or {}
+    weight = {"frequency": lambda p, o: freq[p],
+              "pagerank": lambda p, o: scores.get(o, 0.0)}.get(strategy.bias)
+    entries = (strategy.specificity_table.above_threshold(
+        strategy.depth, strategy.threshold)
+        if strategy.bias == "specificity" else [])
+    out = []
+    for e in entities:
+        for a in range(strategy.walks_per_entity):
+            def u(column):
+                return float(hashed_uniforms(seed, e, a, column)[0])
+
+            tokens, v = [e], e
+            if strategy.bias == "specificity":
+                j = scan_pick([x.score for x in entries], u(0))
+                if j is None:
+                    continue
+                for k, pred in enumerate(entries[j].relationship.predicates):
+                    matches = [o for p, o in g.out_adj[v] if p == pred]
+                    if not matches:
+                        tokens = [e]
+                        break
+                    v = matches[min(int(u(k + 1) * len(matches)),
+                                    len(matches) - 1)]
+                    tokens += [pred, v]
+            else:
+                for k in range(strategy.depth):
+                    edges = g.out_adj[v]
+                    if weight is None:
+                        i = (min(int(u(k + 1) * len(edges)), len(edges) - 1)
+                             if edges else None)
+                    else:
+                        i = scan_pick([weight(p, o) for p, o in edges],
+                                      u(k + 1))
+                    if i is None:
+                        break
+                    tokens += edges[i]
+                    v = tokens[-1]
+            if len(tokens) >= 3 and scan_prune(tokens[0::2], strategy.pruning,
+                                               g):
+                out.append(tuple(tokens))
+    return out
+
+
+@st.composite
+def walk_cases(draw, bias, pruning):
+    """(graph, roots, strategy, seed) over conftest's small graphs; template
+    and PageRank weights are dyadic, zero included, so that running sums
+    are exact."""
+    g = draw(small_graphs())
+    depth = draw(st.integers(1, 3))
+    weight = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    table = scores = None
+    if bias == "specificity":
+        templates = st.lists(st.sampled_from(PREDICATES), min_size=depth,
+                             max_size=depth)
+        table = SpecificityTable(depths={depth: [
+            SpecificityEntry(SemanticRelationship(
+                tuple(g.term_id(p) for p in names)), score, 1)
+            for names, score in draw(st.lists(st.tuples(templates, weight),
+                                              max_size=4))]})
+    if bias == "pagerank":
+        scores = dict(enumerate(draw(st.lists(weight, min_size=N_NODES,
+                                              max_size=N_NODES))))
+    strategy = WalkStrategy(bias=bias, pruning=pruning, depth=depth,
+                            walks_per_entity=draw(st.integers(1, 8)),
+                            specificity_table=table, threshold=0.0,
+                            pagerank_scores=scores)
+    roots = draw(st.lists(st.integers(0, N_NODES - 1), min_size=1,
+                          max_size=4))
+    return g, roots, strategy, draw(st.integers(-2 ** 65, 2 ** 65))
+
+
+def tokens_of(corpus):
+    return [w.tokens for w in corpus.walks]
+
+
+def per_entity(corpus):
+    """Each listed entity's walks, split by its stats."""
+    out, at = [], 0
+    for s in corpus.stats:
+        out.append(tokens_of(corpus)[at:at + s.walks])
+        at += s.walks
+    return out
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("pruning", walks.PRUNING_SCHEMES)
+    @pytest.mark.parametrize("bias", walks.BIASES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_reference(self, bias, pruning, data):
+        g, roots, strategy, seed = data.draw(walk_cases(bias, pruning))
+        corpus = extract_corpus(g, roots, strategy, seed)
+        assert tokens_of(corpus) == scan_walks(g, roots, strategy, seed)
+        assert [(s.entity, s.attempts) for s in corpus.stats] == [
+            (e, strategy.walks_per_entity) for e in roots]
+        for s, got in zip(corpus.stats, per_entity(corpus)):
+            assert (s.walks, s.distinct) == (len(got), len(set(got)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), bias=st.sampled_from(walks.BIASES),
+           pruning=st.sampled_from(walks.PRUNING_SCHEMES))
+    def test_entity_walks_independent_of_others(self, data, bias, pruning):
+        g, roots, strategy, seed = data.draw(walk_cases(bias, pruning))
+        together = per_entity(extract_corpus(g, roots, strategy, seed))
+        alone = [tokens_of(extract_corpus(g, [e], strategy, seed))
+                 for e in roots]
+        backwards = per_entity(extract_corpus(g, roots[::-1], strategy, seed))
+        assert together == alone == backwards[::-1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), bias=st.sampled_from(walks.BIASES),
+           pruning=st.sampled_from(walks.PRUNING_SCHEMES),
+           extra=st.integers(1, 10))
+    def test_budget_prefix(self, data, bias, pruning, extra):
+        # the walks of attempts 0..a-1 do not depend on the budget
+        g, roots, strategy, seed = data.draw(walk_cases(bias, pruning))
+        larger = replace(strategy,
+                         walks_per_entity=strategy.walks_per_entity + extra)
+        small = per_entity(extract_corpus(g, roots, strategy, seed))
+        large = per_entity(extract_corpus(g, roots, larger, seed))
+        assert [w[:len(s)] for s, w in zip(small, large)] == small
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), bias=st.sampled_from(walks.BIASES),
+           pruning=st.sampled_from(walks.PRUNING_SCHEMES))
+    def test_chunk_size_does_not_change_output(self, data, bias, pruning):
+        g, roots, strategy, seed = data.draw(walk_cases(bias, pruning))
+        want = extract_corpus(g, roots, strategy, seed)
+        for rows in (1, 10 ** 9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(walks, "CHUNK_ROWS", rows)
+                got = extract_corpus(g, roots, strategy, seed)
+            assert got == want
+
+    def test_weighted_pick_never_takes_zero_weight(self):
+        # in [1, 4) the running total rounds up to the slice's end at u near
+        # 1, past the zero-weight edges 2 and 3; [2, 4) weighs zero in total
+        cum, last = walks._cumulative([2.0 ** 40, 1.0, 0.0, 0.0, 3.0])
+        lo, hi = np.array([1, 1, 1, 2, 0]), np.array([4, 4, 4, 4, 5])
+        u = np.array([0.0, 0.5, 1 - 2.0 ** -53, 0.5, 1 - 2.0 ** -53])
+        assert walks.weighted_pick(cum, last, lo, hi, u).tolist() == [
+            1, 1, 1, -1, 4]
