@@ -148,7 +148,8 @@ class EmbeddingModel:
 
         ValueError naming the line unless the header is a row count >= 0 and
         a dimension >= 1, followed by exactly that many rows, each a token
-        and `dim` floats.
+        and `dim` floats that are finite in float32 (no nan, inf or value
+        beyond float32's range).
         """
         header = stream.readline().split()
         if (len(header) != 2 or not all(h.isdigit() for h in header)
@@ -158,21 +159,29 @@ class EmbeddingModel:
         n, dim = int(header[0]), int(header[1])
         tokens = []
         w_in = np.empty((n, dim), dtype=np.float32)
-        for i in range(n):
-            lineno = i + 2
-            line = stream.readline()
-            if not line:
-                raise ValueError(f"model line {lineno}: file ends after {i} "
-                                 f"of the header's {n} rows")
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1 or not parts[0]:
-                raise ValueError(f"model line {lineno}: expected a token and "
-                                 f"{dim} values, got {len(parts) - 1} values")
-            tokens.append(parts[0])
-            try:
-                w_in[i] = np.array(parts[1:], dtype=np.float32)
-            except ValueError as exc:
-                raise ValueError(f"model line {lineno}: {exc}") from None
+        with np.errstate(over="ignore"):  # out-of-range values fail below
+            for i in range(n):
+                lineno = i + 2
+                line = stream.readline()
+                if not line:
+                    raise ValueError(f"model line {lineno}: file ends after "
+                                     f"{i} of the header's {n} rows")
+                parts = line.rstrip("\n").split(" ")
+                if len(parts) != dim + 1 or not parts[0]:
+                    raise ValueError(f"model line {lineno}: expected a token "
+                                     f"and {dim} values, got {len(parts) - 1} "
+                                     "values")
+                tokens.append(parts[0])
+                try:
+                    w_in[i] = np.array(parts[1:], dtype=np.float32)
+                except ValueError as exc:
+                    raise ValueError(f"model line {lineno}: {exc}") from None
+        finite = np.isfinite(w_in)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0].tolist()
+            raise ValueError(f"model line {i + 2}: value {j + 1} reads as "
+                             f"{float(w_in[i, j])} in float32, not a finite "
+                             "number")
         if stream.readline().strip():
             raise ValueError(f"model line {n + 2}: more rows than the "
                              f"header's {n}")

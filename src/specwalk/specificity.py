@@ -92,18 +92,38 @@ class SpecificityTable:
 
     @classmethod
     def from_tsv(cls, graph: Graph, lines):
+        """Read the table that to_tsv writes.
+
+        ValueError naming the line for a row that is not four tab-separated
+        fields, or whose relationship has a different number of predicates
+        than its depth column.
+        """
         table = cls()
-        header = next(iter(lines), None)
+        lines = iter(lines)
+        header = next(lines, None)
         if header is None or not header.startswith("depth\t"):
             raise ValueError("missing specificity table header")
-        for raw in lines:
+        for lineno, raw in enumerate(lines, start=2):
             line = raw.rstrip("\n")
             if not line:
                 continue
-            d, rel, score, support = line.split("\t")
-            preds = tuple(graph.term_id(t) for t in rel.split("|"))
-            table.depths.setdefault(int(d), []).append(SpecificityEntry(
-                SemanticRelationship(preds), float(score), int(support)))
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ValueError(f"specificity table line {lineno}: expected "
+                                 f"4 tab-separated fields, got {len(fields)}")
+            try:
+                depth, score, support = (int(fields[0]), float(fields[2]),
+                                         int(fields[3]))
+            except ValueError as exc:
+                raise ValueError(f"specificity table line {lineno}: "
+                                 f"{exc}") from None
+            preds = tuple(graph.term_id(t) for t in fields[1].split("|"))
+            if len(preds) != depth:
+                raise ValueError(f"specificity table line {lineno}: depth "
+                                 f"{depth} but {len(preds)} predicates in "
+                                 f"{fields[1]!r}")
+            table.depths.setdefault(depth, []).append(SpecificityEntry(
+                SemanticRelationship(preds), score, support))
         return table
 
 

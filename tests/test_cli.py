@@ -273,6 +273,29 @@ class TestWalk:
         assert [l for l in out.read_text().splitlines()
                 if not l.startswith("#")] == []
 
+    @pytest.mark.parametrize("row", [
+        "1\thttp://x/p|http://x/q\t1.000000\t1",  # two predicates at depth 1
+        "1\thttp://x/p\t1.000000",                # three fields
+    ], ids=["depth-mismatch", "three-fields"])
+    def test_malformed_table_is_data_error(self, tmp_path, capsys, row):
+        nt = tmp_path / "chain.nt"
+        nt.write_text(
+            "<http://x/a> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+            "<http://x/T> .\n"
+            "<http://x/a> <http://x/p> <http://x/b> .\n"
+            "<http://x/b> <http://x/q> <http://x/c> .\n")
+        snap = tmp_path / "g.snap"
+        assert main(["ingest", str(nt), "--out", str(snap)]) == 0
+        table = tmp_path / "spec.tsv"
+        table.write_text("depth\trelationship\tscore\tsupport\n" + row + "\n")
+        out = tmp_path / "c.txt"
+        assert main(["walk", str(snap), "--out", str(out), "--type",
+                     "http://x/T", "--depth", "1", "--bias", "specificity",
+                     "--table", str(table)]) == 2
+        assert "specificity table line 2:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["chain.nt", "g.snap", "g.snap.meta.json", "spec.tsv"]
+
     def test_no_depth1_flag_drops_short_walks(self, pipeline, tmp_path):
         out = tmp_path / "deep.txt"
         assert main(["walk", str(pipeline / "g.snap"), "--out", str(out),
@@ -362,7 +385,11 @@ class TestTrainRecommendEval:
         ("3 2\na 0.1 0.2\nb 0.3 0.4\n", 4),    # fewer rows than the header
         ("2 2\na 0.1 0.2\nb 0.3\n", 3),        # ragged row
         ("2 2\na 0.1 0.2 0.5\nb 0.3 0.4\n", 2),  # row wider than dim
-    ], ids=["empty", "short", "ragged", "too-wide"])
+        ("2 2\na 0.1 0.2\nb nan 0.4\n", 3),     # not a number
+        ("2 2\na 0.1 inf\nb 0.3 0.4\n", 2),     # infinite
+        ("1 1\na 1e39\n", 2),                  # beyond float32
+    ], ids=["empty", "short", "ragged", "too-wide", "nan", "inf",
+            "float32-overflow"])
     def test_recommend_malformed_model_is_data_error(self, tmp_path, capsys,
                                                      text, line):
         model = tmp_path / "model.txt"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specwalk.recommend import (Recommendation, ndcg, precision_at_k,
                                 sensitivity_sweep, top_k)
@@ -12,8 +14,9 @@ from specwalk.specificity import (EstimatorParams, SemanticRelationship,
 from specwalk.synth import sensitivity_fixture
 
 
-def model_from_vectors(vectors: dict[str, list[float]]) -> EmbeddingModel:
-    vocab = Vocabulary({t: 1 for t in vectors})
+def model_from_vectors(vectors: dict[str, list[float]],
+                       counts: dict[str, int] | None = None) -> EmbeddingModel:
+    vocab = Vocabulary(counts or {t: 1 for t in vectors})
     dim = len(next(iter(vectors.values())))
     w_in = np.array([vectors[t] for t in vocab.tokens], dtype=np.float32)
     return EmbeddingModel(vocab, w_in, None, TrainConfig(dim=dim))
@@ -24,7 +27,71 @@ def entries(scored):
             for pid, s in scored]
 
 
+def _reference_top_k(model: EmbeddingModel, query: str, k: int,
+                     candidates=None) -> Recommendation:
+    """The scalar loop top_k replaced: one exact cosine per pool token."""
+    if candidates is None:
+        pool = [t for t in model.vocab.tokens if t != query]
+    else:
+        pool = sorted(t for t in set(candidates)
+                      if t != query and t in model.vocab.index)
+    q = model.vector(query).astype(np.float64)
+    qn = np.linalg.norm(q)
+    scored = []
+    for token in pool:
+        v = model.vector(token).astype(np.float64)
+        vn = np.linalg.norm(v)
+        cos = float(q @ v / (qn * vn)) if qn > 0 and vn > 0 else 0.0
+        scored.append((token, cos))
+    scored.sort(key=lambda tc: (-tc[1], tc[0]))
+    return Recommendation(query, scored[:k], k)
+
+
+# Few distinct values, so rows repeat (exact ties), scale each other (cosines
+# equal in exact arithmetic, maybe not in floating point) or are zero.
+_value = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -3.0]),
+                   st.floats(-4.0, 4.0, width=32))
+
+
+@st.composite
+def small_models(draw):
+    dim = draw(st.sampled_from([1, 2, 3, 4, 17, 64]))  # 64: real models
+    rows = draw(st.lists(st.lists(_value, min_size=dim, max_size=dim),
+                         min_size=1, max_size=4))
+    rows.append([0.0] * dim)
+    n = draw(st.integers(1, 10))
+    names = draw(st.permutations("abcdefghij"))[:n]
+    vectors = {t: draw(st.sampled_from(rows)) for t in names}
+    counts = {t: draw(st.integers(1, 3)) for t in names}
+    return model_from_vectors(vectors, counts)
+
+
 class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(model=small_models(), data=st.data())
+    def test_equals_scalar_reference(self, model, data):
+        tokens = model.vocab.tokens
+        query = data.draw(st.sampled_from(tokens))
+        k = data.draw(st.integers(1, len(tokens) + 2))
+        candidates = data.draw(st.one_of(
+            st.none(), st.lists(st.sampled_from(tokens + ["unknown"]))))
+        got = top_k(model, query, k, candidates)
+        want = _reference_top_k(model, query, k, candidates)
+        assert got == want  # exact floats, order and length
+
+    def test_cut_inside_block_of_exact_ties(self):
+        vectors = {f"t{i:02d}": [1.0, 2.0, 3.0] for i in range(20)}
+        vectors["q"] = [3.0, 2.0, 1.0]
+        vectors["far"] = [-1.0, 0.0, 0.0]
+        # reverse-lexicographic vocabulary order: t19 comes first in the pool
+        m = model_from_vectors(vectors, {f"t{i:02d}": 30 - i for i in range(20)}
+                               | {"q": 1, "far": 1})
+        rec = top_k(m, "q", 5)
+        assert [t for t, _ in rec.ranked] == ["t00", "t01", "t02", "t03", "t04"]
+        assert len({c for _, c in rec.ranked}) == 1
+        assert rec == _reference_top_k(m, "q", 5)
+
+
     def test_orders_by_cosine(self):
         m = model_from_vectors({
             "q": [1.0, 0.0],
@@ -51,12 +118,24 @@ class TestTopK:
             assert c1 == pytest.approx(c2)
 
     def test_zero_vector_scores_zero_and_ranks_below_positive(self):
-        m = model_from_vectors({"q": [1.0, 0.0], "zero": [0.0, 0.0],
-                                "pos": [1.0, 1.0], "neg": [-1.0, 0.0]})
-        rec = top_k(m, "q", 3)
-        tokens = [t for t, _ in rec.ranked]
-        assert tokens.index("pos") < tokens.index("zero") < tokens.index("neg")
-        assert dict(rec.ranked)["zero"] == 0.0
+        m = model_from_vectors({
+            "q": [1.0, 0.0], "zero": [0.0, 0.0],
+            "pos": [1.0, 1.0], "tiny": [1e-30, 1.0],
+            "neg": [-1.0, 0.0], "slight": [-1e-30, 1.0],
+        })
+        rec = top_k(m, "q", 5)
+        assert [t for t, _ in rec.ranked] == ["pos", "tiny", "zero",
+                                              "slight", "neg"]
+        scores = dict(rec.ranked)
+        assert scores["zero"] == 0.0
+        assert scores["tiny"] > 0.0 > scores["slight"]
+        for k in range(1, 6):  # wherever the cut falls
+            assert top_k(m, "q", k).ranked == rec.ranked[:k]
+
+    def test_zero_query_scores_every_token_zero(self):
+        m = model_from_vectors({"q": [0.0, 0.0], "b": [1.0, 0.0],
+                                "a": [-1.0, 2.0], "c": [0.0, 0.0]})
+        assert top_k(m, "q", 2).ranked == [("a", 0.0), ("b", 0.0)]
 
     def test_candidate_filter(self):
         m = model_from_vectors({"q": [1.0, 0.0], "a": [1.0, 0.1],

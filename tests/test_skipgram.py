@@ -323,6 +323,13 @@ class TestTraining:
         assert loaded.vocab.tokens == model.vocab.tokens
         assert np.allclose(loaded.vector(a[0]), model.vector(a[0]), atol=1e-6)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_load_rejects_non_finite_values(self, value):
+        # 1e39 is beyond float32's range, so it would load as inf
+        text = f"2 3\na 0.1 0.2 0.3\nb 0.4 {value} 0.6\n"
+        with pytest.raises(ValueError, match="model line 3: value 2 "):
+            EmbeddingModel.load_text(io.StringIO(text))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(dim=0)

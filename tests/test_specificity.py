@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -555,6 +556,21 @@ class TestRanking:
             EstimatorParams(threshold=1.5)
         with pytest.raises(ValueError):
             EstimatorParams(mode="magic")
+
+    @pytest.mark.parametrize("row, message", [
+        ("1\tp|q\t0.500000\t3", "line 3: depth 1 but 2 predicates in 'p|q'"),
+        ("2\tp\t0.500000\t3", "line 3: depth 2 but 1 predicates in 'p'"),
+        ("1\tp\t0.500000", "line 3: expected 4 tab-separated fields, got 3"),
+        ("1\tp\t0.5\t3\tx", "line 3: expected 4 tab-separated fields, got 5"),
+        ("one\tp\t0.500000\t3", "line 3: invalid literal"),
+    ], ids=["longer-than-depth", "shorter-than-depth", "three-fields",
+            "five-fields", "bad-depth"])
+    def test_table_tsv_malformed_row(self, row, message):
+        g = build([("a", "p", "b"), ("b", "q", "c")])
+        lines = ["depth\trelationship\tscore\tsupport\n",
+                 "1\tq\t1.000000\t2\n", row + "\n"]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpecificityTable.from_tsv(g, lines)
 
     def test_relationship_must_be_non_empty(self):
         with pytest.raises(ValueError):
