@@ -146,6 +146,16 @@ def slice_members(lo: np.ndarray, hi: np.ndarray):
             + np.arange(len(owner)), owner)
 
 
+def exact_counts(x: np.ndarray) -> np.ndarray:
+    """x, path counts summed in float64, or ArithmeticError if one reaches
+    2**53, past which such sums are inexact. A count feeding a sum is at
+    most the sum, so checking the counts that are read is enough."""
+    if len(x) and x.max() >= 2.0 ** 53:
+        raise ArithmeticError("a path count reached 2**53; float64 counts "
+                              "are exact only below it")
+    return x
+
+
 def slice_pick(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray,
                u: np.ndarray) -> np.ndarray:
     """Per row, targets[lo + floor(u * (hi - lo))] clamped to hi - 1, or -1
@@ -258,10 +268,10 @@ class Graph:
                 self.out_obj, u[:, k])
         return nodes
 
-    def path_counts(self, sources, predicates) -> dict[int, int]:
-        """node -> number of paths from the sources realizing the predicate
-        sequence; a source listed twice starts two paths, and an empty
-        sequence gives one path per source."""
+    def path_counts(self, sources, predicates) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, paths): ascending nodes reached from the sources along the
+        predicate sequence and their path counts (exact_counts); a source
+        listed twice starts two paths, an empty sequence one per source."""
         nodes, counts = np.unique(np.fromiter(sources, np.int64),
                                   return_counts=True)
         for pred in predicates:
@@ -271,10 +281,8 @@ class Graph:
                 np.searchsorted(self.out_key, key, "left"),
                 np.searchsorted(self.out_key, key, "right"))
             nodes, inv = np.unique(self.out_obj[at], return_inverse=True)
-            paths = counts[owner]
-            counts = np.zeros(len(nodes), dtype=np.int64)
-            np.add.at(counts, inv, paths)
-        return dict(zip(nodes.tolist(), counts.tolist()))
+            counts = np.bincount(inv, counts[owner], len(nodes))
+        return nodes, exact_counts(counts)
 
     def types_of(self, v: int) -> frozenset[int]:
         """Directly asserted rdf:type objects of v (no inference)."""

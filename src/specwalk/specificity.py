@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, GraphError, slice_pick, uniforms
+from .graph import (Graph, GraphError, exact_counts, slice_members,
+                    slice_pick, uniforms)
 
 # Fixed implementation values, not parameters of the method.
 FORWARD_RETRY_LIMIT = 10
@@ -127,20 +128,23 @@ class SpecificityTable:
         return table
 
 
-# -- exact computation (exhaustive enumeration) --------------------------
+# -- exact computation (path counts over the triple arrays) --------------
 
-def _incoming_path_counts(g: Graph, node: int, depth: int,
-                          origins: frozenset[int] | set[int]) -> tuple[int, int]:
-    """(total, from-origins) counts of length-`depth` paths ending at node."""
-    counts = {node: 1}  # start u -> number of paths from u to node so far
-    for _ in range(depth):
-        nxt: dict[int, int] = {}
-        for v, c in counts.items():
-            for u in g.in_src[g.in_ptr[v]:g.in_ptr[v + 1]].tolist():
-                nxt[u] = nxt.get(u, 0) + c
-        counts = nxt
-    return (sum(counts.values()),
-            sum(c for v, c in counts.items() if v in origins))
+def _incoming_paths(g: Graph, nodes: np.ndarray, depth: int,
+                    origins) -> tuple[np.ndarray, np.ndarray]:
+    """(total, from-origins) counts, at each of `nodes`, of the
+    length-`depth` paths (any predicates) ending there and of those that
+    start in `origins` (see exact_counts): `depth` propagations x[v] <- sum
+    of x[u] over the triples (u, p, v), from all ones and from the origin
+    indicator."""
+    def propagate(x: np.ndarray) -> np.ndarray:
+        for _ in range(depth):
+            x = np.bincount(g.out_obj, x[g.out_src], g.n_terms)
+        return x[nodes]
+
+    start = np.zeros(g.n_terms)
+    start[np.fromiter(origins, np.int64)] = 1.0
+    return exact_counts(propagate(np.ones(g.n_terms))), propagate(start)
 
 
 def node_to_node_specificity(g: Graph, n1: int, n2: int, depth: int) -> float:
@@ -149,8 +153,8 @@ def node_to_node_specificity(g: Graph, n1: int, n2: int, depth: int) -> float:
         raise ValueError("depth must be >= 1")
     g._check(n1)
     g._check(n2)
-    total, fro = _incoming_path_counts(g, n1, depth, {n2})
-    return fro / total if total else 0.0
+    (total,), (fro,) = _incoming_paths(g, np.array([n1]), depth, [n2])
+    return float(fro / total) if total else 0.0
 
 
 def exact_specificity(g: Graph, rel: SemanticRelationship, t,
@@ -163,18 +167,17 @@ def exact_specificity(g: Graph, rel: SemanticRelationship, t,
         if not seeds:
             name = t if isinstance(t, str) else g.terms[t]
             raise GraphError(f"type has no instances: {name!r}")
-    origin = frozenset(seeds)
-    reachable = g.path_counts(origin, rel.predicates).keys()
-    if not reachable:
+    elif not seeds:
+        raise ValueError("seed set must be non-empty")
+    reachable, _ = g.path_counts(seeds, rel.predicates)
+    if not len(reachable):
         return SpecificityEntry(rel, 0.0, 0)
-    total_paths = 0
-    acc = 0.0
-    for k in sorted(reachable):
-        total, fro = _incoming_path_counts(g, k, rel.depth, origin)
-        total_paths += total
-        if total:
-            acc += fro / total
-    return SpecificityEntry(rel, acc / len(reachable), total_paths)
+    total, fro = _incoming_paths(g, reachable, rel.depth, seeds)
+    # every total is >= 1 (the forward path); cumsum adds left to right in
+    # ascending node order, where np.sum's pairwise order can round otherwise
+    acc = float(np.cumsum(fro / total)[-1])
+    return SpecificityEntry(rel, acc / len(reachable),
+                            sum(total.astype(np.int64).tolist()))
 
 
 # -- bidirectional random-walk estimator ---------------------------------
@@ -263,43 +266,36 @@ def select_paths(g: Graph, seeds, depth: int, n_paths: int,
     """Candidate relationships of the given depth, ranked by frequency of
     occurrence from the seed set.
 
-    With `prev` (entries from depth-1 shallower), only one-predicate
-    extensions of above-threshold entries are considered; otherwise all
-    length-`depth` sequences from the seeds are enumerated. Ties are broken
-    lexicographically by predicate-id sequence.
+    With `prev` (entries of depth `depth - 1`, a relationship listed twice
+    counted once), only one-predicate extensions of above-threshold entries
+    are considered; otherwise all length-`depth` sequences from the seeds
+    are enumerated, one predicate at a time. A prefix's path counts, summed
+    per predicate over its end nodes' out-edges, count its extensions. Ties
+    are broken lexicographically by predicate-id sequence.
     """
     if not seeds:
         raise ValueError("seed set must be non-empty")
-    excluded = frozenset() if include_type_edges or g.rdf_type_id is None \
-        else frozenset({g.rdf_type_id})
-    # (predicate prefix, node) -> number of paths from the seeds
-    frontier: dict[tuple[tuple[int, ...], int], int] = {}
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if prev is None:
-        for v, c in g.path_counts(seeds, ()).items():
-            frontier[(), v] = c
-        steps = depth
+        prefixes, steps = [()], depth
     else:
-        for entry in prev:
-            if entry.score < threshold:
-                continue
-            if entry.relationship.depth != depth - 1:
-                raise ValueError("prev entries must have depth one less")
-            prefix = entry.relationship.predicates
-            for v, c in g.path_counts(seeds, prefix).items():
-                frontier[prefix, v] = frontier.get((prefix, v), 0) + c
-        steps = 1
+        if any(e.relationship.depth != depth - 1 for e in prev):
+            raise ValueError("prev entries must have depth one less")
+        prefixes, steps = {e.relationship.predicates for e in prev
+                           if e.score >= threshold}, 1
+    skip_type = not include_type_edges and g.rdf_type_id is not None
     for _ in range(steps):
-        nxt: dict[tuple[tuple[int, ...], int], int] = {}
-        for (prefix, v), c in frontier.items():
-            for p, o in g.out_adj[v]:
-                if p in excluded:
-                    continue
-                key = (prefix + (p,), o)
-                nxt[key] = nxt.get(key, 0) + c
-        frontier = nxt
-    freq: dict[tuple[int, ...], int] = {}
-    for (seq, _), c in frontier.items():
-        freq[seq] = freq.get(seq, 0) + c
+        freq: dict[tuple[int, ...], int] = {}
+        for prefix in prefixes:
+            nodes, paths = g.path_counts(seeds, prefix)
+            at, owner = slice_members(g.out_ptr[nodes], g.out_ptr[nodes + 1])
+            hist = np.bincount(g.out_pred[at], paths[owner], g.n_terms)
+            if skip_type:
+                hist[g.rdf_type_id] = 0
+            for p in np.flatnonzero(exact_counts(hist)).tolist():
+                freq[prefix + (p,)] = int(hist[p])
+        prefixes = list(freq)
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
     return [SemanticRelationship(seq) for seq, _ in ranked[:n_paths]]
 
@@ -312,10 +308,7 @@ def rank_by_specificity(g: Graph, t, params: EstimatorParams) -> SpecificityTabl
     Depth 1 candidates come from frequency enumeration; deeper depths extend
     only entries whose score met the threshold at the previous depth.
     """
-    if isinstance(t, str):
-        t_id = g.term_id(t)
-    else:
-        t_id = t
+    t_id = g.term_id(t) if isinstance(t, str) else t
     seeds = sorted(g.sample_entities(t_id, params.seed_set_size, params.seed))
     table = SpecificityTable()
     prev: list[SpecificityEntry] | None = None
@@ -324,10 +317,6 @@ def rank_by_specificity(g: Graph, t, params: EstimatorParams) -> SpecificityTabl
             g, seeds, depth, CANDIDATES_PER_DEPTH * depth, prev=prev,
             threshold=params.threshold,
             include_type_edges=params.include_type_edges)
-        if not candidates:
-            table.depths[depth] = []
-            prev = []
-            continue
         if params.mode == "eq2":
             entries = [exact_specificity(g, rel, t_id, seeds=seeds)
                        for rel in candidates]

@@ -220,6 +220,24 @@ class TestSpecificity:
         strip = lambda text: [l.split("\t")[:3] for l in text.splitlines()]  # noqa: E731
         assert strip(est.read_text()) == strip(exact.read_text())
 
+    def test_exact_past_count_bound_is_data_error(self, tmp_path, capsys):
+        # 2048 predicates each way between two nodes: 2**55 paths of
+        # length 5 into each, past the 2**53 that float64 counts exactly
+        nt = tmp_path / "two.nt"
+        nt.write_text(
+            "<http://x/a> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+            "<http://x/T> .\n" + "".join(
+                f"<http://x/{s}> <http://x/p{i}> <http://x/{o}> .\n"
+                for i in range(2048) for s, o in (("a", "b"), ("b", "a"))))
+        snap = tmp_path / "g.snap"
+        assert main(["ingest", str(nt), "--out", str(snap)]) == 0
+        capsys.readouterr()
+        assert main(["specificity", str(snap), "--out",
+                     str(tmp_path / "spec.tsv"), "--type", "http://x/T",
+                     "--exact", "--threshold", "0", "--depth", "5",
+                     "--seed-set-size", "1", "--n-walks", "50"]) == 2
+        assert "2**53" in capsys.readouterr().err
+
 
 class TestWalk:
     def test_corpus_line_budget(self, pipeline):

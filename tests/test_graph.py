@@ -290,7 +290,8 @@ class TestSamplePath:
         assert g.sample_paths([ids[0]], preds[::-1], u).tolist() == [
             [ids[0], g.term_id(EX + "a"), -1]]
         assert g.sample_paths([ids[0]], [], u[:, :0]).tolist() == [[ids[0]]]
-        assert g.path_counts([ids[0], ids[0]], preds) == {ids[2]: 2}
+        nodes, paths = g.path_counts([ids[0], ids[0]], preds)
+        assert nodes.tolist() == [ids[2]] and paths.tolist() == [2]
 
     def test_uniforms_fill_row_by_row_in_unit_interval(self):
         small = uniforms(random.Random("x"), 3, 4)

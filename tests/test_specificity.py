@@ -85,6 +85,46 @@ def brute_force_specificity(g, relationship, t, seeds=None):
     return acc / len(reachable), support
 
 
+def _reference_incoming_path_counts(g, node, depth, origins):
+    """(total, from-origins) Python-int counts of the length-`depth` paths
+    ending at node, by a dict frontier walked backwards from it."""
+    counts = {node: 1}  # start u -> number of paths from u to node so far
+    for _ in range(depth):
+        nxt = {}
+        for v, c in counts.items():
+            for _, u in g.in_adj[v]:
+                nxt[u] = nxt.get(u, 0) + c
+        counts = nxt
+    return (sum(counts.values()),
+            sum(c for v, c in counts.items() if v in origins))
+
+
+def _reference_exact_specificity(g, relationship, seeds):
+    """(score, support) by the per-node loop: Python-int path counts for
+    each reachable node, ratios added one at a time in ascending node
+    order, so an exact implementation must match it bit for bit."""
+    origins = frozenset(seeds)
+    reachable = set(origins)
+    for pred in relationship.predicates:
+        reachable = {o for v in reachable for p, o in g.out_adj[v] if p == pred}
+    if not reachable:
+        return 0.0, 0
+    acc = 0.0
+    support = 0
+    for k in sorted(reachable):
+        total, fro = _reference_incoming_path_counts(g, k, relationship.depth,
+                                                     origins)
+        support += total
+        if total:
+            acc += fro / total
+    return acc / len(reachable), support
+
+
+def _reference_node_to_node(g, n1, n2, depth):
+    total, fro = _reference_incoming_path_counts(g, n1, depth, {n2})
+    return fro / total if total else 0.0
+
+
 def alg2_expectation(g, relationship, seeds, type_set):
     """Exact mean of one alg2 trial, by propagating probability mass.
 
@@ -157,6 +197,34 @@ def draw_relationship(g, data, seeds, depth):
     return SemanticRelationship(data.draw(
         st.sampled_from(realizable) if realizable else
         st.tuples(*[st.sampled_from(preds)] * depth)))
+
+
+def hub_graph(seed=0, n_hubs=3, fan_in=2000):
+    """Hub-heavy graph: 100 type-T entities e*, 200 other nodes o* and
+    n_hubs * fan_in middle nodes m*, each m* pointing at one hub h*, so
+    every hub has in-degree fan_in. e* and o* link into the m*, the o* and
+    40 leaves x*, which the hubs also point at."""
+    rng = random.Random(seed)
+    b = GraphBuilder()
+    for i in range(100):
+        b.add(EX + f"e{i}", RDF_TYPE, TYPE_T)
+
+    def source():
+        return f"e{rng.randrange(100)}" if rng.random() < 0.6 \
+            else f"o{rng.randrange(200)}"
+
+    for m in range(n_hubs * fan_in):
+        b.add(EX + f"m{m}", EX + "in", EX + f"h{m % n_hubs}")
+        for _ in range(rng.randrange(1, 3)):
+            b.add(EX + source(), EX + "link", EX + f"m{m}")
+    for _ in range(300):
+        b.add(EX + source(), EX + "link", EX + f"o{rng.randrange(200)}")
+    for x in range(40):
+        for h in rng.sample(range(n_hubs), rng.randrange(1, n_hubs + 1)):
+            b.add(EX + f"h{h}", EX + "out", EX + f"x{x}")
+        for _ in range(rng.randrange(4)):
+            b.add(EX + source(), EX + "link", EX + f"x{x}")
+    return b.build()
 
 
 def count_matrix(g):
@@ -263,6 +331,92 @@ class TestExact:
         score, support = brute_force_specificity(g, r, None, seeds=seeds)
         assert entry.score == pytest.approx(score, abs=1e-12)
         assert entry.support == support
+
+    def test_empty_seed_set_error(self, chain_graph):
+        with pytest.raises(ValueError, match="seed set must be non-empty"):
+            exact_specificity(chain_graph, rel(chain_graph, EX + "p"),
+                              chain_graph.term_id(TYPE_T), seeds=[])
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=small_graphs(), data=st.data(),
+           seeds=st.sets(st.integers(0, N_NODES - 1), min_size=1),
+           depth=st.integers(1, 3))
+    def test_equals_per_node_reference_small_graphs(self, g, data, seeds,
+                                                    depth):
+        r = draw_relationship(g, data, seeds, depth)
+        entry = exact_specificity(g, r, None, seeds=seeds)
+        assert (entry.score, entry.support) == \
+            _reference_exact_specificity(g, r, seeds)
+        for n1 in range(N_NODES):
+            for n2 in range(N_NODES):
+                assert node_to_node_specificity(g, n1, n2, depth) == \
+                    _reference_node_to_node(g, n1, n2, depth)
+
+    def test_equals_per_node_reference_hub_graph(self):
+        g = hub_graph()
+        t = g.term_id(TYPE_T)
+        seeds = g.entities_of_type(t)
+        hub_in = [g.term_id(EX + f"h{h}") for h in range(3)]
+        assert [len(g.in_adj[h]) for h in hub_in] == [2000] * 3
+        rels = select_paths(g, sorted(seeds), 3, 3)
+        assert rel(g, EX + "link", EX + "in", EX + "out") in rels
+        for r in rels:
+            entry = exact_specificity(g, r, t)
+            assert entry.support > 0
+            assert (entry.score, entry.support) == \
+                _reference_exact_specificity(g, r, seeds)
+        ends = hub_in + [g.term_id(EX + f"x{x}") for x in range(5)]
+        starts = [g.term_id(EX + n) for n in ("e0", "o0", "m0")]
+        for n1 in ends:
+            for n2 in starts:
+                assert node_to_node_specificity(g, n1, n2, 3) == \
+                    _reference_node_to_node(g, n1, n2, 3)
+
+
+class TestExactCountBound:
+    """Float64 path counts are exact below 2**53, and every path count
+    raises ArithmeticError at or past it. Two nodes joined by two
+    predicates in each direction have 2**d length-d paths into each."""
+
+    @pytest.fixture
+    def two_cycle(self):
+        g = build([(EX + "a", EX + "p", EX + "b"), (EX + "a", EX + "q", EX + "b"),
+                   (EX + "b", EX + "p", EX + "a"), (EX + "b", EX + "q", EX + "a")])
+        return g, g.term_id(EX + "a"), g.term_id(EX + "b")
+
+    def test_exact_at_2_pow_52(self, two_cycle):
+        g, a, b = two_cycle
+        r = SemanticRelationship((g.term_id(EX + "p"),) * 52)
+        entry = exact_specificity(g, r, None, seeds=[a])
+        assert entry.support == 2 ** 52
+        assert (entry.score, entry.support) == \
+            _reference_exact_specificity(g, r, [a])
+        for n2 in (a, b):
+            assert node_to_node_specificity(g, a, n2, 52) == \
+                _reference_node_to_node(g, a, n2, 52)
+
+    @pytest.mark.parametrize("depth", [53, 54, 60])
+    def test_raises_at_or_past_2_pow_53(self, two_cycle, depth):
+        g, a, b = two_cycle
+        r = SemanticRelationship((g.term_id(EX + "q"),) * depth)
+        with pytest.raises(ArithmeticError, match=re.escape("2**53")):
+            exact_specificity(g, r, None, seeds=[a])
+        with pytest.raises(ArithmeticError, match=re.escape("2**53")):
+            node_to_node_specificity(g, a, b, depth)
+
+
+    def test_forward_counts_and_candidates(self):
+        # p from each of a, b to both: 2**(d - 1) p-paths from a into each
+        g = build([(EX + s, EX + "p", EX + o) for s in "ab" for o in "ab"])
+        a, p = g.term_id(EX + "a"), g.term_id(EX + "p")
+        assert g.path_counts([a], [p] * 53)[1].tolist() == [2 ** 52] * 2
+        with pytest.raises(ArithmeticError, match=re.escape("2**53")):
+            g.path_counts([a], [p] * 54)
+        assert select_paths(g, [a], 52, 3) == [SemanticRelationship((p,) * 52)]
+        prev = [SpecificityEntry(SemanticRelationship((p,) * 52), 0.9, 1)]
+        for kwargs in ({}, {"prev": prev}):
+            with pytest.raises(ArithmeticError, match=re.escape("2**53")):
+                select_paths(g, [a], 53, 3, **kwargs)
 
 
 class TestEstimator:
@@ -436,6 +590,33 @@ class TestSelectPaths:
         prev = [SpecificityEntry(rel(g, EX + "p"), 0.2, 10)]
         assert select_paths(g, sorted(g.entities_of_type(TYPE_T)), 2, 10,
                             prev=prev, threshold=0.5) == []
+
+    @pytest.mark.parametrize("score", [0.2, 0.9])
+    def test_prev_of_wrong_depth_rejected(self, score):
+        # below the threshold too: a wrong depth is a caller error either way
+        g = build([(EX + "f", RDF_TYPE, TYPE_T),
+                   (EX + "f", EX + "p", EX + "m"),
+                   (EX + "m", EX + "r", EX + "x")])
+        prev = [SpecificityEntry(rel(g, EX + "p"), 0.9, 10),
+                SpecificityEntry(rel(g, EX + "p", EX + "r"), score, 10)]
+        with pytest.raises(ValueError, match="depth one less"):
+            select_paths(g, sorted(g.entities_of_type(TYPE_T)), 2, 10,
+                         prev=prev)
+
+    def test_prev_listed_twice_counted_once(self):
+        # p|s occurs once and q|r twice; listing p three times must not
+        # triple p|s's count
+        g = build([(EX + "f", RDF_TYPE, TYPE_T),
+                   (EX + "f", EX + "p", EX + "m"),
+                   (EX + "m", EX + "s", EX + "x"),
+                   (EX + "f", EX + "q", EX + "n"),
+                   (EX + "n", EX + "r", EX + "y"),
+                   (EX + "n", EX + "r", EX + "z")])
+        prev = [SpecificityEntry(rel(g, EX + p), 0.9, 10)
+                for p in ("p", "p", "q", "p")]
+        got = select_paths(g, sorted(g.entities_of_type(TYPE_T)), 2, 10,
+                           prev=prev)
+        assert got == [rel(g, EX + "q", EX + "r"), rel(g, EX + "p", EX + "s")]
 
     def test_top25_matches_frequency_oracle(self):
         rng = random.Random(9)
