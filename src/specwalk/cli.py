@@ -222,6 +222,8 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise ValueError("--k must be >= 1")
     candidates = _candidate_tokens(args)
     with open(args.model, encoding="utf-8") as f:
         model = EmbeddingModel.load_text(f)
@@ -230,7 +232,7 @@ def cmd_eval(args) -> int:
     rows = []
     for query in sorted(truth):
         relevant = truth[query]
-        k = args.k if args.k else len(relevant)
+        k = args.k if args.k is not None else len(relevant)
         if k != len(relevant) and not args.allow_mismatch:
             raise UsageError(
                 f"k={k} differs from |truth|={len(relevant)} for {query!r}; "

@@ -3,7 +3,7 @@
 Terms (IRIs, blank node labels, literal lexical forms) are interned to dense
 integer ids. After construction the graph is never mutated, so it can be
 shared freely across threads; random sampling takes an explicit seed or
-explicit uniforms so reads stay side-effect free.
+explicit uniforms (hashed_uniforms) so reads stay side-effect free.
 """
 from __future__ import annotations
 
@@ -106,16 +106,6 @@ class EdgeLists(Sequence):
         return list(zip(self._pred[lo:hi].tolist(), self._other[lo:hi].tolist()))
 
 
-def uniforms(rng: random.Random, rows: int, cols: int) -> np.ndarray:
-    """A (rows, cols) block of floats k / 2**53 in [0, 1) from rng.randbytes,
-    filled row by row, so the first r rows do not depend on `rows`."""
-    words = np.frombuffer(rng.randbytes(8 * rows * cols), dtype="<u8")
-    return ((words >> 11) * 2.0 ** -53).reshape(rows, cols)
-
-
-_MASK64 = (1 << 64) - 1
-
-
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """The SplitMix64 output function of state x + golden gamma (uint64
     arrays wrap on overflow)."""
@@ -125,14 +115,15 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def hashed_uniforms(seed: int, entity, attempt, column) -> np.ndarray:
-    """Floats k / 2**53 in [0, 1), one per broadcast (entity, attempt,
-    column) of non-negative integer arrays: a counter-based SplitMix64 hash
-    (Steele, Lea & Flood 2014) of (seed mod 2**64, entity, attempt, column),
-    so each draw depends on those four values alone. The result has at
-    least one dimension."""
-    x = np.full(1, seed & _MASK64, dtype=np.uint64)
-    for part in (entity, attempt, column):
+def hashed_uniforms(seed: int, *parts) -> np.ndarray:
+    """Floats k / 2**53 in [0, 1), one per broadcast tuple of the parts
+    (non-negative integers or integer arrays): a counter-based SplitMix64
+    hash (Steele, Lea & Flood 2014) of seed mod 2**64 with each part mixed
+    in turn, so a draw depends on the seed and its parts alone. Walks pass
+    (entity, attempt, column), the estimator (depth, predicates..., trial,
+    column). The result has at least one dimension."""
+    x = np.full(1, seed % 2 ** 64, dtype=np.uint64)
+    for part in parts:
         x = _splitmix64(x ^ np.asarray(part).astype(np.uint64))
     return (x >> np.uint64(11)) * 2.0 ** -53
 
@@ -355,15 +346,27 @@ class Graph:
         """
         return "_".join(self.terms[tid].split())
 
+    def rendered_lines(self, sep: str, end: str):
+        """Lines f"{s}{sep}{p}{sep}{o}{end}" of rendered terms, 4096 per
+        string, by (s, p, o) compared as rendered: the lines' text order
+        unless a term is a prefix of another that goes on with a character
+        at or below sep or end, as no two N-Triples terms do."""
+        r = [self.render_term(t) for t in range(len(self.terms))]
+        rank = np.empty(len(r), dtype=np.int64)
+        rank[sorted(range(len(r)), key=r.__getitem__)] = np.arange(len(r))
+        cols = (self.out_src, self.out_pred, self.out_obj)
+        order = np.lexsort([rank[a] for a in cols[::-1]])
+        for lo in range(0, len(order), 4096):  # bounds the strings held
+            at = order[lo:lo + 4096]
+            yield "".join(f"{r[s]}{sep}{r[p]}{sep}{r[o]}{end}" for s, p, o
+                          in zip(*(a[at].tolist() for a in cols)))
+
     def checksum(self) -> str:
-        """Content-based sha256 over the sorted triple set (id-order independent)."""
+        """sha256 of the tab-separated rendered_lines (id-order independent)."""
         if self._checksum is None:
             h = hashlib.sha256()
-            r = [self.render_term(t) for t in range(len(self.terms))]
-            lines = sorted(f"{r[s]}\t{r[p]}\t{r[o]}" for s, p, o in self.triples)
-            for line in lines:
-                h.update(line.encode("utf-8"))
-                h.update(b"\n")
+            for text in self.rendered_lines("\t", "\n"):
+                h.update(text.encode("utf-8"))
             self._checksum = h.hexdigest()
         return self._checksum
 

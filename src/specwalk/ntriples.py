@@ -67,12 +67,9 @@ def parse_ntriples(lines, strict: bool = False, rdf_type: str = RDF_TYPE) -> Gra
 
 
 def serialize_ntriples(graph: Graph, out) -> None:
-    """Write the triple set sorted by rendered text (canonical across
+    """Write the triple set in Graph.rendered_lines order (canonical across
     interning orders); parse(serialize(g)) is a fixed point on triple sets."""
-    lines = sorted(f"{graph.render_term(s)} {graph.render_term(p)} "
-                   f"{graph.render_term(o)} .\n"
-                   for s, p, o in graph.triples)
-    out.writelines(lines)
+    out.writelines(graph.rendered_lines(" ", " .\n"))
 
 
 def open_text(path: str):

@@ -9,13 +9,12 @@ distinct reachable nodes and counts paths uniformly.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (Graph, GraphError, exact_counts, slice_members,
-                    slice_pick, uniforms)
+from .graph import (Graph, GraphError, UnknownTermError, exact_counts,
+                    hashed_uniforms, slice_members, slice_pick)
 
 # Fixed implementation values, not parameters of the method.
 FORWARD_RETRY_LIMIT = 10
@@ -96,8 +95,9 @@ class SpecificityTable:
         """Read the table that to_tsv writes.
 
         ValueError naming the line for a row that is not four tab-separated
-        fields, or whose relationship has a different number of predicates
-        than its depth column.
+        fields, names a term the graph lacks, holds a score outside [0, 1]
+        or a relationship with a different number of predicates than its
+        depth column.
         """
         table = cls()
         lines = iter(lines)
@@ -115,16 +115,15 @@ class SpecificityTable:
             try:
                 depth, score, support = (int(fields[0]), float(fields[2]),
                                          int(fields[3]))
-            except ValueError as exc:
+                preds = tuple(graph.term_id(t) for t in fields[1].split("|"))
+                if len(preds) != depth:
+                    raise ValueError(f"depth {depth} but {len(preds)} "
+                                     f"predicates in {fields[1]!r}")
+                table.depths.setdefault(depth, []).append(SpecificityEntry(
+                    SemanticRelationship(preds), score, support))
+            except (ValueError, UnknownTermError) as exc:
                 raise ValueError(f"specificity table line {lineno}: "
                                  f"{exc}") from None
-            preds = tuple(graph.term_id(t) for t in fields[1].split("|"))
-            if len(preds) != depth:
-                raise ValueError(f"specificity table line {lineno}: depth "
-                                 f"{depth} but {len(preds)} predicates in "
-                                 f"{fields[1]!r}")
-            table.depths.setdefault(depth, []).append(SpecificityEntry(
-                SemanticRelationship(preds), score, support))
         return table
 
 
@@ -182,36 +181,31 @@ def exact_specificity(g: Graph, rel: SemanticRelationship, t,
 
 # -- bidirectional random-walk estimator ---------------------------------
 
-def _candidate_rng(seed: int, rel: SemanticRelationship,
-                   block: str) -> random.Random:
-    # One stream per (candidate, block): results do not depend on evaluation
-    # order, and a block's first n rows do not depend on how many it holds.
-    return random.Random(
-        f"{seed}|{','.join(map(str, rel.predicates))}|{block}")
-
-
 def trial_outcomes(g: Graph, rel: SemanticRelationship, seeds, type_set,
                    n_walks: int, seed: int = 0) -> np.ndarray:
     """Hit (True) or miss of each of the n_walks trials of one candidate.
 
-    All trials advance together. Forward attempt a of trial i reads row i of
-    block "f{a}", (1 + depth) uniforms: its seed is seeds[floor(u0 * |S|)]
-    of the sorted seed set, then it walks the candidate's predicates with
-    Graph.sample_paths. Trials that dead-end retry with the next block, up to
-    FORWARD_RETRY_LIMIT times, and a block is drawn only when some trial
-    needs it. The reverse walk reads row i of block "r": each step takes an
-    in-edge of the current node, lo + floor(u * (hi - lo)) of its in-edge
-    slice. A trial hits when it lands on a member of type_set; a forward or
-    reverse dead-end is a miss. Trial i never depends on n_walks, so the
-    outcomes at budget n are the first n outcomes at any larger budget.
+    All trials advance together. Trial i of candidate (p1, ..., pd) reads
+    the floats hashed_uniforms(seed, d, p1, ..., pd, i, c). Forward attempt
+    a reads columns a(1 + d) to a(1 + d) + d: the first picks its seed,
+    seeds[floor(u * |S|)] of the sorted seed set, and the others walk the
+    candidate's predicates with Graph.sample_paths. Trials that dead-end
+    retry with the next attempt, up to FORWARD_RETRY_LIMIT times, and only
+    they draw its columns. The reverse walk reads the d columns after the
+    last attempt's: each step takes an in-edge of the current node, lo +
+    floor(u * (hi - lo)) of its in-edge slice. A trial hits when it lands on
+    a member of type_set; a forward or reverse dead-end is a miss. Trial i
+    depends on the seed, the candidate and i alone, so the outcomes at
+    budget n are the first n outcomes at any larger budget.
     """
     seeds = np.array(sorted(seeds), dtype=np.int64)
     depth = rel.depth
+    width = 1 + depth
     ends = np.full(n_walks, -1, dtype=np.int64)
     todo = np.arange(n_walks)
     for attempt in range(FORWARD_RETRY_LIMIT + 1):
-        u = uniforms(_candidate_rng(seed, rel, f"f{attempt}"),
-                     n_walks, 1 + depth)[todo]
+        u = hashed_uniforms(seed, depth, *rel.predicates, todo[:, None],
+                            attempt * width + np.arange(width))
         starts = slice_pick(np.zeros(len(todo), dtype=np.int64),
                             np.full(len(todo), len(seeds)), seeds, u[:, 0])
         end = g.sample_paths(starts, rel.predicates, u[:, 1:])[:, -1]
@@ -220,7 +214,9 @@ def trial_outcomes(g: Graph, rel: SemanticRelationship, seeds, type_set,
         todo = todo[~done]
         if not len(todo):
             break
-    u = uniforms(_candidate_rng(seed, rel, "r"), n_walks, depth)
+    u = hashed_uniforms(seed, depth, *rel.predicates,
+                        np.arange(n_walks)[:, None],
+                        (FORWARD_RETRY_LIMIT + 1) * width + np.arange(depth))
     v = ends
     for k in range(depth):
         lo, hi = g.in_ptr[v], g.in_ptr[v + 1]

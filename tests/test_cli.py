@@ -455,6 +455,17 @@ class TestTrainRecommendEval:
                      "--out", str(tmp_path / "eval.csv"), "--k", "5",
                      "--allow-mismatch"]) == 0
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_eval_k_below_one_is_data_error(self, pipeline, tmp_path, capsys,
+                                            k):
+        out = tmp_path / "eval.csv"
+        for extra in ([], ["--allow-mismatch"]):
+            assert main(["eval", str(pipeline / "model.txt"),
+                         "--truth", str(pipeline / "truth.json"),
+                         "--out", str(out), "--k", k, *extra]) == 2
+            assert "--k must be >= 1" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())  # no CSV, no sidecar
+
 
 class TestConfig:
     def test_config_file_sets_defaults(self, pipeline, tmp_path, capsys):

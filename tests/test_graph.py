@@ -1,18 +1,19 @@
 import gzip
+import hashlib
 import io
 import random
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from specwalk.cli import main
 from specwalk.graph import (RDF_TYPE, GraphBuilder, GraphError,
                             UnknownTermError, hashed_uniforms, read_snapshot,
-                            uniforms, write_snapshot)
+                            write_snapshot)
 from specwalk.ntriples import (ParseError, load_graph, parse_ntriples,
                                serialize_ntriples)
 
@@ -20,7 +21,7 @@ from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, small_edges,
                       small_graph, small_graphs)
 
 
-TOP_UNIFORM = 1.0 - 2.0 ** -53  # the largest value uniforms() returns
+TOP_UNIFORM = 1.0 - 2.0 ** -53  # the largest value hashed_uniforms returns
 
 
 def scan_path(g, v, predicates, u):
@@ -293,20 +294,14 @@ class TestSamplePath:
         nodes, paths = g.path_counts([ids[0], ids[0]], preds)
         assert nodes.tolist() == [ids[2]] and paths.tolist() == [2]
 
-    def test_uniforms_fill_row_by_row_in_unit_interval(self):
-        small = uniforms(random.Random("x"), 3, 4)
-        large = uniforms(random.Random("x"), 50, 4)
-        assert small.shape == (3, 4)
-        assert np.array_equal(small, large[:3])
-        assert large.min() >= 0.0 and large.max() <= TOP_UNIFORM
-        assert np.array_equal(large * 2.0 ** 53, np.floor(large * 2.0 ** 53))
-
     @settings(max_examples=150, deadline=None)
     @given(seed=st.one_of(st.integers(-2 ** 70, -1),
                           st.integers(2 ** 64, 2 ** 70),
                           st.integers(0, 2 ** 64 - 1)),
-           entity=st.integers(0, 2 ** 40), attempts=st.integers(1, 30))
-    def test_hashed_uniforms_in_unit_interval(self, seed, entity, attempts):
+           entity=st.integers(0, 2 ** 40), attempts=st.integers(1, 30),
+           prefix=st.lists(st.integers(0, 2 ** 40), min_size=2, max_size=6))
+    def test_hashed_uniforms_in_unit_interval(self, seed, entity, attempts,
+                                              prefix):
         entities = np.array([entity, entity + 1])[:, None, None]
         u = hashed_uniforms(seed, entities, np.arange(attempts)[:, None],
                             np.arange(4))
@@ -319,9 +314,51 @@ class TestSamplePath:
         assert u[1].tolist() == [[splitmix_reference(seed, entity + 1, a, c)
                                   for c in range(4)] for a in range(attempts)]
         assert len(np.unique(u)) == u.size
+        # four to eight parts, the estimator's (depth, predicates..., trial,
+        # column) form, fold in turn like three
+        many = hashed_uniforms(seed, *prefix, np.arange(attempts)[:, None],
+                               np.arange(4))
+        assert many.tolist() == [[splitmix_reference(seed, *prefix, a, c)
+                                  for c in range(4)] for a in range(attempts)]
+
+
+_NT_RESOURCES = st.sampled_from([EX + "a", EX + "a/b", EX + "ab", "_:b",
+                                  "_:b1", "_:b10", "_:b1a", "_:b1.x"])
+_NT_LITERALS = st.builds(
+    lambda text, suffix: f'"{text}"{suffix}',
+    st.text(alphabet="x \t", max_size=3),
+    st.sampled_from(["", "@en", "@en-US", "^^<" + EX + "int>"]))
+
+
+# 6,000 distinct triples, more than one 4,096-line chunk of rendered_lines
+_MANY_TRIPLES = [(f"_:b{i % 1000}", EX + "pq"[i % 2],
+                  (f'"{i % 1200}"' + ("@en" if i % 3 else ""), True))
+                 for i in range(6000)]
 
 
 class TestSerialization:
+    @settings(max_examples=200, deadline=None)
+    @example(triples=_MANY_TRIPLES)
+    @given(triples=st.lists(st.tuples(
+        _NT_RESOURCES, st.sampled_from([EX + "p", EX + "p/q", EX + "q"]),
+        st.one_of(_NT_RESOURCES.map(lambda t: (t, False)),
+                  _NT_LITERALS.map(lambda t: (t, True)))), max_size=25))
+    def test_canonical_order_is_the_line_sort(self, triples):
+        # terms that prefix each other (_:b1/_:b10, "x"/"x"@en/"x"@en-US)
+        # and literals holding a tab or a space; the reference is the sort
+        # of the rendered lines as strings
+        g = build([(s, p, o, lit) for s, p, (o, lit) in triples])
+        r = [g.render_term(t) for t in range(g.n_terms)]
+        tab_lines = sorted(f"{r[s]}\t{r[p]}\t{r[o]}" for s, p, o in g.triples)
+        assert g.checksum() == hashlib.sha256(
+            "".join(line + "\n" for line in tab_lines).encode()).hexdigest()
+        buf = io.StringIO()
+        serialize_ntriples(g, buf)
+        assert buf.getvalue() == "".join(sorted(
+            f"{r[s]} {r[p]} {r[o]} .\n" for s, p, o in g.triples))
+        # every generated term is N-Triples: the text parses back strictly
+        assert parse(buf.getvalue(), strict=True).checksum() == g.checksum()
+
     def test_checksum_pinned(self):
         # digest of the sorted rendered lines, as written before terms
         # were rendered once each

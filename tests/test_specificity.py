@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specwalk.graph import RDF_TYPE, GraphBuilder, GraphError, uniforms
+from specwalk.graph import RDF_TYPE, GraphBuilder, GraphError, hashed_uniforms
 from specwalk.specificity import (FORWARD_RETRY_LIMIT, EstimatorParams,
                                   SemanticRelationship, SpecificityEntry,
                                   SpecificityTable, estimate_specificity,
                                   exact_specificity, node_to_node_specificity,
                                   rank_by_specificity, select_paths,
-                                  _candidate_rng, trial_outcomes)
+                                  trial_outcomes)
 from specwalk.synth import layered_graph, relevance_inversion_graph
 
 from conftest import EX, N_NODES, PREDICATES, TYPE_T, build, small_graphs
@@ -156,16 +156,19 @@ def alg2_expectation(g, relationship, seeds, type_set):
 
 
 def scan_trial_outcomes(g, relationship, seeds, type_set, n_walks, seed):
-    """Scalar reference for trial_outcomes: the same blocks of uniforms,
-    with each step's edges found by scanning the sorted triples. A draw u
-    picks options[floor(u * len(options))], clamped to the last option."""
+    """Scalar reference for trial_outcomes: trial i reads one draw at a
+    time, hashed_uniforms(seed, d, p1, ..., pd, i, column), with forward
+    attempt a in columns a(1 + d) to a(1 + d) + d and the reverse walk in
+    the d columns after the last attempt's; each step's edges are found by
+    scanning the sorted triples. A draw u picks options[floor(u *
+    len(options))], clamped to the last option."""
     triples = sorted(g.triples)
     seeds = sorted(seeds)
     d = relationship.depth
-    forward = [uniforms(_candidate_rng(seed, relationship, f"f{a}"),
-                        n_walks, 1 + d)
-               for a in range(FORWARD_RETRY_LIMIT + 1)]
-    reverse = uniforms(_candidate_rng(seed, relationship, "r"), n_walks, d)
+
+    def draw(i, column):
+        return float(hashed_uniforms(seed, d, *relationship.predicates, i,
+                                     column)[0])
 
     def pick(options, u):
         return options[min(int(u * len(options)), len(options) - 1)] \
@@ -174,17 +177,19 @@ def scan_trial_outcomes(g, relationship, seeds, type_set, n_walks, seed):
     outcomes = []
     for i in range(n_walks):
         v = -1
-        for block in forward:  # attempts until one walks every predicate
-            v = pick(seeds, block[i, 0])
-            for pred, u in zip(relationship.predicates, block[i, 1:]):
-                v = pick([o for s, p, o in triples if s == v and p == pred], u)
+        for a in range(FORWARD_RETRY_LIMIT + 1):  # until one walks them all
+            v = pick(seeds, draw(i, a * (1 + d)))
+            for k, pred in enumerate(relationship.predicates):
+                v = pick([o for s, p, o in triples if s == v and p == pred],
+                         draw(i, a * (1 + d) + 1 + k))
                 if v < 0:
                     break
             if v >= 0:
                 break
-        for u in reverse[i]:
+        for k in range(d):
             if v >= 0:
-                v = pick([s for s, p, o in triples if o == v], u)
+                v = pick([s for s, p, o in triples if o == v],
+                         draw(i, (FORWARD_RETRY_LIMIT + 1) * (1 + d) + k))
         outcomes.append(v in type_set)
     return outcomes
 
@@ -555,6 +560,30 @@ class TestEstimatorExpectation:
         large = trial_outcomes(g, r, seeds, type_set, n + extra, seed)
         assert small.tolist() == large[:n].tolist()
 
+    @pytest.mark.parametrize("preds", [("p",), ("p", "r")])
+    def test_budget_prefix_with_retries(self, preds):
+        # 2 of 30 seeds have p, so an attempt succeeds 1 time in 15: most
+        # trials retry, and about 47% still dead-end after the last retry
+        g = build([(EX + f"e{i}", EX + "q", EX + "y") for i in range(30)]
+                  + [(EX + "e0", EX + "p", EX + "x"),
+                     (EX + "e1", EX + "p", EX + "x"),
+                     (EX + "x", EX + "r", EX + "z"),
+                     (EX + "w", EX + "r", EX + "z")])
+        seeds = {g.term_id(EX + f"e{i}") for i in range(30)}
+        r = rel(g, *(EX + p for p in preds))
+        large = trial_outcomes(g, r, seeds, seeds, 400, seed=7)
+        for n in (1, 7, 31, 150, 399):
+            assert trial_outcomes(g, r, seeds, seeds, n, seed=7).tolist() \
+                == large[:n].tolist()
+        assert large[:60].tolist() == scan_trial_outcomes(
+            g, r, seeds, seeds, 60, seed=7)
+        # a forward walk that lands on x returns to a seed; one from z,
+        # half the time
+        p = alg2_expectation(g, r, sorted(seeds), seeds)
+        assert p == pytest.approx(
+            (1 - (14 / 15) ** (FORWARD_RETRY_LIMIT + 1)) / len(preds))
+        assert abs(large.mean() - p) <= self.Z * math.sqrt(p * (1 - p) / 400)
+
 
 class TestSelectPaths:
     def test_depth_one_enumeration(self):
@@ -744,8 +773,12 @@ class TestRanking:
         ("1\tp\t0.500000", "line 3: expected 4 tab-separated fields, got 3"),
         ("1\tp\t0.5\t3\tx", "line 3: expected 4 tab-separated fields, got 5"),
         ("one\tp\t0.500000\t3", "line 3: invalid literal"),
+        ("1\tp\t1.500000\t3", "line 3: score outside [0,1]: 1.5"),
+        ("1\tp\tnan\t3", "line 3: score outside [0,1]: nan"),
+        ("1\tz\t0.500000\t3", "line 3: term not in graph: 'z'"),
     ], ids=["longer-than-depth", "shorter-than-depth", "three-fields",
-            "five-fields", "bad-depth"])
+            "five-fields", "bad-depth", "score-above-one", "score-nan",
+            "unknown-predicate"])
     def test_table_tsv_malformed_row(self, row, message):
         g = build([("a", "p", "b"), ("b", "q", "c")])
         lines = ["depth\trelationship\tscore\tsupport\n",
