@@ -11,7 +11,6 @@ import hashlib
 import logging
 import random
 import struct
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence, Set
 from itertools import chain
 
@@ -213,7 +212,6 @@ class Graph:
         self.triples = TripleSet(self)
         self.report = None  # set by parsers
         self._checksum: str | None = None
-        self._pred_freq: list[int] | None = None
 
     # -- lookups ---------------------------------------------------------
 
@@ -235,28 +233,34 @@ class Graph:
             raise UnknownTermError(f"term not in graph: {term!r}") from None
 
     def _check(self, tid: int) -> None:
-        if not isinstance(tid, int) or tid < 0 or tid >= len(self.terms):
+        if (not isinstance(tid, (int, np.integer)) or isinstance(tid, bool)
+                or tid < 0 or tid >= len(self.terms)):
             raise UnknownTermError(f"unknown term id: {tid!r}")
+
+    def out_slices(self, nodes, pred: int) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): the bounds of each node's out-edges with predicate pred,
+        an empty slice for a negative (dead) node. Each distinct node is
+        searched once."""
+        # a negative node's key is negative, below every out_key
+        keys, inv = np.unique(np.asarray(nodes, dtype=np.int64)
+                              * len(self.terms) + pred, return_inverse=True)
+        return (np.searchsorted(self.out_key, keys, "left")[inv],
+                np.searchsorted(self.out_key, keys, "right")[inv])
 
     def sample_paths(self, starts, predicates, u: np.ndarray) -> np.ndarray:
         """Walk the predicate sequence from each start, one row per walk.
 
         Step k of row i takes the matching out-edge lo + floor(u[i, k] *
-        (hi - lo)) of the current node's (node, predicate) slice [lo, hi).
-        Returns the visited nodes, shape (len(starts), len(predicates) + 1);
-        a row that reaches a node with no edge for the next predicate holds
-        -1 from there on.
+        (hi - lo)) of the current node's out_slices [lo, hi). Returns the
+        visited nodes, shape (len(starts), len(predicates) + 1); a row that
+        reaches a node with no edge for the next predicate holds -1 from
+        there on.
         """
         nodes = np.empty((len(starts), len(predicates) + 1), dtype=np.int64)
         nodes[:, 0] = starts
-        v = nodes[:, 0]
         for k, pred in enumerate(predicates):
-            # a dead row's v = -1 gives a negative key, below every out_key
-            key = v * len(self.terms) + pred
-            v = nodes[:, k + 1] = slice_pick(
-                np.searchsorted(self.out_key, key, "left"),
-                np.searchsorted(self.out_key, key, "right"),
-                self.out_obj, u[:, k])
+            nodes[:, k + 1] = slice_pick(*self.out_slices(nodes[:, k], pred),
+                                         self.out_obj, u[:, k])
         return nodes
 
     def path_counts(self, sources, predicates) -> tuple[np.ndarray, np.ndarray]:
@@ -266,11 +270,8 @@ class Graph:
         nodes, counts = np.unique(np.fromiter(sources, np.int64),
                                   return_counts=True)
         for pred in predicates:
-            key = nodes * len(self.terms) + pred
             # the matching edges of all nodes, each with its node's count
-            at, owner = slice_members(
-                np.searchsorted(self.out_key, key, "left"),
-                np.searchsorted(self.out_key, key, "right"))
+            at, owner = slice_members(*self.out_slices(nodes, pred))
             nodes, inv = np.unique(self.out_obj[at], return_inverse=True)
             counts = np.bincount(inv, counts[owner], len(nodes))
         return nodes, exact_counts(counts)
@@ -280,12 +281,8 @@ class Graph:
         self._check(v)
         if self.rdf_type_id is None:
             return frozenset()
-        # bisection inside v's slice: a scalar np.searchsorted costs more
-        key = v * len(self.terms) + self.rdf_type_id
-        lo, hi = self.out_ptr[v:v + 2].tolist()
-        lo = bisect_left(self.out_key, key, lo, hi)
-        return frozenset(
-            self.out_obj[lo:bisect_right(self.out_key, key, lo, hi)].tolist())
+        (lo,), (hi,) = self.out_slices([v], self.rdf_type_id)
+        return frozenset(self.out_obj[lo:hi].tolist())
 
     def entities_of_type(self, t) -> frozenset[int]:
         """Entities with a direct rdf:type assertion to t; empty if t unknown."""
@@ -321,13 +318,10 @@ class Graph:
             return members
         return rng.sample(members, n)
 
-    def predicate_frequency(self) -> list[int]:
+    def predicate_frequency(self) -> np.ndarray:
         """Global triple count per term id (0 for a term that is never a
         predicate)."""
-        if self._pred_freq is None:
-            self._pred_freq = np.bincount(self.out_pred,
-                                          minlength=len(self.terms)).tolist()
-        return self._pred_freq
+        return np.bincount(self.out_pred, minlength=len(self.terms))
 
     # -- rendering & checksum --------------------------------------------
 

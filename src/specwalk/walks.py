@@ -115,11 +115,8 @@ def prune_mask(g: Graph, nodes: np.ndarray, scheme: str) -> np.ndarray:
         return ~((s[:, 1:] == s[:, :-1]) & (s[:, 1:] >= 0)).any(axis=1)
     if g.rdf_type_id is None:
         return ok
-    row, col = np.nonzero(nodes >= 0)
-    key = nodes[row, col] * g.n_terms + g.rdf_type_id
-    at, owner = slice_members(np.searchsorted(g.out_key, key, "left"),
-                              np.searchsorted(g.out_key, key, "right"))
-    row, col = row[owner], col[owner]
+    at, owner = slice_members(*g.out_slices(nodes.ravel(), g.rdf_type_id))
+    row, col = np.divmod(owner, nodes.shape[1])
     pair = row * g.n_terms + g.out_obj[at]
     if scheme == "UET":
         pair = np.sort(pair)
@@ -165,7 +162,7 @@ def _edge_picker(g: Graph, strategy: WalkStrategy):
         edges = np.arange(g.n_triples)
         return lambda lo, hi, u: slice_pick(lo, hi, edges, u)
     if strategy.bias == "frequency":
-        weights = np.asarray(g.predicate_frequency())[g.out_pred]
+        weights = g.predicate_frequency()[g.out_pred]
     else:
         scores = np.zeros(g.n_terms)
         bound = strategy.pagerank_scores

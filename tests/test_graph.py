@@ -3,6 +3,7 @@ import hashlib
 import io
 import random
 import struct
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from specwalk.graph import (RDF_TYPE, GraphBuilder, GraphError,
                             write_snapshot)
 from specwalk.ntriples import (ParseError, load_graph, parse_ntriples,
                                serialize_ntriples)
+from specwalk.walks import WalkStrategy, extract_corpus
 
 from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, small_edges,
                       small_graph, small_graphs)
@@ -121,6 +123,25 @@ class TestAdjacency:
         assert g.types_of(g.term_id(EX + "a")) == frozenset()
         with pytest.raises(UnknownTermError):
             g.types_of(999)
+
+    def test_numpy_integer_ids_accepted(self):
+        g = build([(EX + "v", RDF_TYPE, TYPE_T),
+                   (EX + "v", EX + "p", EX + "a")])
+        v, t = g.term_id(EX + "v"), g.term_id(TYPE_T)
+        for tid in (v, np.int64(v), np.int32(v), np.uint8(v)):
+            assert g.types_of(tid) == {t}
+            assert g.entities_of_type(np.int64(t)) == {v}
+        strategy = WalkStrategy(depth=1, walks_per_entity=3)
+        assert extract_corpus(g, np.array([v]), strategy, seed=1) == \
+            extract_corpus(g, [v], strategy, seed=1)
+
+    @pytest.mark.parametrize("tid", [True, False, 1.0, np.float64(1), "1",
+                                     None, -1, np.int64(-1), np.int64(999),
+                                     np.uint64(2 ** 63)])
+    def test_invalid_ids_rejected(self, tid):
+        g = build([(EX + "v", EX + "p", EX + "a")])
+        with pytest.raises(UnknownTermError):
+            g.types_of(tid)
 
     def test_duplicate_triple_collapses(self):
         line = "<http://x/v> <http://x/p> <http://x/o> .\n"
@@ -241,6 +262,29 @@ class TestSampling:
         observed = [counts[v] for v in members]
         _, p_value = stats.chisquare(observed)
         assert p_value > 0.01
+
+
+class TestOutSlices:
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(),
+           pred=st.integers(0, N_NODES + len(PREDICATES) - 1),
+           nodes=st.lists(st.integers(-1, N_NODES - 1), max_size=12))
+    @example(g=small_graph([(0, PREDICATES[0], 1), (0, PREDICATES[0], 2),
+                            (1, PREDICATES[1], 0)]),
+             pred=N_NODES, nodes=[0, -1, 0, 1, -1, 1])
+    @example(g=small_graph([(0, PREDICATES[0], 1)]), pred=N_NODES, nodes=[])
+    def test_matches_bisect_reference(self, g, pred, nodes):
+        # pred ranges over node ids too: predicates with no edges
+        key = g.out_key.tolist()
+        lo, hi = g.out_slices(np.array(nodes, dtype=np.int64), pred)
+        assert lo.shape == hi.shape == (len(nodes),)
+        want = [(bisect_left(key, v * g.n_terms + pred),
+                 bisect_right(key, v * g.n_terms + pred)) for v in nodes]
+        assert list(zip(lo.tolist(), hi.tolist())) == want
+        for v, a, b in zip(nodes, lo.tolist(), hi.tolist()):
+            assert sorted(g.out_obj[a:b].tolist()) == (
+                sorted(o for p, o in g.out_adj[v] if p == pred)
+                if v >= 0 else [])
 
 
 class TestSamplePath:

@@ -1,4 +1,6 @@
 import io
+import math
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -404,12 +406,12 @@ def scan_walks(g, entities, strategy, seed):
 
 
 @st.composite
-def walk_cases(draw, bias, pruning):
+def walk_cases(draw, bias, pruning, max_depth=3):
     """(graph, roots, strategy, seed) over conftest's small graphs; template
     and PageRank weights are dyadic, zero included, so that running sums
     are exact."""
     g = draw(small_graphs())
-    depth = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, max_depth))
     weight = st.sampled_from([0.0, 0.25, 0.5, 1.0])
     table = scores = None
     if bias == "specificity":
@@ -503,3 +505,74 @@ class TestLockstep:
         u = np.array([0.0, 0.5, 1 - 2.0 ** -53, 0.5, 1 - 2.0 ** -53])
         assert walks.weighted_pick(cum, last, lo, hi, u).tolist() == [
             1, 1, 1, -1, 4]
+
+
+# -- walk distribution against exact enumeration ---------------------------
+
+def walk_distribution(g, root, strategy):
+    """Exact probability of each outcome of one attempt from root: the walk's
+    tokens, or None when the attempt yields no walk. A free step takes an
+    out-edge in proportion to its weight (1, freq[pred] or score[obj]), so
+    a zero weight is never taken and a zero total ends the walk; a template
+    is drawn in proportion to its score, and a template that dead-ends
+    yields nothing."""
+    dist = defaultdict(float)
+    if strategy.bias == "specificity":
+        entries = strategy.specificity_table.above_threshold(
+            strategy.depth, strategy.threshold)
+        total = sum(e.score for e in entries)
+        for e in entries if total > 0 else []:
+            paths = [((root,), e.score / total)]
+            for pred in e.relationship.predicates:
+                paths = [(tokens + (pred, o), p / len(matches))
+                         for tokens, p in paths
+                         for matches in [[o for q, o in g.out_adj[tokens[-1]]
+                                          if q == pred]]
+                         for o in matches]
+            for tokens, p in paths:
+                dist[tokens] += p
+    else:
+        freq = g.predicate_frequency()
+        scores = strategy.pagerank_scores or {}
+        weight = {"uniform": lambda p, o: 1.0,
+                  "frequency": lambda p, o: float(freq[p]),
+                  "pagerank": lambda p, o: scores.get(o, 0.0)}[strategy.bias]
+
+        def extend(tokens, p, steps):
+            edges = g.out_adj[tokens[-1]]
+            w = [weight(q, o) for q, o in edges]
+            if steps == 0 or sum(w) == 0:
+                dist[tokens if len(tokens) > 1 else None] += p
+                return
+            for (q, o), wi in zip(edges, w):
+                if wi > 0:
+                    extend(tokens + (q, o), p * wi / sum(w), steps - 1)
+
+        extend((root,), 1.0, strategy.depth)
+    dist[None] = 1.0 - sum(p for t, p in dist.items() if t is not None)
+    return dist
+
+
+class TestWalkDistribution:
+    """Empirical walk frequencies of extract_corpus within 5 SE of the exact
+    probabilities, as TestEstimatorExpectation checks alg2."""
+
+    N = 4000
+    Z = 5.0
+
+    @pytest.mark.parametrize("bias", walks.BIASES)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_enumeration(self, bias, data):
+        g, roots, strategy, seed = data.draw(walk_cases(bias, "none",
+                                                        max_depth=2))
+        strategy = replace(strategy, walks_per_entity=self.N)
+        counts = Counter(w.tokens for w in extract_corpus(
+            g, roots[:1], strategy, seed).walks)
+        counts[None] = self.N - sum(counts.values())
+        dist = walk_distribution(g, roots[0], strategy)
+        for tokens in set(dist) | set(counts):
+            p = min(max(dist.get(tokens, 0.0), 0.0), 1.0)
+            se = math.sqrt(p * (1.0 - p) / self.N)
+            assert abs(counts[tokens] / self.N - p) <= self.Z * se + 1e-9, \
+                (tokens, counts[tokens], p)
