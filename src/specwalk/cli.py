@@ -3,7 +3,8 @@
 
 Every command accepts --seed and --config (JSON file mirroring the flag
 names; explicit flags win) and writes a JSON metadata sidecar next to each
-output artifact recording the seed, a config hash and the graph checksum.
+output artifact recording the seed, a config hash and the graph checksum
+(and, for `train`, the run's counters).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -42,8 +43,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_sidecar(args, graph: Graph | None = None) -> None:
-    """Write <args.out>.meta.json recording the command's parameters."""
+def _write_sidecar(args, graph: Graph | None = None,
+                   counters: dict | None = None) -> None:
+    """Write <args.out>.meta.json recording the command's parameters, and
+    the run's deterministic `counters` when given."""
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "config")}
     payload = json.dumps(params, sort_keys=True, default=str)
@@ -54,6 +57,8 @@ def _write_sidecar(args, graph: Graph | None = None) -> None:
         "graph_checksum": graph.checksum() if graph is not None else None,
         "tool_version": __version__,
     }
+    if counters is not None:
+        meta["counters"] = counters
     with open(args.out + ".meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, sort_keys=True, indent=2)
         f.write("\n")
@@ -187,7 +192,9 @@ def cmd_train(args) -> int:
         model = train(read_corpus_lines(f), config)
     with open(args.out, "w", encoding="utf-8") as f:
         model.save_text(f)
-    _write_sidecar(args)
+    _write_sidecar(args, counters={
+        "vocab_size": len(model.vocab), "epoch_pairs": model.epoch_pairs,
+        "epoch_losses": model.epoch_losses, "final_lr": model.final_lr})
     print(f"vocab={len(model.vocab)} dim={config.dim} "
           f"final_loss={model.epoch_losses[-1] if model.epoch_losses else 0.0:.4f}")
     return 0

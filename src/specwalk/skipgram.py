@@ -13,6 +13,14 @@ before the batch, and adds the *summed* update of each row: a token that
 appears k times in a batch moves as far as k single-pair steps would from
 the same start. ``sgns_step`` is the one-pair batch.
 
+Everything a batch needs that does not depend on the weights is built once
+per chunk of ``PLAN_BATCHES`` batches: the negatives (one draw, the same
+bits as one draw per batch), the learning rates, and each batch's stable row
+order and run starts for summing the updates per row. A batch step then
+gathers, multiplies and sums into work buffers allocated once per ``train``
+call, so it allocates nothing that grows with ``dim``; the models are
+bit-identical to computing each batch from scratch.
+
 The learning rate decays linearly from ``lr`` to ``lr * 1e-4`` over the pairs
 actually trained: epoch e covers the fraction [e/epochs, (e+1)/epochs) of the
 schedule, split evenly over that epoch's pairs, so subsampling does not stop
@@ -32,6 +40,10 @@ SIGMOID_CLAMP = 30.0  # |x| beyond this contributes negligible gradient
 # batches take larger steps on frequent tokens: 256 diverges on the
 # criterion-7 corpus at the default learning rate.
 BATCH_SIZE = 64
+# Batches whose negatives and row plans are built at once. Plans take tens of
+# bytes per (pair, row) they cover: planning a whole epoch at once added
+# about 660 bytes of peak memory per pair (dim 16, 10 negatives).
+PLAN_BATCHES = 16
 
 
 @dataclass
@@ -115,7 +127,7 @@ def unigram_table(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:
 
 def sample_negatives(cum: np.ndarray, shape, rng: np.random.Generator) -> np.ndarray:
     """Vocabulary indices of the given shape drawn from the table `cum`."""
-    return np.searchsorted(cum, rng.random(shape)).astype(np.int64)
+    return np.searchsorted(cum, rng.random(shape)).astype(np.int64, copy=False)
 
 
 def _sigmoid(x):
@@ -200,12 +212,96 @@ def init_model(vocab: Vocabulary, config: TrainConfig) -> EmbeddingModel:
     return EmbeddingModel(vocab, w_in, w_out, config)
 
 
-def _scatter_add(w: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
-    """w[r] += sum of the updates for row r, for each distinct r in rows."""
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    w[rows[first]] += np.add.reduceat(updates[order], first, axis=0)
+def _row_plan(rows: np.ndarray, per_batch: int, n_rows: int):
+    """Plan for summing updates per distinct row, batch by batch.
+
+    Batch b is `rows[b * per_batch:(b + 1) * per_batch]`. Returns (order,
+    starts, distinct, bounds): `order[b * per_batch:(b + 1) * per_batch]` is
+    the stable argsort of batch b's rows (indices into the batch), and in
+    that order its equal rows form runs that begin at `starts[bounds[b]:
+    bounds[b + 1]]` and hold the rows `distinct[bounds[b]:bounds[b + 1]]`.
+    One stable argsort of `batch * n_rows + row` gives every batch's.
+    """
+    keys = np.arange(len(rows)) // per_batch * n_rows + rows
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    bounds = np.searchsorted(first, np.arange(0, len(rows) + per_batch,
+                                              per_batch))
+    # sorting keeps every batch in place, so position j and order[j] are
+    # both in batch j // per_batch
+    return (order % per_batch, first % per_batch, rows[order[first]],
+            bounds)
+
+
+def _batch_plans(centers: np.ndarray, contexts: np.ndarray,
+                 negatives: np.ndarray, per_batch: int, n_rows: int) -> list:
+    """The weight-independent inputs of `_sgns_step` for each batch of
+    `per_batch` consecutive pairs."""
+    idx = np.concatenate((contexts[:, None], negatives), axis=1)
+    k = idx.shape[1]
+    in_order, in_starts, in_rows, in_bounds = _row_plan(centers, per_batch,
+                                                        n_rows)
+    out_order, out_starts, out_rows, out_bounds = _row_plan(
+        idx.ravel(), per_batch * k, n_rows)
+    out_pair = out_order // k
+    plans = []
+    for b, lo in enumerate(range(0, len(centers), per_batch)):
+        hi = lo + per_batch
+        i0, i1 = in_bounds[b], in_bounds[b + 1]
+        o0, o1 = out_bounds[b], out_bounds[b + 1]
+        plans.append((centers[lo:hi], idx[lo:hi], in_order[lo:hi],
+                      in_starts[i0:i1], in_rows[i0:i1],
+                      out_order[lo * k:hi * k], out_pair[lo * k:hi * k],
+                      out_starts[o0:o1], out_rows[o0:o1]))
+    return plans
+
+
+class _Work:
+    """Buffers for batches of up to `pairs` pairs of `k` rows (the context
+    and its negatives) each, in the weights' dtype."""
+
+    def __init__(self, pairs: int, k: int, dim: int, dtype):
+        self.v = np.empty((pairs, dim), dtype)  # center rows of w_in
+        self.us = np.empty((pairs, k, dim), dtype)  # w_out rows; then gathers
+        self.grad_in = np.empty((pairs, dim), dtype)  # per-pair w_in update
+        self.rows = np.empty((pairs * k, dim), dtype)  # updates in row order
+        self.sums = np.empty((pairs * k, dim), dtype)  # summed per row
+
+
+def _add_runs(w: np.ndarray, updates: np.ndarray, starts: np.ndarray,
+              rows: np.ndarray, work: _Work) -> None:
+    """w[rows[i]] += sum of the run of `updates` beginning at starts[i]."""
+    sums = np.add.reduceat(updates, starts, axis=0,
+                           out=work.sums[:len(starts)])
+    gathered = np.take(w, rows, axis=0,
+                       out=work.us.reshape(-1, w.shape[1])[:len(rows)])
+    np.add(gathered, sums, out=sums)
+    w[rows] = sums
+
+
+def _sgns_step(w_in: np.ndarray, w_out: np.ndarray, plan, lr: float,
+               work: _Work) -> float:
+    """One summed gradient step over the batch `plan` describes."""
+    (centers, idx, in_order, in_starts, in_rows,
+     out_order, out_pair, out_starts, out_rows) = plan
+    n = len(centers)
+    v = np.take(w_in, centers, axis=0, out=work.v[:n])
+    us = np.take(w_out, idx, axis=0, out=work.us[:n])
+    f = _sigmoid(np.einsum("bd,bkd->bk", v, us))
+    obj = (np.log(np.maximum(f[:, 0], 1e-12)).sum(dtype=np.float64)
+           + np.log(np.maximum(1.0 - f[:, 1:], 1e-12)).sum(dtype=np.float64))
+    gscale = -f
+    gscale[:, 0] += 1.0
+    gscale *= lr
+    grad_in = np.einsum("bk,bkd->bd", gscale, us, out=work.grad_in[:n])
+    _add_runs(w_in, np.take(grad_in, in_order, axis=0, out=work.rows[:n]),
+              in_starts, in_rows, work)
+    # the outer products gscale[b, j] * v[b], built in w_out row order
+    outer = np.take(v, out_pair, axis=0, out=work.rows[:len(out_order)])
+    outer *= gscale.ravel()[out_order][:, None]
+    _add_runs(w_out, outer, out_starts, out_rows, work)
+    return float(obj)
 
 
 def sgns_batch(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
@@ -217,19 +313,10 @@ def sgns_batch(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
     row add up. Updates both matrices in place; returns the objective before
     the update.
     """
-    idx = np.concatenate((contexts[:, None], negatives), axis=1)
-    v = w_in[centers]
-    us = w_out[idx]
-    f = _sigmoid(np.einsum("bd,bkd->bk", v, us))
-    obj = (np.log(np.maximum(f[:, 0], 1e-12)).sum(dtype=np.float64)
-           + np.log(np.maximum(1.0 - f[:, 1:], 1e-12)).sum(dtype=np.float64))
-    gscale = -f
-    gscale[:, 0] += 1.0
-    gscale *= lr
-    _scatter_add(w_in, centers, np.einsum("bk,bkd->bd", gscale, us))
-    _scatter_add(w_out, idx.ravel(),
-                 (gscale[:, :, None] * v[:, None, :]).reshape(-1, v.shape[1]))
-    return float(obj)
+    n, k = len(centers), negatives.shape[1] + 1
+    (plan,) = _batch_plans(centers, contexts, negatives, n, len(w_in))
+    return _sgns_step(w_in, w_out, plan, lr,
+                      _Work(n, k, w_in.shape[1], w_in.dtype))
 
 
 def sgns_step(model: EmbeddingModel, center: int, context: int,
@@ -275,6 +362,9 @@ def train(token_lines, config: TrainConfig) -> EmbeddingModel:
 
     lr_floor = config.lr * 1e-4
     lr = config.lr
+    chunk = PLAN_BATCHES * BATCH_SIZE
+    work = _Work(BATCH_SIZE, config.negatives + 1, config.dim,
+                 model.w_in.dtype)
     for epoch in range(config.epochs):
         if keep_prob is None:
             centers, contexts = all_pairs
@@ -284,16 +374,19 @@ def train(token_lines, config: TrainConfig) -> EmbeddingModel:
                 flat[kept], np.add.reduceat(kept, line_starts), config.window)
         n_pairs = len(centers)
         order = rng.permutation(n_pairs)
-        centers, contexts = centers[order], contexts[order]
         epoch_obj = 0.0
-        for start in range(0, n_pairs, BATCH_SIZE):
-            stop = min(start + BATCH_SIZE, n_pairs)
-            progress = (epoch + start / n_pairs) / config.epochs
-            lr = max(lr_floor, config.lr * (1.0 - progress))
-            negs = sample_negatives(cum, (stop - start, config.negatives), rng)
-            epoch_obj += sgns_batch(model.w_in, model.w_out,
-                                    centers[start:stop], contexts[start:stop],
-                                    negs, lr)
+        for c0 in range(0, n_pairs, chunk):
+            c1 = min(c0 + chunk, n_pairs)
+            picked = order[c0:c1]  # the chunk's pairs, in shuffled order
+            negs = sample_negatives(cum, (c1 - c0, config.negatives), rng)
+            starts = np.arange(c0, c1, BATCH_SIZE)
+            lrs = np.maximum(lr_floor, config.lr * (
+                1.0 - (epoch + starts / n_pairs) / config.epochs)).tolist()
+            plans = _batch_plans(centers[picked], contexts[picked], negs,
+                                 BATCH_SIZE, len(vocab))
+            for plan, lr in zip(plans, lrs):
+                epoch_obj += _sgns_step(model.w_in, model.w_out, plan, lr,
+                                        work)
         mean = epoch_obj / n_pairs if n_pairs else 0.0
         model.epoch_losses.append(-mean)  # negative objective = loss
         model.epoch_pairs.append(n_pairs)

@@ -6,6 +6,9 @@ import re
 import pytest
 
 from specwalk.cli import main
+from specwalk.ntriples import open_text
+from specwalk.skipgram import TrainConfig, train
+from specwalk.walks import read_corpus_lines
 
 SYNTH = "http://synth.specwalk.local/"
 FILM = SYNTH + "class/Film"
@@ -371,6 +374,23 @@ class TestWalk:
 
 
 class TestTrainRecommendEval:
+    def test_train_sidecar_counters(self, pipeline, tmp_path):
+        corpus = pipeline / "walks.txt"
+        args = ["--dim", "8", "--window", "3", "--negatives", "2",
+                "--epochs", "3", "--seed", "4"]
+        out = tmp_path / "model.txt"
+        sidecars = []
+        for _ in range(2):
+            assert main(["train", str(corpus), "--out", str(out)] + args) == 0
+            sidecars.append(file_hash(tmp_path / "model.txt.meta.json"))
+        assert sidecars[0] == sidecars[1]
+        with open_text(str(corpus)) as f:
+            model = train(read_corpus_lines(f), TrainConfig(
+                dim=8, window=3, negatives=2, epochs=3, seed=4))
+        assert read_meta(out)["counters"] == {
+            "vocab_size": len(model.vocab), "epoch_pairs": model.epoch_pairs,
+            "epoch_losses": model.epoch_losses, "final_lr": model.final_lr}
+
     def test_recommend_stdout(self, pipeline, capsys):
         assert main(["recommend", str(pipeline / "model.txt"),
                      "--query", SYNTH + "film/f0_0", "--k", "3",

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specwalk.skipgram import (BATCH_SIZE, EmbeddingModel, TrainConfig,
-                               Vocabulary, build_vocab, context_pair_arrays,
-                               init_model, sample_negatives, sgns_batch,
-                               sgns_step, train, unigram_table)
+from specwalk.skipgram import (BATCH_SIZE, PLAN_BATCHES, EmbeddingModel,
+                               TrainConfig, Vocabulary, build_vocab,
+                               context_pair_arrays, init_model,
+                               sample_negatives, sgns_batch, sgns_step, train,
+                               unigram_table)
 
 
 def two_clique_corpus(seed=0, lines=300):
@@ -340,3 +342,180 @@ class TestTraining:
                              ("subsample", float("nan")), ("min_count", 0)):
             with pytest.raises(ValueError, match=field):
                 TrainConfig(**{field: value})
+
+
+# -- byte-identity oracle ----------------------------------------------------
+# The trainer as it was before negatives and row plans were built per chunk
+# of batches: every batch draws its own negatives, sorts its own rows and
+# allocates its own temporaries. The chunked trainer must match it bit for bit.
+
+def _reference_scatter_add(w, rows, updates):
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    w[rows[first]] += np.add.reduceat(updates[order], first, axis=0)
+
+
+def _reference_sgns_batch(w_in, w_out, centers, contexts, negatives, lr):
+    idx = np.concatenate((contexts[:, None], negatives), axis=1)
+    v = w_in[centers]
+    us = w_out[idx]
+    f = 1.0 / (1.0 + np.exp(-np.clip(np.einsum("bd,bkd->bk", v, us),
+                                     -30.0, 30.0)))
+    obj = (np.log(np.maximum(f[:, 0], 1e-12)).sum(dtype=np.float64)
+           + np.log(np.maximum(1.0 - f[:, 1:], 1e-12)).sum(dtype=np.float64))
+    gscale = -f
+    gscale[:, 0] += 1.0
+    gscale *= lr
+    _reference_scatter_add(w_in, centers, np.einsum("bk,bkd->bd", gscale, us))
+    _reference_scatter_add(
+        w_out, idx.ravel(),
+        (gscale[:, :, None] * v[:, None, :]).reshape(-1, v.shape[1]))
+    return float(obj)
+
+
+def _reference_train(token_lines, config):
+    lines = [list(t) for t in token_lines]
+    vocab = build_vocab(lines, min_count=config.min_count)
+    ids = [[vocab.index[t] for t in tokens if t in vocab.index]
+           for tokens in lines]
+    ids = [s for s in ids if len(s) >= 2]
+    model = init_model(vocab, config)
+    if config.epochs == 0 or not ids:
+        return model
+    lengths = np.array([len(s) for s in ids], dtype=np.int64)
+    flat = np.fromiter((t for s in ids for t in s), dtype=np.int32,
+                       count=int(lengths.sum()))
+    rng = np.random.Generator(np.random.PCG64(config.seed + 1))
+    cum = unigram_table(vocab)
+    keep_prob = None
+    if config.subsample > 0:
+        freq = vocab.counts / vocab.counts.sum()
+        keep_prob = np.minimum(
+            1.0, np.sqrt(config.subsample / np.maximum(freq, 1e-12))
+            + config.subsample / np.maximum(freq, 1e-12))
+        line_starts = np.cumsum(lengths) - lengths
+    else:
+        all_pairs = context_pair_arrays(flat, lengths, config.window)
+    lr_floor = config.lr * 1e-4
+    lr = config.lr
+    for epoch in range(config.epochs):
+        if keep_prob is None:
+            centers, contexts = all_pairs
+        else:
+            kept = rng.random(len(flat)) < keep_prob[flat]
+            centers, contexts = context_pair_arrays(
+                flat[kept], np.add.reduceat(kept, line_starts), config.window)
+        n_pairs = len(centers)
+        order = rng.permutation(n_pairs)
+        centers, contexts = centers[order], contexts[order]
+        epoch_obj = 0.0
+        for start in range(0, n_pairs, BATCH_SIZE):
+            stop = min(start + BATCH_SIZE, n_pairs)
+            progress = (epoch + start / n_pairs) / config.epochs
+            lr = max(lr_floor, config.lr * (1.0 - progress))
+            negs = sample_negatives(cum, (stop - start, config.negatives), rng)
+            epoch_obj += _reference_sgns_batch(
+                model.w_in, model.w_out, centers[start:stop],
+                contexts[start:stop], negs, lr)
+        mean = epoch_obj / n_pairs if n_pairs else 0.0
+        model.epoch_losses.append(-mean)
+        model.epoch_pairs.append(n_pairs)
+    model.final_lr = lr
+    return model
+
+
+def assert_same_model(got, want):
+    assert got.vocab.tokens == want.vocab.tokens
+    assert got.w_in.tobytes() == want.w_in.tobytes()
+    assert got.w_out.tobytes() == want.w_out.tobytes()
+    assert got.epoch_losses == want.epoch_losses
+    assert got.epoch_pairs == want.epoch_pairs
+    assert got.final_lr == want.final_lr
+
+
+CHUNK_PAIRS = PLAN_BATCHES * BATCH_SIZE
+# A two-token line gives two pairs, so n such lines give 2n pairs. Pair
+# counts are always even (both orders of a pair train), so one chunk +- 2
+# pairs is as close to a chunk boundary as an epoch can fall.
+BOUNDARY_LINES = [CHUNK_PAIRS // 2 - 1, CHUNK_PAIRS // 2, CHUNK_PAIRS // 2 + 1,
+                  3 * CHUNK_PAIRS // 2 - 1, 3 * CHUNK_PAIRS // 2 + 1]
+
+
+def pair_lines(n, seed):
+    """n two-token lines over five tokens, some repeating one token."""
+    rng = random.Random(seed)
+    return [[rng.choice("vwxyz"), rng.choice("vwxyz")] for _ in range(n)]
+
+
+class TestByteIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(st.lists(st.sampled_from("abcdef"), max_size=9),
+                          max_size=8),
+           filler=st.sampled_from([0, 3, 40] + BOUNDARY_LINES),
+           window=st.integers(1, 4), negatives=st.integers(1, 4),
+           dim=st.sampled_from([1, 3, 8]), epochs=st.integers(1, 3),
+           subsample=st.sampled_from([0.0, 0.05]), lr=st.sampled_from(
+               [0.005, 0.025]), seed=st.integers(0, 2**16))
+    def test_train_equals_per_batch_reference(self, lines, filler, window,
+                                              negatives, dim, epochs,
+                                              subsample, lr, seed):
+        corpus = lines + pair_lines(filler, seed)
+        if not any(corpus):
+            corpus = [["a"]]
+        cfg = TrainConfig(dim=dim, window=window, negatives=negatives,
+                          epochs=epochs, lr=lr, subsample=subsample, seed=seed)
+        assert_same_model(train(corpus, cfg), _reference_train(corpus, cfg))
+
+    @pytest.mark.parametrize("n_lines", [10] + BOUNDARY_LINES)
+    def test_chunk_boundaries(self, n_lines):
+        corpus = pair_lines(n_lines, n_lines)
+        cfg = TrainConfig(dim=4, window=1, negatives=3, epochs=2, seed=5)
+        got = train(corpus, cfg)
+        assert got.epoch_pairs == [2 * n_lines] * 2
+        assert_same_model(got, _reference_train(corpus, cfg))
+
+    @settings(max_examples=100, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           pairs=st.integers(1, 2 * BATCH_SIZE), negatives=st.integers(0, 4),
+           dim=st.integers(1, 9), n_rows=st.integers(1, 12),
+           lr=st.sampled_from([0.0, 0.025, 1.0]), seed=st.integers(0, 2**16))
+    def test_sgns_batch_equals_reference(self, dtype, pairs, negatives, dim,
+                                         n_rows, lr, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        w_in = rng.normal(0, 0.5, (n_rows, dim)).astype(dtype)
+        w_out = rng.normal(0, 0.5, (n_rows, dim)).astype(dtype)
+        centers = rng.integers(n_rows, size=pairs)
+        contexts = rng.integers(n_rows, size=pairs)
+        negs = rng.integers(n_rows, size=(pairs, negatives))
+        ref_in, ref_out = w_in.copy(), w_out.copy()
+        got = sgns_batch(w_in, w_out, centers, contexts, negs, lr)
+        want = _reference_sgns_batch(ref_in, ref_out, centers, contexts, negs,
+                                     lr)
+        assert got == want
+        assert w_in.tobytes() == ref_in.tobytes()
+        assert w_out.tobytes() == ref_out.tobytes()
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_memory_grows_with_pairs_only_by_the_pair_arrays():
+    """The work buffers and each chunk's negatives and plans do not grow with
+    the corpus: four times the corpus adds at most 32 bytes of peak per added
+    pair. The epoch's pair arrays and its shuffle order take 16; an epoch's
+    negatives alone would take 80 here."""
+    rng = random.Random(0)
+    tokens = [f"t{i}" for i in range(40)]
+    corpus = [rng.choices(tokens, k=20) for _ in range(100)]
+    cfg = TrainConfig(dim=16, window=10, negatives=10, epochs=1, seed=0)
+    small = traced_peak(train, corpus, cfg)
+    large = traced_peak(train, corpus * 4, cfg)
+    added = 3 * train(corpus, cfg).epoch_pairs[0]
+    assert (large - small) / added <= 32
