@@ -4,7 +4,7 @@
 Every command accepts --seed and --config (JSON file mirroring the flag
 names; explicit flags win) and writes a JSON metadata sidecar next to each
 output artifact recording the seed, a config hash and the graph checksum
-(and, for `train`, the run's counters).
+(and, for `walk` and `train`, the run's counters).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -29,8 +29,8 @@ from .specificity import (EstimatorParams, SpecificityTable,
                           rank_by_specificity)
 from .synth import (franchise_graph, layered_graph, relevance_inversion_graph,
                     sensitivity_fixture)
-from .walks import (WalkCorpus, WalkStrategy, extract_corpus, read_corpus_lines,
-                    write_corpus, write_stats_csv)
+from .walks import (WalkCorpus, WalkStrategy, distinct_rows, extract_corpus,
+                    read_corpus_lines, write_corpus, write_stats_csv)
 
 
 class UsageError(Exception):
@@ -160,22 +160,23 @@ def cmd_walk(args) -> int:
     depths = [args.depth]
     if args.depth > 1 and not args.no_depth1:
         depths = [1, args.depth]  # depth-d corpora include depth-1 walks
-    merged = WalkCorpus()
+    merged, counters = WalkCorpus(), {}
     for depth in depths:
         part = extract_corpus(g, entities, strategy(depth), seed=args.seed,
                               workers=args.workers)
         merged.walks.extend(part.walks)
         merged.stats.extend(part.stats)
+        counters[depth] = part.counters
     header = {"bias": args.bias, "pruning": args.pruning, "depth": args.depth,
               "walks_per_entity": args.walks, "seed": args.seed,
               "graph": g.checksum()}
     with open(args.out, "w", encoding="utf-8") as f:
         write_corpus(g, merged, f, header)
-    _write_sidecar(args, g)
+    _write_sidecar(args, g, counters)
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as f:
             write_stats_csv(g, merged, f)
-    distinct = len({w.tokens for w in merged.walks})
+    distinct = len(distinct_rows(merged.tokens))
     print(f"entities={len(entities)} walks={len(merged.walks)} "
           f"distinct={distinct}")
     if not merged.walks:

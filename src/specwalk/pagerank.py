@@ -79,11 +79,15 @@ def compute_pagerank(graph: Graph, damping: float = 0.85) -> ScoreMap:
 
 
 def load_scores(lines, strict: bool = False) -> ScoreMap:
-    """Read raw (non-normalized) scores from TSV lines `term<TAB>score`."""
+    """Read raw (non-normalized) scores from TSV lines `term<TAB>score`.
+
+    A line that starts with '#' is a comment unless it is such a row, as
+    save_scores writes for a term such as the IRI <#a>.
+    """
     scores: dict[str, float] = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
+        if not line:
             continue
         parts = line.split("\t")
         try:
@@ -91,6 +95,8 @@ def load_scores(lines, strict: bool = False) -> ScoreMap:
                 raise ValueError("expected two columns")
             term, value = parts[0], float(parts[1])
         except ValueError as exc:
+            if line.startswith("#"):
+                continue
             if strict:
                 raise GraphError(f"bad score row at line {lineno}: {line!r}") from exc
             log.warning("skipping bad score row at line %d: %r", lineno, line)

@@ -150,9 +150,9 @@ class EmbeddingModel:
     def save_text(self, out) -> None:
         """word2vec text format over input vectors."""
         out.write(f"{len(self.vocab)} {self.config.dim}\n")
-        for i, token in enumerate(self.vocab.tokens):
-            vals = " ".join(f"{x:.6f}" for x in self.w_in[i])
-            out.write(f"{token} {vals}\n")
+        row = "%s " + " ".join(["%.6f"] * self.w_in.shape[1]) + "\n"
+        out.writelines(row % (token, *values) for token, values in
+                       zip(self.vocab.tokens, self.w_in.tolist()))
 
     @classmethod
     def load_text(cls, stream) -> "EmbeddingModel":

@@ -14,9 +14,10 @@ entity), and attempt a does not depend on the budget.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .specificity import SpecificityTable
 BIASES = ("uniform", "frequency", "pagerank", "specificity")
 PRUNING_SCHEMES = ("none", "NRSE", "UE", "NRST", "UET")
 
-CHUNK_ROWS = 8192  # attempts advanced together; bounds the working arrays
+CHUNK_ROWS = 8192  # rows walked or written together; bounds working arrays
 
 
 @dataclass(frozen=True)
@@ -79,18 +80,86 @@ class WalkStrategy:
             raise ValueError("pagerank bias requires node scores")
 
 
-@dataclass
-class EntityStats:
+class EntityStats(NamedTuple):
     entity: int
     attempts: int
     walks: int
     distinct: int
 
 
-@dataclass
+class _View(Sequence):
+    """Read-only sequence over some of a corpus's arrays that builds one
+    record per index on access; extend(view) concatenates the arrays."""
+
+    def __init__(self, corpus: "WalkCorpus", names: tuple[str, ...], record):
+        self._corpus, self._names, self._record = corpus, names, record
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [getattr(self._corpus, name) for name in self._names]
+
+    def __len__(self) -> int:
+        return len(self._arrays()[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self._record(*(a[i].tolist() for a in self._arrays()))
+
+    def __iter__(self):
+        return map(self._record, *(a.tolist() for a in self._arrays()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def extend(self, other: "_View") -> None:
+        """Append other's records; token rows are padded with -1 to the
+        wider of the two widths."""
+        for name, a, b in zip(self._names, self._arrays(), other._arrays()):
+            if a.ndim == 2:
+                width = max(a.shape[1], b.shape[1])
+                a, b = (np.pad(x, ((0, 0), (0, width - x.shape[1])),
+                               constant_values=-1) for x in (a, b))
+            setattr(self._corpus, name, np.concatenate((a, b)))
+
+
+def _ints(*shape):
+    return field(default_factory=lambda: np.zeros(shape, dtype=np.int64))
+
+
+@dataclass(eq=False)
 class WalkCorpus:
-    walks: list[Walk] = field(default_factory=list)
-    stats: list[EntityStats] = field(default_factory=list)
+    """Accepted walks as token rows, int64 padded with -1 after each walk's
+    last token; per listed entity, its id, attempts, accepted walks and
+    distinct walks; and the counters of the extraction pass.
+
+    `walks` and `stats` are views that build a Walk or an EntityStats per row
+    on access.
+    """
+
+    tokens: np.ndarray = _ints(0, 0)
+    entity: np.ndarray = _ints(0)
+    attempts: np.ndarray = _ints(0)
+    accepted: np.ndarray = _ints(0)
+    distinct: np.ndarray = _ints(0)
+    counters: dict = field(default_factory=dict)
+
+    @property
+    def walks(self) -> _View:
+        return _View(self, ("tokens",),
+                     lambda row: Walk(tuple(t for t in row if t >= 0)))
+
+    @property
+    def stats(self) -> _View:
+        return _View(self, ("entity", "attempts", "accepted", "distinct"),
+                     EntityStats)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, WalkCorpus) and self.walks == other.walks
+                and self.stats == other.stats
+                and self.counters == other.counters)
 
 
 def prune_mask(g: Graph, nodes: np.ndarray, scheme: str) -> np.ndarray:
@@ -211,15 +280,25 @@ def _template_walks(g, seed, root, attempt, *, templates, cum) -> np.ndarray:
     return tokens
 
 
+def distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, in an order of its own. (numpy
+    2.4's np.unique imports numpy.ma on first use, about 1.5 MiB.)"""
+    a = a[np.lexsort(a.T)]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[first]
+
+
 def extract_corpus(g: Graph, entities, strategy: WalkStrategy,
                    seed: int = 0, workers: int = 1) -> WalkCorpus:
     """Up to walks_per_entity accepted walks rooted at each entity, in entity
-    order, then attempt order; one EntityStats per listed entity.
+    order, then attempt order; one stats record per listed entity.
 
-    The budget counts attempts: walks rejected by pruning, dead-ended at the
-    root or along an incomplete specificity template consume budget without
-    being retried. A free walk that dead-ends after at least one step is
-    kept, shorter. `workers` is accepted for compatibility and ignored.
+    The budget counts attempts: walks rejected by pruning (counted as
+    `pruned`), dead-ended at the root or along an incomplete specificity
+    template (`dead`) consume budget without being retried. A free walk that
+    dead-ends after at least one step is kept, shorter. `workers` is
+    accepted for compatibility and ignored.
     """
     roots = list(entities)
     for e in roots:
@@ -236,41 +315,56 @@ def extract_corpus(g: Graph, entities, strategy: WalkStrategy,
         walk = partial(_free_walks, depth=strategy.depth,
                        pick=_edge_picker(g, strategy))
 
-    corpus = WalkCorpus()
-    owners = []
+    blocks, owners = [], []
+    dead = pruned = 0
     n_rows = len(roots) * attempts
     for r0 in range(0, n_rows, CHUNK_ROWS):
         rows = np.arange(r0, min(r0 + CHUNK_ROWS, n_rows))
         tokens = walk(g, seed, roots[rows // attempts], rows % attempts)
         nodes = tokens[:, 0::2]
-        keep = (nodes[:, 1] >= 0) & prune_mask(g, nodes, strategy.pruning)
-        lengths = 2 * (nodes[keep] >= 0).sum(axis=1) - 1
-        corpus.walks.extend(Walk(tuple(t[:n])) for t, n in zip(
-            tokens[keep].tolist(), lengths.tolist()))
+        live = nodes[:, 1] >= 0
+        keep = live & prune_mask(g, nodes, strategy.pruning)
+        blocks.append(tokens[keep])
         owners.append(rows[keep] // attempts)
+        dead += len(rows) - int(live.sum())
+        pruned += int(live.sum() - keep.sum())
 
+    tokens = np.concatenate(
+        blocks or [np.zeros((0, 2 * strategy.depth + 1), dtype=np.int64)])
     owner = np.concatenate(owners or [np.zeros(0, dtype=np.int64)])
-    accepted = np.bincount(owner, minlength=len(roots))
-    pairs = set(zip(owner.tolist(), (w.tokens for w in corpus.walks)))
-    distinct = np.bincount(np.fromiter((o for o, _ in pairs), np.int64,
-                                       len(pairs)), minlength=len(roots))
-    corpus.stats = [EntityStats(e, attempts, n, d) for e, n, d in zip(
-        roots.tolist(), accepted.tolist(), distinct.tolist())]
-    return corpus
+    distinct = distinct_rows(np.column_stack((owner, tokens)))[:, 0]
+    return WalkCorpus(
+        tokens, roots, np.full(len(roots), attempts),
+        np.bincount(owner, minlength=len(roots)),
+        np.bincount(distinct, minlength=len(roots)),
+        {"attempts": n_rows, "accepted": len(tokens),
+         "distinct": len(distinct), "pruned": pruned, "dead": dead})
 
 
 # -- corpus files --------------------------------------------------------
 
 def write_corpus(g: Graph, corpus: WalkCorpus, out,
                  header: dict | None = None) -> None:
-    """One walk per line, space-separated tokens; '#' header records the run."""
+    """One walk per line, space-separated tokens, after a '# ' header line
+    that records the run. Each distinct token is rendered once."""
     if header:
         fields = " ".join(f"{k}={v}" for k, v in sorted(header.items()))
         out.write(f"# {fields}\n")
-    token = {t: g.render_token(t)
-             for t in set(chain.from_iterable(w.tokens for w in corpus.walks))}
-    out.writelines(" ".join(map(token.__getitem__, w.tokens)) + "\n"
-                   for w in corpus.walks)
+    tokens = corpus.tokens
+    seen = np.zeros(g.n_terms + 1, dtype=bool)
+    seen[tokens] = True  # padding (-1) marks the last slot, which stays ""
+    ids = np.flatnonzero(seen[:-1]).tolist()
+    word = np.full(g.n_terms + 1, "", dtype=object)
+    word[ids] = [g.render_token(t) for t in ids]
+    spaced = np.full(g.n_terms + 1, "", dtype=object)
+    spaced[ids] = [" " + w for w in word[ids]]
+    for r0 in range(0, len(tokens), CHUNK_ROWS):
+        block = tokens[r0:r0 + CHUNK_ROWS]
+        cells = np.empty((len(block), block.shape[1] + 1), dtype=object)
+        cells[:, 0] = word[block[:, 0]]
+        cells[:, 1:-1] = spaced[block[:, 1:]]
+        cells[:, -1] = "\n"
+        out.write("".join(cells.ravel().tolist()))
 
 
 def write_stats_csv(g: Graph, corpus: WalkCorpus, out) -> None:
@@ -280,9 +374,11 @@ def write_stats_csv(g: Graph, corpus: WalkCorpus, out) -> None:
 
 
 def read_corpus_lines(stream):
-    """Token lists from a corpus stream, skipping header/comment lines."""
-    for line in stream:
+    """Token lists from a corpus stream. Only the first line can be a header,
+    and only when it starts with '# ': a later line that starts with '#' is a
+    walk rooted at an IRI such as <#a>. Blank lines are skipped."""
+    for i, line in enumerate(stream):
         line = line.rstrip("\n")
-        if not line or line.startswith("#"):
+        if not line or (i == 0 and line.startswith("# ")):
             continue
         yield line.split(" ")

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import hashlib
 import json
@@ -7,7 +8,7 @@ import pytest
 
 from specwalk.cli import main
 from specwalk.ntriples import open_text
-from specwalk.skipgram import TrainConfig, train
+from specwalk.skipgram import EmbeddingModel, TrainConfig, train
 from specwalk.walks import read_corpus_lines
 
 SYNTH = "http://synth.specwalk.local/"
@@ -359,6 +360,73 @@ class TestWalk:
                      "--type", FILM, "--depth", "2", "--walks", "60",
                      "--seed", "3", "--workers", "2"] + extra) == 0
         assert out.read_bytes() == (pipeline / "walks.txt").read_bytes()
+
+    def test_hash_leading_root_keeps_its_walks(self, tmp_path, capsys):
+        # <#a> renders as the token #a, so its corpus lines start with '#'
+        rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+        nt = tmp_path / "g.nt"
+        nt.write_text(f"<#a> {rdf_type} <http://x/T> .\n"
+                      f"<http://x/c> {rdf_type} <http://x/T> .\n"
+                      "<#a> <http://x/p> <http://x/b> .\n"
+                      "<http://x/c> <http://x/p> <http://x/b> .\n"
+                      "<http://x/b> <http://x/q> <#a> .\n")
+        snap, corpus = tmp_path / "g.snap", tmp_path / "c.txt"
+        model = tmp_path / "m.txt"
+        assert main(["ingest", str(nt), "--out", str(snap)]) == 0
+        assert main(["walk", str(snap), "--out", str(corpus), "--type",
+                     "http://x/T", "--depth", "2", "--walks", "10"]) == 0
+        printed = capsys.readouterr().out
+        header, *lines = corpus.read_text().splitlines()
+        assert header.startswith("# ") and "bias=uniform" in header
+        assert any(line.startswith("#a ") for line in lines)
+        assert f"walks={len(lines)} " in printed
+        with open_text(str(corpus)) as f:
+            assert list(read_corpus_lines(f)) == [l.split(" ") for l in lines]
+        assert main(["train", str(corpus), "--out", str(model), "--dim", "4",
+                     "--window", "2", "--negatives", "2", "--epochs", "1"]) == 0
+        with open(model, encoding="utf-8") as f:
+            vocab = set(EmbeddingModel.load_text(f).vocab.tokens)
+        assert "#a" in vocab
+        assert vocab == {t for line in lines for t in line.split(" ")}
+
+    def test_walk_sidecar_counters(self, tmp_path):
+        # a -> b -> a is pruned by NRSE; x has no out-edge, so it is dead
+        rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+        nt = tmp_path / "g.nt"
+        nt.write_text(f"<http://x/a> {rdf_type} <http://x/T> .\n"
+                      "<http://x/a> <http://x/p> <http://x/b> .\n"
+                      "<http://x/b> <http://x/p> <http://x/a> .\n"
+                      "<http://x/b> <http://x/q> <http://x/x> .\n")
+        snap, entities = tmp_path / "g.snap", tmp_path / "roots.txt"
+        entities.write_text("http://x/a\nhttp://x/b\nhttp://x/x\n")
+        assert main(["ingest", str(nt), "--out", str(snap)]) == 0
+        out, stats = tmp_path / "c.txt", tmp_path / "c.csv"
+        sidecars = []
+        for _ in range(2):
+            assert main(["walk", str(snap), "--out", str(out), "--entities",
+                         str(entities), "--depth", "2", "--walks", "40",
+                         "--pruning", "NRSE", "--stats", str(stats)]) == 0
+            sidecars.append(file_hash(tmp_path / "c.txt.meta.json"))
+        assert sidecars[0] == sidecars[1]
+        counters = read_meta(out)["counters"]
+        assert sorted(counters) == ["1", "2"]
+        for c in counters.values():
+            assert sorted(c) == ["accepted", "attempts", "dead", "distinct",
+                                 "pruned"]
+            assert c["attempts"] == c["accepted"] + c["pruned"] + c["dead"]
+            assert c["attempts"] == 3 * 40
+            assert c["dead"] == 40
+        assert counters["1"]["pruned"] == 0 < counters["2"]["pruned"]
+        with open(stats, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        for depth, part in (("1", rows[:3]), ("2", rows[3:])):
+            for field, column in (("attempts", "attempts"),
+                                  ("accepted", "walks"),
+                                  ("distinct", "distinct")):
+                assert counters[depth][field] == sum(int(r[column])
+                                                     for r in part)
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == sum(c["accepted"] for c in counters.values())
 
     def test_stats_csv_rerun_identical(self, pipeline, tmp_path):
         stats = []

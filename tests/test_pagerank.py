@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specwalk.graph import GraphError
+from specwalk.ntriples import parse_ntriples
 from specwalk.pagerank import (ScoreMap, compute_pagerank, load_scores,
                                save_scores)
 
@@ -113,6 +114,23 @@ class TestScoreIO:
         save_scores(sm, buf)
         buf.seek(0)
         assert load_scores(buf).scores == sm.scores
+
+    def test_round_trip_keeps_hash_leading_term(self):
+        # the IRI <#a> is the term "#a", so its row starts with '#'
+        g = parse_ntriples(["<#a> <p> <b> .\n", "<b> <p> <#a> .\n",
+                            "<b> <p> <c> .\n"])
+        sm = compute_pagerank(g)
+        buf = io.StringIO()
+        save_scores(sm, buf)
+        assert buf.getvalue().startswith("#a\t")
+        buf.seek(0)
+        loaded = load_scores(buf, strict=True)
+        assert set(loaded.scores) == set(sm.scores) == {"#a", "b", "c", "p"}
+        assert loaded.bind(g)[g.term_id("#a")] > 0
+
+    def test_hash_comment_without_score_still_skipped_in_strict_mode(self):
+        sm = load_scores(["# two\tcolumns\n", "#x\t0.5\n"], strict=True)
+        assert sm.scores == {"#x": 0.5}
 
     def test_bind_resolves_and_drops_unmatched(self, chain_graph):
         g = chain_graph

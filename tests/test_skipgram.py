@@ -325,6 +325,27 @@ class TestTraining:
         assert loaded.vocab.tokens == model.vocab.tokens
         assert np.allclose(loaded.vector(a[0]), model.vector(a[0]), atol=1e-6)
 
+    @settings(max_examples=50, deadline=None)
+    @given(values=st.lists(st.floats(width=32), min_size=1, max_size=12),
+           dim=st.integers(1, 4))
+    def test_save_text_matches_per_float_formatting(self, values, dim):
+        # the per-float f-string writer save_text had before it formatted
+        # one row at a time; float32 values include -0.0, subnormals, 1e-7
+        # and values of 1e5 and above
+        special = [-0.0, 1e-45, -1.4e-40, 1e-7, -1e-7, 1e5, -123456.79,
+                   3.4e38, 0.5, 2.5e-6]
+        flat = np.array(special + values, dtype=np.float32)
+        flat = np.resize(flat, (-(-len(flat) // dim), dim))
+        tokens = [f"t{i}" for i in range(len(flat))]
+        model = EmbeddingModel(Vocabulary(dict.fromkeys(tokens, 1)), flat,
+                               None, TrainConfig(dim=dim))
+        want = f"{len(tokens)} {dim}\n" + "".join(
+            f"{token} {' '.join(f'{x:.6f}' for x in model.w_in[i])}\n"
+            for i, token in enumerate(model.vocab.tokens))
+        buf = io.StringIO()
+        model.save_text(buf)
+        assert buf.getvalue() == want
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
     def test_load_rejects_non_finite_values(self, value):
         # 1e39 is beyond float32's range, so it would load as inf

@@ -2,6 +2,7 @@ import io
 import math
 from collections import Counter, defaultdict
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -292,7 +293,7 @@ class TestCorpusIO:
         w = Walk((g.term_id(EX + "f"), g.term_id(EX + "p"),
                   g.term_id('"two words"')))
         buf = io.StringIO()
-        write_corpus(g, WalkCorpus(walks=[w]), buf)
+        write_corpus(g, WalkCorpus(tokens=np.array([w.tokens])), buf)
         tokens = buf.getvalue().split(" ")
         assert len(tokens) == 3
         assert tokens[2].rstrip("\n") == '"two_words"'
@@ -505,6 +506,158 @@ class TestLockstep:
         u = np.array([0.0, 0.5, 1 - 2.0 ** -53, 0.5, 1 - 2.0 ** -53])
         assert walks.weighted_pick(cum, last, lo, hi, u).tolist() == [
             1, 1, 1, -1, 4]
+
+
+# -- the array corpus against the tuple-building extraction it replaced ---
+
+def _reference_extract_corpus(g, entities, strategy, seed):
+    """extract_corpus as it was before the corpus became token arrays: one
+    Walk per accepted row, distinct walks counted over a set of (owner,
+    tokens) pairs. Returns ([tokens], [(entity, attempts, walks, distinct)],
+    counters) with counters from the same masks."""
+    roots = np.array(list(entities), dtype=np.int64)
+    attempts = strategy.walks_per_entity
+    if strategy.bias == "specificity":
+        entries = strategy.specificity_table.above_threshold(
+            strategy.depth, strategy.threshold)
+        walk = partial(walks._template_walks,
+                       templates=[e.relationship.predicates for e in entries],
+                       cum=walks._cumulative([e.score for e in entries]))
+    else:
+        walk = partial(walks._free_walks, depth=strategy.depth,
+                       pick=walks._edge_picker(g, strategy))
+    out, owners = [], []
+    live_rows = 0
+    n_rows = len(roots) * attempts
+    for r0 in range(0, n_rows, walks.CHUNK_ROWS):
+        rows = np.arange(r0, min(r0 + walks.CHUNK_ROWS, n_rows))
+        tokens = walk(g, seed, roots[rows // attempts], rows % attempts)
+        nodes = tokens[:, 0::2]
+        live = nodes[:, 1] >= 0
+        keep = live & walks.prune_mask(g, nodes, strategy.pruning)
+        live_rows += int(live.sum())
+        lengths = 2 * (nodes[keep] >= 0).sum(axis=1) - 1
+        out.extend(Walk(tuple(t[:n])) for t, n in zip(
+            tokens[keep].tolist(), lengths.tolist()))
+        owners.append(rows[keep] // attempts)
+    owner = np.concatenate(owners or [np.zeros(0, dtype=np.int64)])
+    accepted = np.bincount(owner, minlength=len(roots))
+    pairs = set(zip(owner.tolist(), (w.tokens for w in out)))
+    distinct = np.bincount(np.fromiter((o for o, _ in pairs), np.int64,
+                                       len(pairs)), minlength=len(roots))
+    stats = [(e, attempts, n, d) for e, n, d in zip(
+        roots.tolist(), accepted.tolist(), distinct.tolist())]
+    counters = {"attempts": n_rows, "accepted": len(out),
+                "distinct": len(pairs), "pruned": live_rows - len(out),
+                "dead": n_rows - live_rows}
+    return [w.tokens for w in out], stats, counters
+
+
+def _reference_write_corpus(g, tokens, header=None):
+    """write_corpus's bytes as it wrote them from Walk tuples."""
+    buf = io.StringIO()
+    if header:
+        fields = " ".join(f"{k}={v}" for k, v in sorted(header.items()))
+        buf.write(f"# {fields}\n")
+    buf.writelines(" ".join(map(g.render_token, t)) + "\n" for t in tokens)
+    return buf.getvalue()
+
+
+def _written(g, corpus, header=None):
+    buf = io.StringIO()
+    write_corpus(g, corpus, buf, header)
+    return buf.getvalue()
+
+
+def _stats_of(corpus):
+    return [tuple(s) for s in corpus.stats]
+
+
+class TestArrayCorpus:
+    @pytest.mark.parametrize("pruning", walks.PRUNING_SCHEMES)
+    @pytest.mark.parametrize("bias", walks.BIASES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_tuple_reference(self, bias, pruning, data):
+        g, roots, strategy, seed = data.draw(walk_cases(bias, pruning))
+        corpus = extract_corpus(g, roots, strategy, seed)
+        want, stats, counters = _reference_extract_corpus(g, roots, strategy,
+                                                          seed)
+        assert tokens_of(corpus) == want
+        assert _stats_of(corpus) == stats
+        assert corpus.counters == counters
+        header = {"bias": bias, "pruning": pruning}
+        assert _written(g, corpus, header) == _reference_write_corpus(
+            g, want, header)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), bias=st.sampled_from(walks.BIASES),
+           pruning=st.sampled_from(walks.PRUNING_SCHEMES))
+    def test_counters_against_an_unpruned_pass(self, data, bias, pruning):
+        # pruning takes no draw, so the unpruned pass walks the same rows
+        g, roots, strategy, seed = data.draw(walk_cases(bias, pruning))
+        c = extract_corpus(g, roots, strategy, seed).counters
+        free = extract_corpus(g, roots, replace(strategy, pruning="none"),
+                              seed)
+        assert c["attempts"] == c["accepted"] + c["pruned"] + c["dead"]
+        assert c["dead"] == free.counters["dead"] == c["attempts"] - len(
+            free.walks)
+        assert c["pruned"] == len(free.walks) - c["accepted"]
+
+    def test_merged_depths_match_reference(self, franchise):
+        # as cmd_walk merges its passes: depth-1 rows padded to width 5
+        g, info = franchise
+        roots = sorted(g.entities_of_type(info["type"]))[:4]
+        merged, tokens, stats = WalkCorpus(), [], []
+        for depth in (1, 2):
+            strategy = WalkStrategy(depth=depth, walks_per_entity=30,
+                                    pruning="NRSE")
+            part = extract_corpus(g, roots, strategy, seed=7)
+            merged.walks.extend(part.walks)
+            merged.stats.extend(part.stats)
+            want, want_stats, _ = _reference_extract_corpus(g, roots,
+                                                            strategy, 7)
+            tokens += want
+            stats += want_stats
+        assert merged.tokens.shape == (len(tokens), 5)
+        assert tokens_of(merged) == tokens
+        assert {len(t) for t in tokens} == {3, 5}
+        assert _stats_of(merged) == stats
+        assert len(merged.stats) == 8
+        assert _written(g, merged) == _reference_write_corpus(g, tokens)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "CHUNK_ROWS", 7)  # blocks split the rows
+            assert _written(g, merged) == _reference_write_corpus(g, tokens)
+        buf = io.StringIO()
+        write_stats_csv(g, merged, buf)
+        assert buf.getvalue() == "entity,attempts,walks,distinct\n" + "".join(
+            f"{g.terms[e]},{a},{n},{d}\n" for e, a, n, d in stats)
+
+    def test_views_build_walks_on_access(self):
+        corpus = WalkCorpus(tokens=np.array([[1, 2, 3, -1, -1],
+                                             [4, 5, 6, 7, 8]]))
+        assert len(corpus.walks) == 2
+        assert corpus.walks[1] == Walk((4, 5, 6, 7, 8))
+        assert corpus.walks[-2] == Walk((1, 2, 3))
+        assert corpus.walks[::-1] == [Walk((4, 5, 6, 7, 8)), Walk((1, 2, 3))]
+        assert corpus.walks == [Walk((1, 2, 3)), Walk((4, 5, 6, 7, 8))]
+        assert corpus.walks != [Walk((1, 2, 3))]
+        assert Walk((1, 2, 3)) in corpus.walks
+        with pytest.raises(IndexError):
+            corpus.walks[2]
+        assert WalkCorpus().walks == [] and WalkCorpus().stats == []
+
+    def test_hash_leading_walks_read_back(self):
+        # the IRIs <#a> and <#> render as "#a" and "#": lines "#a ..." and
+        # "# ...", and only a first line that starts with "# " is a header
+        g = build([("#a", EX + "p", EX + "b"), ("#", EX + "p", EX + "b"),
+                   (EX + "b", EX + "p", "#a")])
+        corpus = extract_corpus(g, [g.term_id("#a"), g.term_id("#")],
+                                WalkStrategy(depth=2, walks_per_entity=5), 0)
+        for header in (None, {"bias": "uniform"}):
+            buf = io.StringIO(_written(g, corpus, header))
+            assert list(read_corpus_lines(buf)) == [
+                [g.render_token(t) for t in w.tokens] for w in corpus.walks]
 
 
 # -- walk distribution against exact enumeration ---------------------------
