@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import random
+import re
 import struct
 from collections.abc import Sequence, Set
 from itertools import chain
@@ -21,6 +22,7 @@ log = logging.getLogger(__name__)
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 SNAPSHOT_MAGIC = b"SWSNAP01"
+_TOKEN_ESCAPE = re.compile(r"[\\\s]")
 
 
 class GraphError(Exception):
@@ -333,12 +335,11 @@ class Graph:
         return f"<{t}>"
 
     def render_token(self, tid: int) -> str:
-        """Corpus/vocabulary token for a term: raw term with whitespace folded.
-
-        Corpus lines are whitespace-separated, so embedded whitespace in
-        literals is replaced by underscores.
-        """
-        return "_".join(self.terms[tid].split())
+        """Corpus/vocabulary token for a term: the raw term, each backslash
+        doubled and each whitespace character (a corpus separator) written
+        \\uXXXX, so distinct terms give distinct whitespace-free tokens."""
+        return _TOKEN_ESCAPE.sub(lambda m: "\\\\" if m[0] == "\\" else
+                                 f"\\u{ord(m[0]):04X}", self.terms[tid])
 
     def rendered_lines(self, sep: str, end: str):
         """Lines f"{s}{sep}{p}{sep}{o}{end}" of rendered terms, 4096 per

@@ -10,6 +10,7 @@ distinct reachable nodes and counts paths uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -129,21 +130,30 @@ class SpecificityTable:
 
 # -- exact computation (path counts over the triple arrays) --------------
 
-def _incoming_paths(g: Graph, nodes: np.ndarray, depth: int,
-                    origins) -> tuple[np.ndarray, np.ndarray]:
-    """(total, from-origins) counts, at each of `nodes`, of the
-    length-`depth` paths (any predicates) ending there and of those that
-    start in `origins` (see exact_counts): `depth` propagations x[v] <- sum
-    of x[u] over the triples (u, p, v), from all ones and from the origin
-    indicator."""
-    def propagate(x: np.ndarray) -> np.ndarray:
-        for _ in range(depth):
-            x = np.bincount(g.out_obj, x[g.out_src], g.n_terms)
-        return x[nodes]
+def _incoming_paths(g: Graph, origins):
+    """Yield, for depth 1, 2, ..., the (total, from-origins) counts at every
+    node of the length-depth paths (any predicates) ending there: each
+    depth one propagation x[v] <- sum of x[u] over the triples (u, p, v),
+    from all ones and from the origin indicator (see exact_counts)."""
+    total, fro = np.ones(g.n_terms), np.zeros(g.n_terms)
+    fro[np.fromiter(origins, np.int64)] = 1.0
+    while True:
+        total = np.bincount(g.out_obj, total[g.out_src], g.n_terms)
+        fro = np.bincount(g.out_obj, fro[g.out_src], g.n_terms)
+        yield total, fro
 
-    start = np.zeros(g.n_terms)
-    start[np.fromiter(origins, np.int64)] = 1.0
-    return exact_counts(propagate(np.ones(g.n_terms))), propagate(start)
+
+def _exact_entry(rel: SemanticRelationship, reachable: np.ndarray,
+                 counts: tuple[np.ndarray, np.ndarray]) -> SpecificityEntry:
+    """eq2 entry from rel's reachable nodes and its depth's _incoming_paths."""
+    if not len(reachable):
+        return SpecificityEntry(rel, 0.0, 0)
+    total, fro = exact_counts(counts[0][reachable]), counts[1][reachable]
+    # every total is >= 1 (the forward path); cumsum adds left to right in
+    # ascending node order, where np.sum's pairwise order can round otherwise
+    acc = float(np.cumsum(fro / total)[-1])
+    return SpecificityEntry(rel, acc / len(reachable),
+                            sum(total.astype(np.int64).tolist()))
 
 
 def node_to_node_specificity(g: Graph, n1: int, n2: int, depth: int) -> float:
@@ -152,8 +162,9 @@ def node_to_node_specificity(g: Graph, n1: int, n2: int, depth: int) -> float:
         raise ValueError("depth must be >= 1")
     g._check(n1)
     g._check(n2)
-    (total,), (fro,) = _incoming_paths(g, np.array([n1]), depth, [n2])
-    return float(fro / total) if total else 0.0
+    total, fro = next(islice(_incoming_paths(g, [n2]), depth - 1, None))
+    (total,) = exact_counts(total[[n1]])
+    return float(fro[n1] / total) if total else 0.0
 
 
 def exact_specificity(g: Graph, rel: SemanticRelationship, t,
@@ -169,14 +180,8 @@ def exact_specificity(g: Graph, rel: SemanticRelationship, t,
     elif not seeds:
         raise ValueError("seed set must be non-empty")
     reachable, _ = g.path_counts(seeds, rel.predicates)
-    if not len(reachable):
-        return SpecificityEntry(rel, 0.0, 0)
-    total, fro = _incoming_paths(g, reachable, rel.depth, seeds)
-    # every total is >= 1 (the forward path); cumsum adds left to right in
-    # ascending node order, where np.sum's pairwise order can round otherwise
-    acc = float(np.cumsum(fro / total)[-1])
-    return SpecificityEntry(rel, acc / len(reachable),
-                            sum(total.astype(np.int64).tolist()))
+    return _exact_entry(rel, reachable, next(islice(
+        _incoming_paths(g, seeds), rel.depth - 1, None)))
 
 
 # -- bidirectional random-walk estimator ---------------------------------
@@ -245,15 +250,35 @@ def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
     if n_walks <= len(seeds):
         raise ValueError("n_walks must exceed the seed set size")
     type_set = g.entities_of_type(t)
-    results = []
-    for rel in candidates:
-        hits = int(trial_outcomes(g, rel, seeds, type_set, n_walks,
-                                  seed).sum())
-        results.append(SpecificityEntry(rel, hits / n_walks, n_walks))
-    return results
+    return [SpecificityEntry(rel, int(trial_outcomes(
+        g, rel, seeds, type_set, n_walks, seed).sum()) / n_walks, n_walks)
+            for rel in candidates]
 
 
 # -- candidate selection -------------------------------------------------
+
+def _extend(g: Graph, frontiers: dict, n: int | None,
+            include_type_edges: bool) -> dict:
+    """Sequence -> (nodes, paths), as from Graph.path_counts, of the n most
+    frequent (all for None) one-predicate extensions of the prefixes in
+    such a map, by frequency (paths summed), then by predicate ids."""
+    found = []
+    for prefix, (nodes, paths) in frontiers.items():
+        at, owner = slice_members(g.out_ptr[nodes], g.out_ptr[nodes + 1])
+        if not include_type_edges and g.rdf_type_id is not None:
+            keep = g.out_pred[at] != g.rdf_type_id
+            at, owner = at[keep], owner[keep]
+        keys, inv = np.unique(g.out_pred[at] * g.n_terms + g.out_obj[at],
+                              return_inverse=True)
+        counts = np.bincount(inv, paths[owner], len(keys))
+        preds, objs = np.divmod(keys, g.n_terms)
+        lo = np.flatnonzero(np.diff(preds, prepend=-1))  # predicate starts
+        found += zip((-exact_counts(np.add.reduceat(counts, lo))).tolist(),
+                     [prefix + (p,) for p in preds[lo].tolist()],
+                     np.split(objs, lo[1:]), np.split(counts, lo[1:]))
+    found.sort(key=lambda c: c[:2])
+    return {seq: (nodes, paths) for _, seq, nodes, paths in found[:n]}
+
 
 def select_paths(g: Graph, seeds, depth: int, n_paths: int,
                  prev: list[SpecificityEntry] | None = None,
@@ -265,35 +290,25 @@ def select_paths(g: Graph, seeds, depth: int, n_paths: int,
     With `prev` (entries of depth `depth - 1`, a relationship listed twice
     counted once), only one-predicate extensions of above-threshold entries
     are considered; otherwise all length-`depth` sequences from the seeds
-    are enumerated, one predicate at a time. A prefix's path counts, summed
-    per predicate over its end nodes' out-edges, count its extensions. Ties
-    are broken lexicographically by predicate-id sequence.
+    are enumerated, one predicate at a time. A sequence's frequency is its
+    paths from the seeds; ties go to the smaller predicate-id sequence.
     """
     if not seeds:
         raise ValueError("seed set must be non-empty")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if prev is None:
-        prefixes, steps = [()], depth
+        frontiers, steps = {(): g.path_counts(seeds, ())}, depth
     else:
         if any(e.relationship.depth != depth - 1 for e in prev):
             raise ValueError("prev entries must have depth one less")
-        prefixes, steps = {e.relationship.predicates for e in prev
-                           if e.score >= threshold}, 1
-    skip_type = not include_type_edges and g.rdf_type_id is not None
-    for _ in range(steps):
-        freq: dict[tuple[int, ...], int] = {}
-        for prefix in prefixes:
-            nodes, paths = g.path_counts(seeds, prefix)
-            at, owner = slice_members(g.out_ptr[nodes], g.out_ptr[nodes + 1])
-            hist = np.bincount(g.out_pred[at], paths[owner], g.n_terms)
-            if skip_type:
-                hist[g.rdf_type_id] = 0
-            for p in np.flatnonzero(exact_counts(hist)).tolist():
-                freq[prefix + (p,)] = int(hist[p])
-        prefixes = list(freq)
-    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [SemanticRelationship(seq) for seq, _ in ranked[:n_paths]]
+        kept = {e.relationship.predicates for e in prev
+                if e.score >= threshold}
+        frontiers, steps = {p: g.path_counts(seeds, p) for p in kept}, 1
+    for _ in range(steps - 1):
+        frontiers = _extend(g, frontiers, None, include_type_edges)
+    return [SemanticRelationship(seq)
+            for seq in _extend(g, frontiers, n_paths, include_type_edges)]
 
 
 # -- full ranking pipeline -----------------------------------------------
@@ -302,24 +317,28 @@ def rank_by_specificity(g: Graph, t, params: EstimatorParams) -> SpecificityTabl
     """Ranked specificity tables for depths 1..max_depth.
 
     Depth 1 candidates come from frequency enumeration; deeper depths extend
-    only entries whose score met the threshold at the previous depth.
+    only entries whose score met the threshold at the previous depth, from
+    their kept frontiers; eq2 steps its path counts once per depth.
     """
     t_id = g.term_id(t) if isinstance(t, str) else t
     seeds = sorted(g.sample_entities(t_id, params.seed_set_size, params.seed))
+    incoming = _incoming_paths(g, seeds)
     table = SpecificityTable()
-    prev: list[SpecificityEntry] | None = None
+    frontiers = {(): g.path_counts(seeds, ())}
     for depth in range(1, params.max_depth + 1):
-        candidates = select_paths(
-            g, seeds, depth, CANDIDATES_PER_DEPTH * depth, prev=prev,
-            threshold=params.threshold,
-            include_type_edges=params.include_type_edges)
+        frontiers = _extend(g, frontiers, CANDIDATES_PER_DEPTH * depth,
+                            params.include_type_edges)
+        candidates = [SemanticRelationship(seq) for seq in frontiers]
         if params.mode == "eq2":
-            entries = [exact_specificity(g, rel, t_id, seeds=seeds)
+            counts = next(incoming)
+            entries = [_exact_entry(rel, frontiers[rel.predicates][0], counts)
                        for rel in candidates]
         else:
             entries = estimate_specificity(g, candidates, seeds, t_id,
                                            params.n_walks, seed=params.seed)
         entries.sort(key=lambda e: (-e.score, e.relationship.predicates))
         table.depths[depth] = entries
-        prev = entries
+        kept = [e.relationship.predicates for e in entries
+                if e.score >= params.threshold]
+        frontiers = {p: frontiers[p] for p in kept}
     return table

@@ -162,6 +162,21 @@ class TestIngest:
         assert main(["ingest", str(nt), "--out", str(tmp_path / "g.snap"),
                      "--strict"]) == 2
 
+    @pytest.mark.parametrize("strict, code", [(True, 2), (False, 0)])
+    def test_blank_node_iri_is_malformed(self, tmp_path, capsys, strict,
+                                         code):
+        nt = tmp_path / "g.nt"
+        nt.write_text("<http://x/a> <http://x/q> <_:b> .\n"
+                      "<http://x/a> <http://x/q> _:b .\n")
+        argv = ["ingest", str(nt), "--out", str(tmp_path / "g.snap")]
+        assert main(argv + ["--strict"] * strict) == code
+        out, err = capsys.readouterr()
+        if strict:
+            assert "line 1" in err
+        else:
+            assert "triples=1 " in out
+            assert "skipped_lines=1" in err
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["ingest", str(tmp_path / "absent.nt"),
                      "--out", str(tmp_path / "g.snap")]) == 2
@@ -360,6 +375,27 @@ class TestWalk:
                      "--type", FILM, "--depth", "2", "--walks", "60",
                      "--seed", "3", "--workers", "2"] + extra) == 0
         assert out.read_bytes() == (pipeline / "walks.txt").read_bytes()
+
+    def test_space_and_underscore_literals_keep_apart(self, tmp_path):
+        # "x y" once became the token "x_y", so the two nodes shared a vector
+        rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+        nt = tmp_path / "g.nt"
+        nt.write_text(f"<http://x/a> {rdf_type} <http://x/T> .\n"
+                      '<http://x/a> <http://x/p> "x y" .\n'
+                      '<http://x/a> <http://x/p> "x_y" .\n')
+        snap, corpus = tmp_path / "g.snap", tmp_path / "c.txt"
+        model = tmp_path / "m.txt"
+        assert main(["ingest", str(nt), "--out", str(snap)]) == 0
+        assert main(["walk", str(snap), "--out", str(corpus), "--type",
+                     "http://x/T", "--depth", "1", "--walks", "40"]) == 0
+        literals = {'"x\\u0020y"', '"x_y"'}
+        ends = {line.split(" ")[-1]
+                for line in corpus.read_text().splitlines()[1:]}
+        assert literals <= ends
+        assert main(["train", str(corpus), "--out", str(model), "--dim", "4",
+                     "--window", "2", "--negatives", "2", "--epochs", "1"]) == 0
+        with open(model, encoding="utf-8") as f:
+            assert literals <= set(EmbeddingModel.load_text(f).vocab.tokens)
 
     def test_hash_leading_root_keeps_its_walks(self, tmp_path, capsys):
         # <#a> renders as the token #a, so its corpus lines start with '#'

@@ -95,6 +95,19 @@ class TestParsing:
             parse("<http://x/s> <http://x/p> <http://x/o> .\nbroken\n",
                   strict=True)
 
+    @pytest.mark.parametrize("line", ["<_:b> <http://x/p> <http://x/o> .",
+                                      "<http://x/s> <_:p> <http://x/o> .",
+                                      "<http://x/s> <http://x/p> <_:b> ."])
+    def test_iri_cannot_pass_for_a_blank_node(self, line):
+        # the IRI <_:b> would intern as the blank node _:b
+        text = ("<http://x/a> <http://x/q> _:b .\n"
+                "<http://x/a> <http://x/q> <http://x/c> .\n" + line + "\n")
+        g = parse(text)
+        assert (g.n_triples, g.report.skipped) == (2, 1)
+        assert g.report.errors == [(3, line)]
+        with pytest.raises(ParseError, match="line 3"):
+            parse(text, strict=True)
+
     def test_comments_and_blanks_ignored(self):
         g = parse("# header\n\n<http://x/s> <http://x/p> <http://x/o> .\n")
         assert g.n_triples == 1

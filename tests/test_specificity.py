@@ -2,13 +2,15 @@ import io
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specwalk.graph import RDF_TYPE, GraphBuilder, GraphError, hashed_uniforms
+from specwalk.graph import (RDF_TYPE, Graph, GraphBuilder, GraphError,
+                            exact_counts, hashed_uniforms, slice_members)
 from specwalk.specificity import (FORWARD_RETRY_LIMIT, EstimatorParams,
                                   SemanticRelationship, SpecificityEntry,
                                   SpecificityTable, estimate_specificity,
@@ -123,6 +125,33 @@ def _reference_exact_specificity(g, relationship, seeds):
 def _reference_node_to_node(g, n1, n2, depth):
     total, fro = _reference_incoming_path_counts(g, n1, depth, {n2})
     return fro / total if total else 0.0
+
+
+def _reference_select_paths(g, seeds, depth, n_paths, prev=None,
+                            threshold=0.5, include_type_edges=False):
+    """select_paths by per-prefix recounting: each prefix's path counts
+    from the seeds (Graph.path_counts), summed per predicate over its end
+    nodes' out-edges into a histogram of its extensions."""
+    if prev is None:
+        prefixes, steps = [()], depth
+    else:
+        prefixes, steps = {e.relationship.predicates for e in prev
+                           if e.score >= threshold}, 1
+    skip_type = not include_type_edges and g.rdf_type_id is not None
+    freq = {}
+    for _ in range(steps):
+        freq = {}
+        for prefix in prefixes:
+            nodes, paths = g.path_counts(seeds, prefix)
+            at, owner = slice_members(g.out_ptr[nodes], g.out_ptr[nodes + 1])
+            hist = np.bincount(g.out_pred[at], paths[owner], g.n_terms)
+            if skip_type:
+                hist[g.rdf_type_id] = 0
+            for p in np.flatnonzero(exact_counts(hist)).tolist():
+                freq[prefix + (p,)] = int(hist[p])
+        prefixes = list(freq)
+    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [SemanticRelationship(seq) for seq, _ in ranked[:n_paths]]
 
 
 def alg2_expectation(g, relationship, seeds, type_set):
@@ -693,6 +722,49 @@ class TestSelectPaths:
                            include_type_edges=include_type_edges)
         assert [r.predicates for r in got] == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), data=st.data(),
+           seeds=st.lists(st.integers(0, N_NODES - 1), min_size=1),
+           depth=st.integers(1, 3), n_paths=st.integers(1, 12),
+           with_prev=st.booleans(), include_type_edges=st.booleans())
+    def test_equals_per_prefix_reference(self, g, data, seeds, depth, n_paths,
+                                         with_prev, include_type_edges):
+        # a seed listed twice starts two paths
+        kwargs = {"include_type_edges": include_type_edges}
+        if with_prev and depth > 1:
+            prefixes = select_paths(g, seeds, depth - 1, 12, **kwargs)
+            kwargs["prev"] = [
+                SpecificityEntry(r, data.draw(st.sampled_from([0.2, 0.9])), 1)
+                for r in prefixes + prefixes[:2]]
+        assert select_paths(g, seeds, depth, n_paths, **kwargs) == \
+            _reference_select_paths(g, seeds, depth, n_paths, **kwargs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs(), data=st.data(), size=st.integers(1, N_NODES),
+           max_depth=st.integers(1, 4), include_type_edges=st.booleans())
+    def test_eq2_ranking_equals_exact_per_candidate(self, g, data, size,
+                                                    max_depth,
+                                                    include_type_edges):
+        types = sorted({o for _, p, o in g.triples if p == g.rdf_type_id})
+        assume(types)
+        t = data.draw(st.sampled_from(types))
+        params = EstimatorParams(seed_set_size=size, n_walks=size + 1,
+                                 max_depth=max_depth, threshold=0.0,
+                                 mode="eq2",
+                                 include_type_edges=include_type_edges)
+        seeds = sorted(g.sample_entities(t, size, params.seed))
+        table = rank_by_specificity(g, t, params)
+        prev = None
+        for depth in range(1, max_depth + 1):
+            entries = table.entries_at(depth)
+            assert sorted(e.relationship for e in entries) == sorted(
+                _reference_select_paths(g, seeds, depth, 25 * depth, prev,
+                                        0.0, include_type_edges))
+            for e in entries:
+                assert e == exact_specificity(g, e.relationship, t,
+                                              seeds=seeds)
+            prev = entries
+
 
 class TestRanking:
     def test_chain_graph_single_entry(self, chain_graph):
@@ -758,6 +830,38 @@ class TestRanking:
             want = [(e.relationship.predicates, e.score, e.support)
                     for e in table2.entries_at(depth)]
             assert got == want
+
+    @pytest.mark.parametrize("mode", ["alg2", "eq2"])
+    def test_path_counts_and_propagations_per_depth(self, monkeypatch, mode):
+        # two nodes, two predicates each way: 2**d candidates at depth d
+        g = build([(EX + "a", RDF_TYPE, TYPE_T)]
+                  + [(EX + s, EX + p, EX + o)
+                     for s, o in ("ab", "ba") for p in "pq"])
+        calls = Counter()
+        path_counts, bincount = Graph.path_counts, np.bincount
+
+        def counting_path_counts(self, *args):
+            calls["path_counts"] += 1
+            return path_counts(self, *args)
+
+        def counting_bincount(x, *args, **kwargs):
+            calls["propagations"] += x is g.out_obj  # a full-graph step
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "path_counts", counting_path_counts)
+        monkeypatch.setattr(np, "bincount", counting_bincount)
+        path_calls = set()
+        for max_depth in (2, 4, 8):
+            calls.clear()
+            table = rank_by_specificity(g, TYPE_T, EstimatorParams(
+                seed_set_size=1, n_walks=2, max_depth=max_depth,
+                threshold=0.0, mode=mode))
+            assert len(table.entries_at(max_depth)) == min(
+                2 ** max_depth, 25 * max_depth)
+            path_calls.add(calls["path_counts"])
+            assert calls["propagations"] == \
+                (2 * max_depth if mode == "eq2" else 0)
+        assert len(path_calls) == 1
 
     def test_estimator_params_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from collections import Counter, defaultdict
 from dataclasses import replace
 from functools import partial
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specwalk.graph import RDF_TYPE, hashed_uniforms
+from specwalk.graph import RDF_TYPE, GraphBuilder, hashed_uniforms
 from specwalk.specificity import (SemanticRelationship, SpecificityEntry,
                                   SpecificityTable)
 from specwalk import walks
@@ -288,7 +289,7 @@ class TestCorpusIO:
         assert len(lines) == 2
         assert lines[0] == [EX + "f", EX + "p", EX + "x"]
 
-    def test_literal_whitespace_folded_in_tokens(self):
+    def test_literal_whitespace_escaped_in_tokens(self):
         g = build([(EX + "f", EX + "p", '"two words"', True)])
         w = Walk((g.term_id(EX + "f"), g.term_id(EX + "p"),
                   g.term_id('"two words"')))
@@ -296,7 +297,19 @@ class TestCorpusIO:
         write_corpus(g, WalkCorpus(tokens=np.array([w.tokens])), buf)
         tokens = buf.getvalue().split(" ")
         assert len(tokens) == 3
-        assert tokens[2].rstrip("\n") == '"two_words"'
+        assert tokens[2].rstrip("\n") == '"two\\u0020words"'
+
+    def test_space_and_underscore_literals_keep_apart(self):
+        # "x y" and "x_y" once folded to one token and one embedding node
+        g = build([(EX + "a", EX + "p", '"x y"', True),
+                   (EX + "a", EX + "p", '"x_y"', True),
+                   (EX + "a", EX + "q", EX + "b")])
+        corpus = extract_corpus(g, [g.term_id(EX + "a")],
+                                WalkStrategy(depth=1, walks_per_entity=40), 0)
+        buf = io.StringIO()
+        write_corpus(g, corpus, buf)
+        assert len(set(buf.getvalue().splitlines())) == \
+            len(set(tokens_of(corpus))) == 3
 
     def test_bytes_match_per_token_rendering(self):
         g = build([(EX + "f", EX + "p", '"two  words\tand tab"', True),
@@ -311,7 +324,7 @@ class TestCorpusIO:
             " ".join(g.render_token(t) for t in w.tokens) + "\n"
             for w in corpus.walks)
         assert buf.getvalue() == want
-        assert '"two_words_and_tab"' in want
+        assert '"two\\u0020\\u0020words\\u0009and\\u0020tab"' in want
 
     def test_stats_csv_shape(self):
         g = build([(EX + "f", EX + "p", EX + "x")])
@@ -324,6 +337,66 @@ class TestCorpusIO:
         fields = lines[1].split(",")
         assert fields[0] == EX + "f"
         assert fields[1:4] == ["3", "3", "1"]
+
+
+# -- corpus tokens: an injective, whitespace-free term map ----------------
+
+_TRICKY = st.sampled_from(list(' \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000'
+                               '"\\_u0#:@^<>'))
+_text = st.text(st.one_of(_TRICKY, st.characters()), max_size=8)
+_terms = st.lists(st.one_of(
+    _text.map(lambda t: (EX + t, False)),  # IRI
+    st.text("abcxyz019_.-", min_size=1, max_size=4).map(
+        lambda t: ("_:" + t, False)),  # blank node
+    st.tuples(_text, st.sampled_from(
+        ["", "@en", "@en-GB", "^^<http://www.w3.org/2001/XMLSchema#string>"])
+              ).map(lambda t: ('"' + t[0] + '"' + t[1], True)),  # literal
+), min_size=1, max_size=12)
+
+
+def term_graph(terms):
+    """Graph interning each distinct term string once (its first kind)."""
+    b = GraphBuilder()
+    kinds = dict(reversed(terms))
+    for term, literal in terms:
+        b.intern(term, kinds[term])
+    return b.build()
+
+
+def unescape_token(token):
+    return re.sub(r"\\(\\|u[0-9A-F]{4})",
+                  lambda m: "\\" if m[1] == "\\" else chr(int(m[1][1:], 16)),
+                  token)
+
+
+class TestCorpusTokens:
+    @settings(max_examples=200, deadline=None)
+    @given(terms=_terms)
+    def test_render_token_injective_and_whitespace_free(self, terms):
+        g = term_graph(terms)
+        tokens = [g.render_token(t) for t in range(g.n_terms)]
+        assert len(set(tokens)) == g.n_terms
+        for t, token in enumerate(tokens):
+            assert not any(c.isspace() for c in token)
+            assert unescape_token(token) == g.terms[t]
+
+    @settings(max_examples=100, deadline=None)
+    @given(terms=_terms, data=st.data())
+    def test_write_read_round_trip(self, terms, data):
+        # the CLI always writes a header; a headerless corpus whose first
+        # walk starts with "# " still reads as a header
+        g = term_graph(terms)
+        term = st.integers(0, g.n_terms - 1)
+        rows = data.draw(st.lists(st.one_of(
+            st.lists(term, min_size=3, max_size=3).map(lambda r: r + [-1, -1]),
+            st.lists(term, min_size=5, max_size=5)), max_size=6))
+        corpus = WalkCorpus(
+            tokens=np.array(rows, dtype=np.int64).reshape(-1, 5))
+        buf = io.StringIO()
+        write_corpus(g, corpus, buf, header={"depth": 2})
+        buf.seek(0)
+        assert list(read_corpus_lines(buf)) == [
+            [g.render_token(t) for t in row if t >= 0] for row in rows]
 
 
 # -- lockstep extraction against a scalar reference -----------------------
