@@ -4,7 +4,7 @@
 Every command accepts --seed and --config (JSON file mirroring the flag
 names; explicit flags win) and writes a JSON metadata sidecar next to each
 output artifact recording the seed, a config hash and the graph checksum
-(and, for `walk` and `train`, the run's counters).
+(and, for `walk`, `train` and alg2 `specificity`, the run's counters).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -107,7 +107,9 @@ def cmd_specificity(args) -> int:
                                 _estimator_params(args))
     with open(args.out, "w", encoding="utf-8") as f:
         table.to_tsv(g, f)
-    _write_sidecar(args, g)
+    counters = {depth: {rel.render(g): c for rel, c in by_rel.items()}
+                for depth, by_rel in table.counters.items()}
+    _write_sidecar(args, g, counters or None)
     for depth in sorted(table.depths):
         kept = sum(1 for e in table.depths[depth] if e.score >= args.threshold)
         print(f"depth={depth} candidates={len(table.depths[depth])} "

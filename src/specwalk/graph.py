@@ -116,17 +116,26 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def hashed_uniforms(seed: int, *parts) -> np.ndarray:
-    """Floats k / 2**53 in [0, 1), one per broadcast tuple of the parts
-    (non-negative integers or integer arrays): a counter-based SplitMix64
-    hash (Steele, Lea & Flood 2014) of seed mod 2**64 with each part mixed
-    in turn, so a draw depends on the seed and its parts alone. Walks pass
-    (entity, attempt, column), the estimator (depth, predicates..., trial,
-    column). The result has at least one dimension."""
-    x = np.full(1, seed % 2 ** 64, dtype=np.uint64)
+def hashed_state(seed, *parts) -> np.ndarray:
+    """The SplitMix64 state (uint64) of the seed with each part (non-negative
+    integers or integer arrays, broadcast) mixed in turn. The seed is an
+    int, taken mod 2**64, or a uint64 array of such states, so
+    hashed_state(hashed_state(s, a), b) equals hashed_state(s, a, b)."""
+    x = seed if isinstance(seed, np.ndarray) else \
+        np.full(1, seed % 2 ** 64, dtype=np.uint64)
     for part in parts:
         x = _splitmix64(x ^ np.asarray(part).astype(np.uint64))
-    return (x >> np.uint64(11)) * 2.0 ** -53
+    return x
+
+
+def hashed_uniforms(seed, *parts) -> np.ndarray:
+    """Floats k / 2**53 in [0, 1), one per broadcast tuple of the parts:
+    the top 53 bits of hashed_state(seed, *parts), a counter-based
+    SplitMix64 hash (Steele, Lea & Flood 2014), so a draw depends on the
+    seed and its parts alone. Walks pass (entity, attempt, column), the
+    estimator (depth, predicates..., trial, column). The result has at least
+    one dimension."""
+    return (hashed_state(seed, *parts) >> np.uint64(11)) * 2.0 ** -53
 
 
 def slice_members(lo: np.ndarray, hi: np.ndarray):
@@ -239,10 +248,10 @@ class Graph:
                 or tid < 0 or tid >= len(self.terms)):
             raise UnknownTermError(f"unknown term id: {tid!r}")
 
-    def out_slices(self, nodes, pred: int) -> tuple[np.ndarray, np.ndarray]:
+    def out_slices(self, nodes, pred) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi): the bounds of each node's out-edges with predicate pred,
-        an empty slice for a negative (dead) node. Each distinct node is
-        searched once."""
+        an empty slice for a negative (dead) node. pred is one id or an array
+        of one per node. Each distinct (node, pred) key is searched once."""
         # a negative node's key is negative, below every out_key
         keys, inv = np.unique(np.asarray(nodes, dtype=np.int64)
                               * len(self.terms) + pred, return_inverse=True)
@@ -253,10 +262,11 @@ class Graph:
         """Walk the predicate sequence from each start, one row per walk.
 
         Step k of row i takes the matching out-edge lo + floor(u[i, k] *
-        (hi - lo)) of the current node's out_slices [lo, hi). Returns the
-        visited nodes, shape (len(starts), len(predicates) + 1); a row that
-        reaches a node with no edge for the next predicate holds -1 from
-        there on.
+        (hi - lo)) of the current node's out_slices [lo, hi) for
+        predicates[k]: one id, or one per row when predicates is a (d, rows)
+        matrix. Returns the visited nodes, shape (len(starts), len(predicates)
+        + 1); a row that reaches a node with no edge for the next predicate
+        holds -1 from there on.
         """
         nodes = np.empty((len(starts), len(predicates) + 1), dtype=np.int64)
         nodes[:, 0] = starts

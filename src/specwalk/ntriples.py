@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 from .graph import (RDF_TYPE, SNAPSHOT_MAGIC, Graph, GraphBuilder, GraphError,
                     read_snapshot)
 
-_IRI = r"<((?!_:)[^<>\s]*)>"  # a body "_:b" would intern as blank node _:b
+# a body "_:b" would intern as the blank node _:b, one holding '"' could
+# share a term with a literal, and the empty IRI would render as no token
+_IRI = r'<((?!_:)[^<>"\s]+)>'
 _BNODE = r"(_:[A-Za-z0-9][A-Za-z0-9_.\-]*)"
 _LITERAL = r'("(?:[^"\\]|\\.)*"(?:\^\^<[^<>\s]*>|@[A-Za-z][A-Za-z0-9\-]*)?)'
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .skipgram import EmbeddingModel
-from .specificity import EstimatorParams, SpecificityEntry, rank_by_specificity
+from .specificity import (EstimatorParams, SpecificityEntry, rank_at_budgets,
+                          rank_by_specificity)
 
 
 @dataclass
@@ -104,16 +105,20 @@ def sensitivity_sweep(g, t, base_params: EstimatorParams,
     """NDCG of specificity rankings across estimator budgets.
 
     Exactly one of the sweeps must be given; the run at the largest value is
-    taken as ground truth, so its NDCG is 1.0 by construction.
+    taken as ground truth, so its NDCG is 1.0 by construction. An n_walks
+    sweep scores once, at its largest value (rank_at_budgets); each
+    seed_set_size value samples its own seed set and ranks on its own.
     """
     if (n_walks_values is None) == (s_values is None):
         raise ValueError("provide exactly one of n_walks_values / s_values")
     if n_walks_values is not None:
         parameter, values = "n_walks", sorted(n_walks_values)
+        runs = dict(zip(values, rank_at_budgets(g, t, base_params, values)))
     else:
         parameter, values = "seed_set_size", sorted(s_values)
-    runs = {v: rank_by_specificity(g, t, replace(base_params, **{parameter: v}))
-            for v in values}
+        runs = {v: rank_by_specificity(g, t, replace(base_params,
+                                                     seed_set_size=v))
+                for v in values}
     ideal = runs[values[-1]]
     points = []
     for v in values:

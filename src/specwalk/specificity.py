@@ -9,17 +9,19 @@ distinct reachable nodes and counts paths uniformly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
 
 from .graph import (Graph, GraphError, UnknownTermError, exact_counts,
-                    hashed_uniforms, slice_members, slice_pick)
+                    hashed_state, hashed_uniforms, slice_members, slice_pick)
 
 # Fixed implementation values, not parameters of the method.
 FORWARD_RETRY_LIMIT = 10
 CANDIDATES_PER_DEPTH = 25
+BLOCK_ROWS = 8192  # (candidate, trial) rows advanced together; bounds memory
 
 
 @dataclass(frozen=True, order=True)
@@ -77,6 +79,9 @@ class SpecificityTable:
     """Per-depth ranked relationship lists."""
 
     depths: dict[int, list[SpecificityEntry]] = field(default_factory=dict)
+    # alg2 trial counts, {depth: {relationship: {"trials", "hits", "dead",
+    # "se"}}}; empty for eq2 and for a table read from TSV
+    counters: dict[int, dict] = field(default_factory=dict)
 
     def entries_at(self, depth: int) -> list[SpecificityEntry]:
         return self.depths.get(depth, [])
@@ -186,51 +191,71 @@ def exact_specificity(g: Graph, rel: SemanticRelationship, t,
 
 # -- bidirectional random-walk estimator ---------------------------------
 
-def trial_outcomes(g: Graph, rel: SemanticRelationship, seeds, type_set,
-                   n_walks: int, seed: int = 0) -> np.ndarray:
-    """Hit (True) or miss of each of the n_walks trials of one candidate.
+def _trials(g: Graph, rels, seeds, type_set, n_walks: int,
+            seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, dead): trial_outcomes, and which trials' forward walks still
+    dead-ended after the last retry, both (len(rels), n_walks) matrices."""
+    depth = rels[0].depth if rels else 1
+    preds = np.array([r.predicates for r in rels],
+                     dtype=np.int64).reshape(len(rels), depth)
+    seeds = np.array(sorted(seeds), dtype=np.int64)
+    width = 1 + depth
+    # one slot past the last term, False, is what a reverse dead-end reads
+    member = np.zeros(g.n_terms + 1, dtype=bool)
+    member[list(type_set)] = True
+    prefix = hashed_state(seed, depth, *preds.T)  # one per candidate
+    hit = np.zeros(len(rels) * n_walks, dtype=bool)
+    todo = np.arange(len(hit))  # rows whose forward walk has not ended
+    for attempt in range(FORWARD_RETRY_LIMIT + 1):
+        if not len(todo):
+            break
+        left = []
+        for r0 in range(0, len(todo), BLOCK_ROWS):
+            rows = todo[r0:r0 + BLOCK_ROWS]
+            cand, trial = np.divmod(rows, n_walks)
+            state = hashed_state(prefix[cand], trial)[:, None]
+            u = hashed_uniforms(state, attempt * width + np.arange(width))
+            starts = slice_pick(np.zeros(len(rows), dtype=np.int64),
+                                np.full(len(rows), len(seeds)), seeds, u[:, 0])
+            # a (d, rows) predicate matrix: column i holds row i's predicates
+            v = g.sample_paths(starts, preds[cand].T, u[:, 1:])[:, -1]
+            done = v >= 0
+            left.append(rows[~done])
+            u = hashed_uniforms(state[done], (FORWARD_RETRY_LIMIT + 1) * width
+                                + np.arange(depth))
+            v = v[done]
+            for k in range(depth):  # v = -1 reads in_ptr[-1] >= in_ptr[0]
+                v = slice_pick(g.in_ptr[v], g.in_ptr[v + 1], g.in_src, u[:, k])
+            hit[rows[done]] = member[v]
+        todo = np.concatenate(left)
+    dead = np.zeros(len(hit), dtype=bool)
+    dead[todo] = True
+    return hit.reshape(-1, n_walks), dead.reshape(-1, n_walks)
 
-    All trials advance together. Trial i of candidate (p1, ..., pd) reads
-    the floats hashed_uniforms(seed, d, p1, ..., pd, i, c). Forward attempt
-    a reads columns a(1 + d) to a(1 + d) + d: the first picks its seed,
+
+def trial_outcomes(g: Graph, rels, seeds, type_set, n_walks: int,
+                   seed: int = 0) -> np.ndarray:
+    """Hit (True) or miss of each of the n_walks trials of each of the
+    same-depth candidates rels, a (len(rels), n_walks) matrix.
+
+    Rows are (candidate, trial) pairs, candidate-major. Each forward attempt
+    advances the rows still pending together, in blocks of at most
+    BLOCK_ROWS, and a row whose forward walk ends takes its reverse walk in
+    the same block. Trial i of candidate (p1, ..., pd) reads the floats
+    hashed_uniforms(seed, d, p1, ..., pd, i, c). Forward attempt a reads
+    columns a(1 + d) to a(1 + d) + d: the first picks its seed,
     seeds[floor(u * |S|)] of the sorted seed set, and the others walk the
-    candidate's predicates with Graph.sample_paths. Trials that dead-end
+    candidate's predicates with Graph.sample_paths. Rows that dead-end
     retry with the next attempt, up to FORWARD_RETRY_LIMIT times, and only
     they draw its columns. The reverse walk reads the d columns after the
     last attempt's: each step takes an in-edge of the current node, lo +
     floor(u * (hi - lo)) of its in-edge slice. A trial hits when it lands on
     a member of type_set; a forward or reverse dead-end is a miss. Trial i
-    depends on the seed, the candidate and i alone, so the outcomes at
-    budget n are the first n outcomes at any larger budget.
+    depends on the seed, its candidate and i alone, so the outcomes at
+    budget n are the first n outcomes at any larger budget, whatever the
+    other candidates and the block bounds.
     """
-    seeds = np.array(sorted(seeds), dtype=np.int64)
-    depth = rel.depth
-    width = 1 + depth
-    ends = np.full(n_walks, -1, dtype=np.int64)
-    todo = np.arange(n_walks)
-    for attempt in range(FORWARD_RETRY_LIMIT + 1):
-        u = hashed_uniforms(seed, depth, *rel.predicates, todo[:, None],
-                            attempt * width + np.arange(width))
-        starts = slice_pick(np.zeros(len(todo), dtype=np.int64),
-                            np.full(len(todo), len(seeds)), seeds, u[:, 0])
-        end = g.sample_paths(starts, rel.predicates, u[:, 1:])[:, -1]
-        done = end >= 0
-        ends[todo[done]] = end[done]
-        todo = todo[~done]
-        if not len(todo):
-            break
-    u = hashed_uniforms(seed, depth, *rel.predicates,
-                        np.arange(n_walks)[:, None],
-                        (FORWARD_RETRY_LIMIT + 1) * width + np.arange(depth))
-    v = ends
-    for k in range(depth):
-        lo, hi = g.in_ptr[v], g.in_ptr[v + 1]
-        hi[v < 0] = lo[v < 0]  # a dead trial (v = -1) gets an empty slice
-        v = slice_pick(lo, hi, g.in_src, u[:, k])
-    # one slot past the last term, False, is what v = -1 reads
-    member = np.zeros(g.n_terms + 1, dtype=bool)
-    member[list(type_set)] = True
-    return member[v]
+    return _trials(g, rels, seeds, type_set, n_walks, seed)[0]
 
 
 def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
@@ -242,7 +267,7 @@ def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
     along arbitrary incoming edges; the trial counts when it lands on a node
     of type t. A forward walk that dead-ends is retried from a fresh seed up
     to FORWARD_RETRY_LIMIT times; a trial still dead-ended counts as a miss.
-    The score is the mean of trial_outcomes.
+    The score is the mean of trial_outcomes, one lockstep per depth.
     """
     seeds = sorted(seeds)
     if not seeds:
@@ -250,18 +275,22 @@ def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
     if n_walks <= len(seeds):
         raise ValueError("n_walks must exceed the seed set size")
     type_set = g.entities_of_type(t)
-    return [SpecificityEntry(rel, int(trial_outcomes(
-        g, rel, seeds, type_set, n_walks, seed).sum()) / n_walks, n_walks)
+    candidates = list(candidates)
+    hits = {}
+    for depth in sorted({rel.depth for rel in candidates}):
+        rels = [rel for rel in candidates if rel.depth == depth]
+        hits.update(zip(rels, trial_outcomes(
+            g, rels, seeds, type_set, n_walks, seed).sum(axis=1).tolist()))
+    return [SpecificityEntry(rel, hits[rel] / n_walks, n_walks)
             for rel in candidates]
 
 
 # -- candidate selection -------------------------------------------------
 
-def _extend(g: Graph, frontiers: dict, n: int | None,
-            include_type_edges: bool) -> dict:
-    """Sequence -> (nodes, paths), as from Graph.path_counts, of the n most
-    frequent (all for None) one-predicate extensions of the prefixes in
-    such a map, by frequency (paths summed), then by predicate ids."""
+def _extend(g: Graph, frontiers: dict, include_type_edges: bool) -> dict:
+    """Sequence -> (nodes, paths), as from Graph.path_counts, of every
+    one-predicate extension of the prefixes in such a map, most frequent
+    (paths summed) first, ties to the smaller predicate ids."""
     found = []
     for prefix, (nodes, paths) in frontiers.items():
         at, owner = slice_members(g.out_ptr[nodes], g.out_ptr[nodes + 1])
@@ -277,7 +306,7 @@ def _extend(g: Graph, frontiers: dict, n: int | None,
                      [prefix + (p,) for p in preds[lo].tolist()],
                      np.split(objs, lo[1:]), np.split(counts, lo[1:]))
     found.sort(key=lambda c: c[:2])
-    return {seq: (nodes, paths) for _, seq, nodes, paths in found[:n]}
+    return {seq: (nodes, paths) for _, seq, nodes, paths in found}
 
 
 def select_paths(g: Graph, seeds, depth: int, n_paths: int,
@@ -305,40 +334,77 @@ def select_paths(g: Graph, seeds, depth: int, n_paths: int,
         kept = {e.relationship.predicates for e in prev
                 if e.score >= threshold}
         frontiers, steps = {p: g.path_counts(seeds, p) for p in kept}, 1
-    for _ in range(steps - 1):
-        frontiers = _extend(g, frontiers, None, include_type_edges)
-    return [SemanticRelationship(seq)
-            for seq in _extend(g, frontiers, n_paths, include_type_edges)]
+    for _ in range(steps):
+        frontiers = _extend(g, frontiers, include_type_edges)
+    return [SemanticRelationship(seq) for seq in islice(frontiers, n_paths)]
 
 
 # -- full ranking pipeline -----------------------------------------------
+
+def rank_at_budgets(g: Graph, t, params: EstimatorParams,
+                    budgets) -> list[SpecificityTable]:
+    """rank_by_specificity at each n_walks in budgets, one table per value,
+    from one estimator run per depth.
+
+    The budgets share the seed set and every draw: trial i of a candidate
+    has one outcome at every budget, so each depth scores the union of the
+    budgets' candidates once, at the largest budget, and budget n reads the
+    first n trials. Budgets may keep different entries at one depth and so
+    extend different prefixes at the next; outcomes are shared per
+    candidate. An alg2 table's counters hold, per depth and candidate,
+    trials, hits, forward dead-ends after the last retry and the standard
+    error sqrt(p(1 - p) / trials) of its score p.
+    """
+    for n in budgets:  # each budget must make valid params
+        replace(params, n_walks=n)
+    t_id = g.term_id(t) if isinstance(t, str) else t
+    seeds = sorted(g.sample_entities(t_id, params.seed_set_size, params.seed))
+    type_set = g.entities_of_type(t_id)
+    incoming = _incoming_paths(g, seeds)
+    tables = [SpecificityTable() for _ in budgets]
+    frontiers = {(): g.path_counts(seeds, ())}
+    kept = [{()} for _ in budgets]  # prefixes each budget extends
+    for depth in range(1, params.max_depth + 1):
+        frontiers = _extend(g, frontiers, params.include_type_edges)
+        chosen = [[SemanticRelationship(seq) for seq in islice(
+            (seq for seq in frontiers if seq[:-1] in k),
+            CANDIDATES_PER_DEPTH * depth)] for k in kept]
+        union = sorted(set().union(*chosen))
+        if params.mode == "eq2":
+            counts = next(incoming)
+            exact = {rel: _exact_entry(rel, frontiers[rel.predicates][0],
+                                       counts) for rel in union}
+        else:
+            hit, dead = _trials(g, union, seeds, type_set, max(budgets),
+                                params.seed)
+            row = {rel: i for i, rel in enumerate(union)}
+        for table, rels, n in zip(tables, chosen, budgets):
+            if params.mode == "eq2":
+                entries = [exact[rel] for rel in rels]
+            else:
+                at = [row[rel] for rel in rels]
+                hits = hit[at, :n].sum(axis=1).tolist()
+                deads = dead[at, :n].sum(axis=1).tolist()
+                entries = [SpecificityEntry(rel, h / n, n)
+                           for rel, h in zip(rels, hits)]
+                table.counters[depth] = {
+                    rel: {"trials": n, "hits": h, "dead": d,
+                          "se": math.sqrt(h / n * (1 - h / n) / n)}
+                    for rel, h, d in zip(rels, hits, deads)}
+            entries.sort(key=lambda e: (-e.score, e.relationship.predicates))
+            table.depths[depth] = entries
+        kept = [{e.relationship.predicates for e in table.depths[depth]
+                 if e.score >= params.threshold} for table in tables]
+        frontiers = {seq: frontiers[seq] for seq in set().union(*kept)}
+    return tables
+
 
 def rank_by_specificity(g: Graph, t, params: EstimatorParams) -> SpecificityTable:
     """Ranked specificity tables for depths 1..max_depth.
 
     Depth 1 candidates come from frequency enumeration; deeper depths extend
     only entries whose score met the threshold at the previous depth, from
-    their kept frontiers; eq2 steps its path counts once per depth.
+    their kept frontiers; eq2 steps its path counts once per depth, and
+    alg2 scores a depth's candidates in one lockstep.
     """
-    t_id = g.term_id(t) if isinstance(t, str) else t
-    seeds = sorted(g.sample_entities(t_id, params.seed_set_size, params.seed))
-    incoming = _incoming_paths(g, seeds)
-    table = SpecificityTable()
-    frontiers = {(): g.path_counts(seeds, ())}
-    for depth in range(1, params.max_depth + 1):
-        frontiers = _extend(g, frontiers, CANDIDATES_PER_DEPTH * depth,
-                            params.include_type_edges)
-        candidates = [SemanticRelationship(seq) for seq in frontiers]
-        if params.mode == "eq2":
-            counts = next(incoming)
-            entries = [_exact_entry(rel, frontiers[rel.predicates][0], counts)
-                       for rel in candidates]
-        else:
-            entries = estimate_specificity(g, candidates, seeds, t_id,
-                                           params.n_walks, seed=params.seed)
-        entries.sort(key=lambda e: (-e.score, e.relationship.predicates))
-        table.depths[depth] = entries
-        kept = [e.relationship.predicates for e in entries
-                if e.score >= params.threshold]
-        frontiers = {p: frontiers[p] for p in kept}
-    return table
+    return rank_at_budgets(g, t, params, [params.n_walks])[0]

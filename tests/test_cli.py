@@ -2,14 +2,19 @@ import csv
 import gzip
 import hashlib
 import json
+import math
 import re
 
 import pytest
 
 from specwalk.cli import main
+from specwalk.graph import read_snapshot
 from specwalk.ntriples import open_text
 from specwalk.skipgram import EmbeddingModel, TrainConfig, train
+from specwalk.specificity import SemanticRelationship
 from specwalk.walks import read_corpus_lines
+
+from test_specificity import scan_trials
 
 SYNTH = "http://synth.specwalk.local/"
 FILM = SYNTH + "class/Film"
@@ -177,6 +182,60 @@ class TestIngest:
             assert "triples=1 " in out
             assert "skipped_lines=1" in err
 
+    @pytest.mark.parametrize("strict, code", [(True, 2), (False, 0)])
+    def test_quote_in_iri_is_malformed(self, tmp_path, capsys, strict, code):
+        # the IRI <"a"> would intern as the term of the literal "a"
+        rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+        nt = tmp_path / "g.nt"
+        nt.write_text(f"<http://x/a> {rdf_type} <http://x/T> .\n"
+                      '<http://x/a> <http://x/p> "a" .\n'
+                      '<http://x/b> <http://x/p> <"a"> .\n')
+        argv = ["ingest", str(nt), "--out", str(tmp_path / "g.snap")]
+        assert main(argv + ["--strict"] * strict) == code
+        out, err = capsys.readouterr()
+        if strict:
+            assert "line 3" in err
+        else:
+            assert "triples=2 " in out
+            assert "skipped_lines=1" in err
+
+    @pytest.mark.parametrize("strict, code", [(True, 2), (False, 0)])
+    def test_empty_iri_is_malformed(self, tmp_path, capsys, strict, code):
+        # the IRI <> would render as an empty corpus token
+        rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+        nt = tmp_path / "g.nt"
+        nt.write_text(f"<http://x/c> {rdf_type} <http://x/T> .\n"
+                      f"<> {rdf_type} <http://x/T> .\n"
+                      "<http://x/c> <http://x/p> <http://x/b> .\n")
+        argv = ["ingest", str(nt), "--out", str(tmp_path / "g.snap")]
+        assert main(argv + ["--strict"] * strict) == code
+        out, err = capsys.readouterr()
+        if strict:
+            assert "line 2" in err
+        else:
+            assert "triples=2 " in out
+            assert "skipped_lines=1" in err
+
+    def test_empty_iri_graph_trains_a_loadable_model(self, tmp_path):
+        rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+        nt = tmp_path / "g.nt"
+        nt.write_text(f"<> {rdf_type} <http://x/T> .\n"
+                      f"<http://x/c> {rdf_type} <http://x/T> .\n"
+                      "<> <http://x/p> <http://x/b> .\n"
+                      "<http://x/c> <http://x/p> <http://x/b> .\n")
+        snap, corpus = tmp_path / "g.snap", tmp_path / "c.txt"
+        model = tmp_path / "m.txt"
+        assert main(["ingest", str(nt), "--out", str(snap)]) == 0
+        assert main(["walk", str(snap), "--out", str(corpus), "--type",
+                     "http://x/T", "--depth", "1", "--walks", "10"]) == 0
+        assert main(["train", str(corpus), "--out", str(model), "--dim", "4",
+                     "--window", "2", "--negatives", "2", "--epochs", "1"]) == 0
+        with open(model, encoding="utf-8") as f:
+            vocab = set(EmbeddingModel.load_text(f).vocab.tokens)
+        _, *lines = corpus.read_text().splitlines()
+        assert vocab == {t for line in lines for t in line.split(" ")}
+        assert "" not in vocab and "http://x/c" in vocab
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["ingest", str(tmp_path / "absent.nt"),
                      "--out", str(tmp_path / "g.snap")]) == 2
@@ -212,9 +271,64 @@ class TestSpecificity:
             ["spec.tsv", "spec.tsv.meta.json"]
         meta = read_meta(table)
         snap_meta = read_meta(pipeline / "g.snap")
-        assert meta.keys() == snap_meta.keys()
+        # alg2 adds its estimator counters to the keys every sidecar has
+        assert meta.keys() == snap_meta.keys() | {"counters"}
         assert meta["command"] == "specificity"
         assert meta["graph_checksum"] == snap_meta["graph_checksum"]
+
+    def test_sidecar_counters_rerun_identical(self, pipeline, tmp_path):
+        table = tmp_path / "spec.tsv"
+        argv = ["specificity", str(pipeline / "g.snap"), "--out", str(table),
+                "--type", FILM, "--depth", "2", "--seed-set-size", "10",
+                "--n-walks", "80", "--threshold", "0"]
+        sidecars = []
+        for _ in range(2):
+            assert main(argv) == 0
+            sidecars.append((tmp_path / "spec.tsv.meta.json").read_bytes())
+        assert sidecars[0] == sidecars[1]
+        counters = json.loads(sidecars[0])["counters"]
+        rows = [line.split("\t") for line in table.read_text().splitlines()[1:]]
+        assert sorted((d, r) for d, r, _, _ in rows) == sorted(
+            (d, r) for d, by_rel in counters.items() for r in by_rel)
+        for depth, rel, score, support in rows:
+            c = counters[depth][rel]
+            p = c["hits"] / c["trials"]
+            assert (c["trials"], f"{p:.6f}") == (int(support), score)
+            assert 0 <= c["dead"] <= c["trials"] - c["hits"]
+            assert c["se"] == math.sqrt(p * (1 - p) / c["trials"])
+        assert main(argv + ["--exact"]) == 0
+        assert "counters" not in read_meta(table)
+
+    def test_sidecar_dead_ends_match_scalar_count(self, tmp_path):
+        # 2 of 30 seeds have p, so most trials retry and many still dead-end
+        rdf_type = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+        nt = tmp_path / "g.nt"
+        nt.write_text("".join(
+            f"<http://x/e{i}> {rdf_type} <http://x/T> .\n"
+            f"<http://x/e{i}> <http://x/q> <http://x/y> .\n" for i in range(30))
+            + "<http://x/e0> <http://x/p> <http://x/x> .\n"
+            "<http://x/e1> <http://x/p> <http://x/x> .\n"
+            "<http://x/x> <http://x/r> <http://x/z> .\n"
+            "<http://x/w> <http://x/r> <http://x/z> .\n")
+        snap, table = tmp_path / "g.snap", tmp_path / "spec.tsv"
+        assert main(["ingest", str(nt), "--out", str(snap)]) == 0
+        assert main(["specificity", str(snap), "--out", str(table), "--type",
+                     "http://x/T", "--depth", "2", "--seed-set-size", "30",
+                     "--n-walks", "120", "--threshold", "0", "--seed",
+                     "7"]) == 0
+        counters = read_meta(table)["counters"]
+        g = read_snapshot(str(snap))
+        seeds = sorted(g.entities_of_type(g.term_id("http://x/T")))
+        dead = {}
+        for depth, by_rel in counters.items():
+            for name in by_rel:
+                r = SemanticRelationship(tuple(g.term_id(p)
+                                               for p in name.split("|")))
+                dead[name] = sum(d for _, d in scan_trials(
+                    g, r, seeds, set(seeds), 120, 7))
+        assert {r: c["dead"] for by_rel in counters.values()
+                for r, c in by_rel.items()} == dead
+        assert dead["http://x/p"] > 0 and dead["http://x/p|http://x/r"] > 0
 
     def test_unknown_type_is_data_error(self, pipeline, tmp_path):
         assert main(["specificity", str(pipeline / "g.snap"),

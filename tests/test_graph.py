@@ -13,8 +13,8 @@ from scipy import stats
 
 from specwalk.cli import main
 from specwalk.graph import (RDF_TYPE, GraphBuilder, GraphError,
-                            UnknownTermError, hashed_uniforms, read_snapshot,
-                            write_snapshot)
+                            UnknownTermError, hashed_state, hashed_uniforms,
+                            read_snapshot, write_snapshot)
 from specwalk.ntriples import (ParseError, load_graph, parse_ntriples,
                                serialize_ntriples)
 from specwalk.walks import WalkStrategy, extract_corpus
@@ -377,6 +377,18 @@ class TestSamplePath:
                                np.arange(4))
         assert many.tolist() == [[splitmix_reference(seed, *prefix, a, c)
                                   for c in range(4)] for a in range(attempts)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(-2 ** 70, 2 ** 70),
+           prefix=st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=4),
+           rows=st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=5))
+    def test_hashed_state_resumes(self, seed, prefix, rows):
+        # a state mixed from some parts continues with the rest
+        rows = np.array(rows)
+        state = hashed_state(hashed_state(seed, *prefix), rows)[:, None]
+        assert np.array_equal(hashed_uniforms(state, np.arange(3)),
+                              hashed_uniforms(seed, *prefix, rows[:, None],
+                                              np.arange(3)))
 
 
 _NT_RESOURCES = st.sampled_from([EX + "a", EX + "a/b", EX + "ab", "_:b",

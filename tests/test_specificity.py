@@ -3,6 +3,7 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 
 from specwalk.graph import (RDF_TYPE, Graph, GraphBuilder, GraphError,
                             exact_counts, hashed_uniforms, slice_members)
+from specwalk import specificity
+from specwalk.recommend import SweepPoint, ndcg, sensitivity_sweep
 from specwalk.specificity import (FORWARD_RETRY_LIMIT, EstimatorParams,
                                   SemanticRelationship, SpecificityEntry,
                                   SpecificityTable, estimate_specificity,
                                   exact_specificity, node_to_node_specificity,
-                                  rank_by_specificity, select_paths,
-                                  trial_outcomes)
+                                  rank_at_budgets, rank_by_specificity,
+                                  select_paths, trial_outcomes)
 from specwalk.synth import layered_graph, relevance_inversion_graph
 
 from conftest import EX, N_NODES, PREDICATES, TYPE_T, build, small_graphs
@@ -191,6 +194,13 @@ def scan_trial_outcomes(g, relationship, seeds, type_set, n_walks, seed):
     the d columns after the last attempt's; each step's edges are found by
     scanning the sorted triples. A draw u picks options[floor(u *
     len(options))], clamped to the last option."""
+    return [hit for hit, _ in scan_trials(g, relationship, seeds, type_set,
+                                          n_walks, seed)]
+
+
+def scan_trials(g, relationship, seeds, type_set, n_walks, seed):
+    """(hit, dead) per trial, as scan_trial_outcomes walks them; dead when
+    the forward walk still dead-ends after the last retry."""
     triples = sorted(g.triples)
     seeds = sorted(seeds)
     d = relationship.depth
@@ -215,11 +225,12 @@ def scan_trial_outcomes(g, relationship, seeds, type_set, n_walks, seed):
                     break
             if v >= 0:
                 break
+        dead = v < 0
         for k in range(d):
             if v >= 0:
                 v = pick([s for s, p, o in triples if o == v],
                          draw(i, (FORWARD_RETRY_LIMIT + 1) * (1 + d) + k))
-        outcomes.append(v in type_set)
+        outcomes.append((v in type_set, dead))
     return outcomes
 
 
@@ -559,7 +570,7 @@ class TestEstimatorExpectation:
            depth=st.integers(1, 3), seed=st.integers(0, 2**16))
     def test_small_graphs(self, g, data, seeds, type_set, depth, seed):
         r = draw_relationship(g, data, seeds, depth)
-        outcomes = trial_outcomes(g, r, seeds, type_set, self.N, seed)
+        outcomes = trial_outcomes(g, [r], seeds, type_set, self.N, seed)[0]
         self.assert_within(outcomes.mean(), alg2_expectation(
             g, r, sorted(seeds), type_set))
 
@@ -572,7 +583,7 @@ class TestEstimatorExpectation:
     def test_matches_scalar_reference(self, g, data, seeds, type_set, depth,
                                       n, seed):
         r = draw_relationship(g, data, seeds, depth)
-        assert trial_outcomes(g, r, seeds, type_set, n, seed).tolist() == \
+        assert trial_outcomes(g, [r], seeds, type_set, n, seed)[0].tolist() == \
             scan_trial_outcomes(g, r, seeds, type_set, n, seed)
 
     @settings(max_examples=150, deadline=None)
@@ -585,8 +596,8 @@ class TestEstimatorExpectation:
                            seed):
         # trial i does not depend on the budget, dead-end retries included
         r = draw_relationship(g, data, seeds, depth)
-        small = trial_outcomes(g, r, seeds, type_set, n, seed)
-        large = trial_outcomes(g, r, seeds, type_set, n + extra, seed)
+        small = trial_outcomes(g, [r], seeds, type_set, n, seed)[0]
+        large = trial_outcomes(g, [r], seeds, type_set, n + extra, seed)[0]
         assert small.tolist() == large[:n].tolist()
 
     @pytest.mark.parametrize("preds", [("p",), ("p", "r")])
@@ -600,9 +611,9 @@ class TestEstimatorExpectation:
                      (EX + "w", EX + "r", EX + "z")])
         seeds = {g.term_id(EX + f"e{i}") for i in range(30)}
         r = rel(g, *(EX + p for p in preds))
-        large = trial_outcomes(g, r, seeds, seeds, 400, seed=7)
+        large = trial_outcomes(g, [r], seeds, seeds, 400, seed=7)[0]
         for n in (1, 7, 31, 150, 399):
-            assert trial_outcomes(g, r, seeds, seeds, n, seed=7).tolist() \
+            assert trial_outcomes(g, [r], seeds, seeds, n, seed=7)[0].tolist() \
                 == large[:n].tolist()
         assert large[:60].tolist() == scan_trial_outcomes(
             g, r, seeds, seeds, 60, seed=7)
@@ -612,6 +623,129 @@ class TestEstimatorExpectation:
         assert p == pytest.approx(
             (1 - (14 / 15) ** (FORWARD_RETRY_LIMIT + 1)) / len(preds))
         assert abs(large.mean() - p) <= self.Z * math.sqrt(p * (1 - p) / 400)
+
+
+class TestLockstep:
+    """trial_outcomes over many same-depth candidates at once, and the
+    ranking that scores every n_walks budget from one run."""
+
+    @pytest.mark.parametrize("block", [specificity.BLOCK_ROWS, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs(), data=st.data(),
+           seeds=st.sets(st.integers(0, N_NODES - 1), min_size=1),
+           type_set=st.sets(st.integers(0, N_NODES - 1)),
+           depth=st.integers(1, 3), n=st.integers(1, 30),
+           seed=st.integers(0, 2**16))
+    def test_rows_match_scalar_reference(self, block, g, data, seeds,
+                                         type_set, depth, n, seed):
+        # a block of 7 rows splits candidates and starts mid-candidate
+        realizable = sorted(enumerate_frequencies(g, seeds, depth, frozenset()))
+        preds = [g.term_id(p) for p in PREDICATES]
+        any_seq = st.tuples(*[st.sampled_from(preds)] * depth)
+        rels = [SemanticRelationship(seq) for seq in data.draw(st.lists(
+            st.sampled_from(realizable) | any_seq if realizable else any_seq,
+            min_size=1, max_size=6, unique=True))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specificity, "BLOCK_ROWS", block)
+            got = trial_outcomes(g, rels, seeds, type_set, n, seed)
+        assert got.shape == (len(rels), n)
+        for r, row in zip(rels, got):
+            assert row.tolist() == scan_trial_outcomes(g, r, seeds, type_set,
+                                                       n, seed)
+
+    @pytest.mark.parametrize("preds", [("p",), ("p", "r")])
+    def test_dead_ends_match_scalar_count(self, preds):
+        # the graph of test_budget_prefix_with_retries
+        g = build([(EX + f"e{i}", EX + "q", EX + "y") for i in range(30)]
+                  + [(EX + "e0", EX + "p", EX + "x"),
+                     (EX + "e1", EX + "p", EX + "x"),
+                     (EX + "x", EX + "r", EX + "z"),
+                     (EX + "w", EX + "r", EX + "z")])
+        seeds = {g.term_id(EX + f"e{i}") for i in range(30)}
+        r = rel(g, *(EX + p for p in preds))
+        hit, dead = specificity._trials(g, [r], seeds, seeds, 150, 7)
+        scan = scan_trials(g, r, seeds, seeds, 150, 7)
+        assert hit[0].tolist() == [h for h, _ in scan]
+        assert dead[0].tolist() == [d for _, d in scan]
+        assert 0 < dead.sum() < 150
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=small_graphs(), data=st.data(), size=st.integers(1, N_NODES),
+           extra=st.lists(st.integers(1, 40), min_size=1, max_size=4,
+                          unique=True),
+           threshold=st.sampled_from([0.2, 0.4, 0.5, 0.6, 0.8]),
+           seed=st.integers(0, 2**16))
+    def test_budgets_equal_independent_runs(self, g, data, size, extra,
+                                            threshold, seed):
+        types = sorted({o for _, p, o in g.triples if p == g.rdf_type_id})
+        assume(types)
+        t = data.draw(st.sampled_from(types))
+        budgets = [size + e for e in extra]
+        params = EstimatorParams(seed_set_size=size, n_walks=max(budgets),
+                                 max_depth=2, threshold=threshold, seed=seed)
+        self.assert_equal_independent_runs(g, t, params, budgets)
+
+    def test_budgets_keeping_different_prefixes(self):
+        # a's expected score is 0.5, the threshold: x{i} has one in-edge from
+        # a typed e{i} and one from an untyped u{i}; only a extends, by b
+        g = build([(EX + f"e{i}", RDF_TYPE, TYPE_T) for i in range(10)]
+                  + [(EX + f"{s}{i}", EX + "a", EX + f"x{i}")
+                     for i in range(10) for s in "eu"]
+                  + [(EX + f"x{i}", EX + "b", EX + f"y{i}") for i in range(10)]
+                  + [(EX + f"e{i}", EX + "c", EX + "z") for i in range(10)])
+        params = EstimatorParams(seed_set_size=10, n_walks=30, max_depth=2,
+                                 threshold=0.5, seed=1)
+        tables = self.assert_equal_independent_runs(g, TYPE_T, params,
+                                                    list(range(11, 31)))
+        kept = {tuple(e.relationship.render(g) for e in table.above_threshold(
+            1, params.threshold)) for table in tables}
+        assert kept == {(EX + "c",), (EX + "c", EX + "a")}
+        assert {len(table.entries_at(2)) for table in tables} == {0, 1}
+
+    @staticmethod
+    def assert_equal_independent_runs(g, t, params, budgets):
+        tables = rank_at_budgets(g, t, params, budgets)
+        runs = {}
+        for n, table in zip(budgets, tables):
+            runs[n] = rank_by_specificity(g, t, replace(params, n_walks=n))
+            assert table == runs[n]
+        values = sorted(budgets)
+        ideal = runs[values[-1]]
+        assert sensitivity_sweep(g, t, params, n_walks_values=budgets) == [
+            SweepPoint("n_walks", v, depth, ndcg(runs[v].entries_at(depth),
+                                                 ideal.entries_at(depth)))
+            for v in values for depth in sorted(ideal.depths)]
+        return tables
+
+    def test_sample_paths_calls_do_not_grow_with_candidates(self,
+                                                           monkeypatch):
+        calls = []
+        sample_paths = Graph.sample_paths
+
+        def counting_sample_paths(self, starts, predicates, u):
+            calls.append(len(predicates))  # one call per step count (depth)
+            return sample_paths(self, starts, predicates, u)
+
+        monkeypatch.setattr(Graph, "sample_paths", counting_sample_paths)
+        for k in (1, 3, 8):
+            # k predicates from every node of a 5-cycle of typed nodes, so
+            # no forward walk dead-ends; k + k**2 candidates, 100 trials each
+            g = build([(EX + f"e{i}", RDF_TYPE, TYPE_T) for i in range(5)]
+                      + [(EX + f"e{i}", EX + f"p{j}", EX + f"e{(i + j) % 5}")
+                         for i in range(5) for j in range(k)])
+            t = g.term_id(TYPE_T)
+            seeds = sorted(g.entities_of_type(t))
+            candidates = [rel(g, EX + f"p{j}") for j in range(k)] + [
+                rel(g, EX + f"p{i}", EX + f"p{j}")
+                for i in range(k) for j in range(k)]
+            calls.clear()
+            entries = estimate_specificity(g, candidates, seeds, t, 100)
+            assert [e.score for e in entries] == [1.0] * len(candidates)
+            assert calls == [1, 2]
+            calls.clear()
+            rank_by_specificity(g, t, EstimatorParams(
+                seed_set_size=5, n_walks=100, max_depth=2, threshold=0.0))
+            assert calls == [1, 2]
 
 
 class TestSelectPaths:
