@@ -4,7 +4,8 @@
 Every command accepts --seed and --config (JSON file mirroring the flag
 names; explicit flags win) and writes a JSON metadata sidecar next to each
 output artifact recording the seed, a config hash and the graph checksum
-(and, for `walk`, `train` and alg2 `specificity`, the run's counters).
+(and, for `ingest` of N-Triples, `walk`, `train` and alg2 `specificity`,
+the run's counters).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -20,7 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .graph import Graph, GraphError, read_snapshot, write_snapshot
+from .graph import (Graph, GraphError, distinct_rows, read_snapshot,
+                    write_snapshot)
 from .ntriples import load_graph, open_text, serialize_ntriples
 from .pagerank import compute_pagerank, load_scores, save_scores
 from .recommend import precision_at_k, sensitivity_sweep, top_k
@@ -29,7 +31,7 @@ from .specificity import (EstimatorParams, SpecificityTable,
                           rank_by_specificity)
 from .synth import (franchise_graph, layered_graph, relevance_inversion_graph,
                     sensitivity_fixture)
-from .walks import (WalkCorpus, WalkStrategy, distinct_rows, extract_corpus,
+from .walks import (WalkCorpus, WalkStrategy, extract_corpus,
                     read_corpus_lines, write_corpus, write_stats_csv)
 
 
@@ -69,7 +71,10 @@ def _write_sidecar(args, graph: Graph | None = None,
 def cmd_ingest(args) -> int:
     g = load_graph(args.input, strict=args.strict, rdf_type=args.rdf_type)
     write_snapshot(g, args.out)
-    _write_sidecar(args, g)
+    report = g.report  # None for a snapshot input
+    _write_sidecar(args, g, None if report is None else {
+        "parsed_lines": report.parsed, "skipped_lines": report.skipped,
+        "duplicate_triples": report.parsed - g.n_triples})
     typed = g.out_pred == g.rdf_type_id  # all False without rdf:type
     print(f"triples={g.n_triples} terms={g.n_terms} "
           f"typed_entities={len(np.unique(g.out_src[typed]))} "

@@ -7,12 +7,20 @@ forms keep their datatype/language suffix as part of the interned string.
 from __future__ import annotations
 
 import gzip
-import io
 import re
+import zlib
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, count, islice
 
-from .graph import (RDF_TYPE, SNAPSHOT_MAGIC, Graph, GraphBuilder, GraphError,
+import numpy as np
+
+from .graph import (RDF_TYPE, SNAPSHOT_MAGIC, Graph, GraphError, distinct_rows,
                     read_snapshot)
+
+# lines matched per block: bounds the lines and match objects held at once
+BLOCK_LINES = 4096
 
 # a body "_:b" would intern as the blank node _:b, one holding '"' could
 # share a term with a literal, and the empty IRI would render as no token
@@ -41,31 +49,50 @@ def parse_ntriples(lines, strict: bool = False, rdf_type: str = RDF_TYPE) -> Gra
 
     Malformed lines are recorded and skipped (lenient, default) or abort with
     the offending line number (strict). The returned graph carries the
-    ParseReport as ``graph.report``.
+    ParseReport as ``graph.report``. Lines are read BLOCK_LINES at a time;
+    term ids follow first occurrence in (s, p, o) line order.
     """
-    builder = GraphBuilder(rdf_type=rdf_type)
     report = ParseReport()
-    for lineno, raw in enumerate(lines, 1):
+    # term -> id: a missing term takes the next id, so ids follow first use
+    ids = defaultdict(count().__next__)
+    blocks = [np.zeros(0, dtype=np.int64)]  # each block's s, p, o ids
+    lines = iter(lines)
+    start = 1  # the line number of the block's first line
+    while block := list(islice(lines, BLOCK_LINES)):
+        # ^\s* and \s*...$ absorb the whitespace a strip would remove
+        matches = list(map(_LINE_RE.match, block))
+        if not all(matches):
+            _record_malformed(block, matches, start, strict, report)
+        # each match holds exactly three non-empty groups: s, p and o
+        groups = filter(None, chain.from_iterable(
+            map(re.Match.groups, filter(None, matches))))
+        blocks.append(np.fromiter(map(ids.__getitem__, groups), np.int64))
+        start += len(block)
+    spo = np.concatenate(blocks).reshape(-1, 3)
+    report.parsed = len(spo)
+    # _IRI forbids '"' and a blank node starts with "_:", so only a literal
+    # starts with '"'
+    terms = list(ids)
+    graph = Graph(terms, [t.startswith('"') for t in terms],
+                  distinct_rows(spo), rdf_type)
+    graph.report = report
+    return graph
+
+
+def _record_malformed(block: list[str], matches: list, start: int,
+                      strict: bool, report: ParseReport) -> None:
+    """Pass over the block's blank and comment lines; record each other
+    line that failed to match as malformed, or raise ParseError if strict."""
+    for lineno, raw, m in zip(count(start), block, matches):
+        if m is not None:
+            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _LINE_RE.match(line)
-        if m is None:
-            if strict:
-                raise ParseError(f"malformed N-Triples at line {lineno}: {line!r}")
-            report.skipped += 1
-            report.errors.append((lineno, line))
-            continue
-        s_iri, s_bnode, pred, o_iri, o_bnode, o_lit = m.groups()
-        subject = s_iri if s_iri is not None else s_bnode
-        if o_lit is not None:
-            builder.add(subject, pred, o_lit, object_literal=True)
-        else:
-            builder.add(subject, pred, o_iri if o_iri is not None else o_bnode)
-        report.parsed += 1
-    graph = builder.build()
-    graph.report = report
-    return graph
+        if strict:
+            raise ParseError(f"malformed N-Triples at line {lineno}: {line!r}")
+        report.skipped += 1
+        report.errors.append((lineno, line))
 
 
 def serialize_ntriples(graph: Graph, out) -> None:
@@ -74,11 +101,17 @@ def serialize_ntriples(graph: Graph, out) -> None:
     out.writelines(graph.rendered_lines(" ", " .\n"))
 
 
+@contextmanager
 def open_text(path: str):
-    """Open a text file, transparently decompressing ``.gz`` inputs."""
-    if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+    """Open a UTF-8 text file, dropping a leading byte-order mark and
+    transparently decompressing ``.gz`` inputs. A truncated or corrupt gzip
+    stream, found while the file is read, raises GraphError naming it."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, "rt", encoding="utf-8-sig") as f:
+            yield f
+    except (EOFError, zlib.error) as exc:
+        raise GraphError(f"corrupt gzip input {path}: {exc}") from None
 
 
 def load_graph(path: str, strict: bool = False, rdf_type: str = RDF_TYPE) -> Graph:

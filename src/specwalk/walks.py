@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, hashed_uniforms, slice_members, slice_pick
+from .graph import (Graph, distinct_rows, hashed_uniforms, slice_members,
+                    slice_pick)
 from .specificity import SpecificityTable
 
 BIASES = ("uniform", "frequency", "pagerank", "specificity")
@@ -278,15 +279,6 @@ def _template_walks(g, seed, root, attempt, *, templates, cum) -> np.ndarray:
         tokens[rows, 2:2 * d + 1:2] = nodes[done, 1:]
         tokens[rows, 1:2 * d:2] = template
     return tokens
-
-
-def distinct_rows(a: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array, in an order of its own. (numpy
-    2.4's np.unique imports numpy.ma on first use, about 1.5 MiB.)"""
-    a = a[np.lexsort(a.T)]
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = (a[1:] != a[:-1]).any(axis=1)
-    return a[first]
 
 
 def extract_corpus(g: Graph, entities, strategy: WalkStrategy,

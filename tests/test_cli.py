@@ -236,6 +236,60 @@ class TestIngest:
         assert vocab == {t for line in lines for t in line.split(" ")}
         assert "" not in vocab and "http://x/c" in vocab
 
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_is_data_error(self, tmp_path, capsys, damage):
+        text = "".join(f"<http://x/s{i}> <http://x/p> <http://x/o{i % 7}> .\n"
+                       for i in range(200))
+        data = bytearray(gzip.compress(text.encode(), mtime=0))
+        if damage == "truncated":  # raises EOFError while reading
+            del data[30:]
+        else:  # overwritten deflate bytes raise zlib.error
+            data[10:40] = b"\xff" * 30
+        gz = tmp_path / "g.nt.gz"
+        gz.write_bytes(bytes(data))
+        assert main(["ingest", str(gz), "--out", str(tmp_path / "g.snap")]) == 2
+        assert str(gz) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.nt.gz"]
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_byte_order_mark_keeps_first_triple(self, tmp_path, capsys,
+                                                strict):
+        nt = tmp_path / "g.nt"
+        nt.write_bytes("\ufeff<http://x/a> <http://x/p> <http://x/b> .\n"
+                       "<http://x/b> <http://x/p> <http://x/c> .\n"
+                       .encode("utf-8"))
+        snap = tmp_path / "g.snap"
+        argv = ["ingest", str(nt), "--out", str(snap)]
+        assert main(argv + ["--strict"] * strict) == 0
+        out, err = capsys.readouterr()
+        assert "triples=2 terms=4 " in out and err == ""
+        assert read_snapshot(str(snap)).terms[0] == "http://x/a"
+
+    def test_sidecar_counters(self, tmp_path, capsys):
+        nt = tmp_path / "g.nt"
+        nt.write_text("# header\n\n"
+                      "<http://x/a> <http://x/p> <http://x/b> .\n"
+                      "not a triple\n"
+                      "<http://x/a> <http://x/p> <http://x/b> .\n"
+                      "<http://x/b> <http://x/p> <http://x/c> .\n"
+                      "<http://x/b> <http://x/p>\n")
+        argv = ["ingest", str(nt), "--out", str(tmp_path / "g.snap")]
+        sidecars = []
+        for _ in range(2):
+            assert main(argv) == 0
+            sidecars.append((tmp_path / "g.snap.meta.json").read_bytes())
+        assert sidecars[0] == sidecars[1]
+        counters = json.loads(sidecars[0])["counters"]
+        assert counters == {"parsed_lines": 3, "skipped_lines": 2,
+                            "duplicate_triples": 1}
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == \
+            f"skipped_lines={counters['skipped_lines']}"
+        # a snapshot input parses no lines, so it has no counters
+        assert main(["ingest", str(tmp_path / "g.snap"),
+                     "--out", str(tmp_path / "g2.snap")]) == 0
+        assert "counters" not in read_meta(tmp_path / "g2.snap")
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["ingest", str(tmp_path / "absent.nt"),
                      "--out", str(tmp_path / "g.snap")]) == 2
@@ -271,8 +325,9 @@ class TestSpecificity:
             ["spec.tsv", "spec.tsv.meta.json"]
         meta = read_meta(table)
         snap_meta = read_meta(pipeline / "g.snap")
-        # alg2 adds its estimator counters to the keys every sidecar has
-        assert meta.keys() == snap_meta.keys() | {"counters"}
+        # ingest and alg2 both add their counters to the keys every sidecar has
+        assert meta.keys() == snap_meta.keys()
+        assert "counters" in meta
         assert meta["command"] == "specificity"
         assert meta["graph_checksum"] == snap_meta["graph_checksum"]
 

@@ -15,8 +15,9 @@ from specwalk.cli import main
 from specwalk.graph import (RDF_TYPE, GraphBuilder, GraphError,
                             UnknownTermError, hashed_state, hashed_uniforms,
                             read_snapshot, write_snapshot)
-from specwalk.ntriples import (ParseError, load_graph, parse_ntriples,
-                               serialize_ntriples)
+from specwalk import ntriples
+from specwalk.ntriples import (_LINE_RE, ParseError, ParseReport, load_graph,
+                               parse_ntriples, serialize_ntriples)
 from specwalk.walks import WalkStrategy, extract_corpus
 
 from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, small_edges,
@@ -118,6 +119,125 @@ class TestParsing:
         g = parse(line * 3)
         assert g.n_triples == 1
         assert g.report.parsed == 3
+
+
+def _reference_parse_ntriples(lines, strict=False, rdf_type=RDF_TYPE):
+    """The per-line parser: strip each line, pass over blanks and comments,
+    match the rest and add each triple to a GraphBuilder."""
+    builder = GraphBuilder(rdf_type=rdf_type)
+    report = ParseReport()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = _LINE_RE.match(line)
+        if m is None:
+            if strict:
+                raise ParseError(
+                    f"malformed N-Triples at line {lineno}: {line!r}")
+            report.skipped += 1
+            report.errors.append((lineno, line))
+            continue
+        s_iri, s_bnode, pred, o_iri, o_bnode, o_lit = m.groups()
+        subject = s_iri if s_iri is not None else s_bnode
+        if o_lit is not None:
+            builder.add(subject, pred, o_lit, object_literal=True)
+        else:
+            builder.add(subject, pred, o_iri if o_iri is not None else o_bnode)
+        report.parsed += 1
+    graph = builder.build()
+    graph.report = report
+    return graph
+
+
+def assert_parses_like_reference(lines, strict=False):
+    """parse_ntriples at BLOCK_LINES, 1 and 3 lines a block gives the
+    reference's terms, literal flags, triple arrays and report, or its
+    ParseError message."""
+    try:
+        want, error = _reference_parse_ntriples(lines, strict), None
+    except ParseError as exc:
+        want, error = None, str(exc)
+    for block_lines in (ntriples.BLOCK_LINES, 1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ntriples, "BLOCK_LINES", block_lines)
+            if error is not None:
+                with pytest.raises(ParseError) as exc:
+                    parse_ntriples(iter(lines), strict)
+                assert str(exc.value) == error
+                continue
+            got = parse_ntriples(iter(lines), strict)
+        assert (got.terms, got.literal) == (want.terms, want.literal)
+        for name in ("out_src", "out_pred", "out_obj"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.report == want.report
+
+
+_LINE_IRIS = ["<http://x/a>", "<http://x/a/b>", "<#c>", "<http://x/p>"]
+_LINE_BNODES = ["_:b", "_:b1", "_:b1.x"]
+_LINE_LITERALS = st.builds(
+    lambda body, suffix: f'"{body}"{suffix}',
+    st.lists(st.sampled_from(["x", " ", "\t", "é", '\\"', "\\\\",
+                              "\\n", "#"]), max_size=4).map("".join),
+    st.sampled_from(["", "@en", "@en-US", "^^<http://x/int>"]))
+_GAP = st.sampled_from([" ", "\t", " \t "])
+_EDGE = st.sampled_from(["", " ", "\t", "  "])
+_TRIPLE_LINES = st.builds(
+    lambda lead, s, g1, p, g2, o, g3, tail: f"{lead}{s}{g1}{p}{g2}{o}{g3}.{tail}",
+    _EDGE, st.sampled_from(_LINE_IRIS + _LINE_BNODES), _GAP,
+    st.sampled_from(_LINE_IRIS), _GAP,
+    st.one_of(st.sampled_from(_LINE_IRIS + _LINE_BNODES), _LINE_LITERALS),
+    _EDGE, st.sampled_from(["", " ", "\t", " # note", "#x"]))
+_OTHER_LINES = st.builds(
+    lambda lead, body, tail: lead + body + tail, _EDGE, st.sampled_from([
+        "", "# comment", "#", "broken", "<http://x/a> <http://x/p> <http://x/b>",
+        '"x" <http://x/p> <http://x/b> .', "<_:b> <http://x/p> <http://x/b> .",
+        '<"a"> <http://x/p> <http://x/b> .', "<> <http://x/p> <http://x/b> .",
+        "<http://x/a> _:b <http://x/b> .", '<http://x/a> <http://x/p> "x .',
+        "<http://x/a> <http://x/p> <http://x/b> . extra"]), _EDGE)
+# lines drawn from a pool of up to six, so that triples repeat; the last
+# line may lack its newline
+_NT_LINES = st.builds(
+    lambda lines, cut: lines[:-1] + [lines[-1].rstrip("\r\n")]
+    if lines and cut else lines,
+    st.lists(st.tuples(st.one_of(_TRIPLE_LINES, _TRIPLE_LINES, _OTHER_LINES),
+                       st.sampled_from(["\n", "\r\n"])).map("".join),
+             min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=14)),
+    st.booleans())
+
+
+class TestBlockParse:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=_NT_LINES, strict=st.booleans())
+    def test_matches_reference_parser(self, lines, strict):
+        assert_parses_like_reference(lines, strict)
+
+    def test_malformed_line_in_second_block(self, monkeypatch):
+        lines = [f"<http://x/s{i}> <http://x/p> <http://x/o> .\n"
+                 for i in range(6)]
+        lines[4] = "<http://x/s4> <http://x/p>\n"
+        monkeypatch.setattr(ntriples, "BLOCK_LINES", 3)
+        g = parse_ntriples(lines)
+        assert (g.report.parsed, g.n_triples) == (5, 5)
+        assert g.report.errors == [(5, "<http://x/s4> <http://x/p>")]
+        with pytest.raises(ParseError, match="line 5:"):
+            parse_ntriples(lines, strict=True)
+        assert_parses_like_reference(lines)
+        assert_parses_like_reference(lines, strict=True)
+
+    def test_repeat_spans_blocks(self, monkeypatch):
+        lines = ["<http://x/a> <http://x/p> _:b .\n",
+                 "_:b <http://x/p> <http://x/c> .\n",
+                 "<http://x/c> <http://x/q> \"x\" .\n",
+                 "<http://x/a> <http://x/p> _:b .\n"]
+        monkeypatch.setattr(ntriples, "BLOCK_LINES", 3)
+        g = parse_ntriples(lines)
+        assert (g.report.parsed, g.n_triples) == (4, 3)
+        assert g.terms == ["http://x/a", "http://x/p", "_:b", "http://x/c",
+                           "http://x/q", '"x"']
+        assert g.literal == [False] * 5 + [True]
+        assert_parses_like_reference(lines)
 
 
 class TestAdjacency:
