@@ -4,8 +4,8 @@
 Every command accepts --seed and --config (JSON file mirroring the flag
 names; explicit flags win) and writes a JSON metadata sidecar next to each
 output artifact recording the seed, a config hash and the graph checksum
-(and, for `ingest` of N-Triples, `walk`, `train` and alg2 `specificity`,
-the run's counters).
+(and, for `ingest` of N-Triples, `walk`, `train`, `eval` and alg2
+`specificity`, the run's counters).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -262,7 +262,10 @@ def cmd_eval(args) -> int:
         w = csv.writer(f)
         w.writerow(["scheme", "depth", "query", "k", "precision"])
         w.writerows(rows)
-    _write_sidecar(args)
+    # every query not scored was missing from the vocabulary
+    _write_sidecar(args, counters={
+        "queries": len(truth), "scored": len(rows),
+        "missing_queries": len(truth) - len(rows)})
     if rows:
         mean = sum(float(r[4]) for r in rows) / len(rows)
         print(f"queries={len(rows)} mean_precision={mean:.4f}")

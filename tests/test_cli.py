@@ -290,6 +290,18 @@ class TestIngest:
                      "--out", str(tmp_path / "g2.snap")]) == 0
         assert "counters" not in read_meta(tmp_path / "g2.snap")
 
+    @pytest.mark.parametrize("name", ["latin1.nt", "latin1.nt.gz"])
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys, name):
+        data = ("<http://x/a> <http://x/p> <http://x/caf\u00e9> .\n"
+                .encode("latin-1"))
+        nt = tmp_path / name
+        nt.write_bytes(gzip.compress(data, mtime=0) if name.endswith(".gz")
+                       else data)
+        assert main(["ingest", str(nt), "--out", str(tmp_path / "g.snap")]) == 2
+        err = capsys.readouterr().err
+        assert f"input {nt} is not UTF-8" in err
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["ingest", str(tmp_path / "absent.nt"),
                      "--out", str(tmp_path / "g.snap")]) == 2
@@ -462,6 +474,19 @@ class TestWalk:
         extra = [str(entities) if a == "ENTITIES" else a for a in extra]
         assert main(["walk", str(pipeline / "g.snap"),
                      "--out", str(tmp_path / "c.txt")] + extra) == 1
+        assert list(tmp_path.iterdir()) == [entities]
+
+    @pytest.mark.parametrize("name", ["roots.txt", "roots.txt.gz"])
+    def test_non_utf8_entities_file_names_it(self, pipeline, tmp_path, capsys,
+                                             name):
+        data = (SYNTH + "film/f0_0\n" + SYNTH + "caf\u00e9\n").encode("latin-1")
+        entities = tmp_path / name
+        entities.write_bytes(gzip.compress(data, mtime=0)
+                             if name.endswith(".gz") else data)
+        assert main(["walk", str(pipeline / "g.snap"),
+                     "--out", str(tmp_path / "c.txt"),
+                     "--entities", str(entities)]) == 2
+        assert f"input {entities} is not UTF-8" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [entities]
 
     def test_entity_without_edges_warns_empty(self, tmp_path, capsys):
@@ -738,6 +763,28 @@ class TestTrainRecommendEval:
         assert lines[0] == "scheme,depth,query,k,precision"
         assert len(lines) == 21  # header + 20 film queries
         assert all(l.startswith("uniform,2,") for l in lines[1:])
+
+    def test_eval_sidecar_counters(self, pipeline, tmp_path, capsys):
+        truth = json.loads((pipeline / "truth.json").read_text())
+        truth.update({SYNTH + "film/absent1": [SYNTH + "film/f0_0"],
+                      SYNTH + "film/absent2": [SYNTH + "film/f0_1"]})
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(truth))
+        out = tmp_path / "eval.csv"
+        sidecars = []
+        for _ in range(2):
+            assert main(["eval", str(pipeline / "model.txt"),
+                         "--truth", str(path), "--out", str(out),
+                         "--allow-mismatch"]) == 0
+            sidecars.append(file_hash(tmp_path / "eval.csv.meta.json"))
+            warnings = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("warning: query not in vocab")]
+        assert sidecars[0] == sidecars[1]
+        counters = read_meta(out)["counters"]
+        assert counters == {"queries": len(truth),
+                            "scored": len(out.read_text().splitlines()) - 1,
+                            "missing_queries": len(warnings)}
+        assert counters["missing_queries"] == 2
 
     def test_eval_k_mismatch_is_usage_error(self, pipeline, tmp_path):
         assert main(["eval", str(pipeline / "model.txt"),

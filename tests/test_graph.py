@@ -207,11 +207,106 @@ _NT_LINES = st.builds(
     st.booleans())
 
 
+# plain lines "<s> <p> <o> .\n" (which the byte check accepts) and lines one
+# edit away from plain: one character inserted, replaced or deleted
+_PLAIN_BODIES = ["http://x/a", "a", "#c", "_", "_b", ":b", "a.b"]
+_PLAIN_LINES = st.builds("<{}> <{}> <{}> .\n".format,
+                         *[st.sampled_from(_PLAIN_BODIES)] * 3)
+_EDIT_CHARS = st.sampled_from([
+    " ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1f", "\x85", "\xa0",
+    "\u2028", "\x00", "<", ">", '"', "_", ":", ".", "#", "\u00e9", "\n"])
+
+
+@st.composite
+def _near_plain_lines(draw):
+    line = draw(_PLAIN_LINES)
+    edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+    i = draw(st.integers(0, len(line) - (edit != "insert")))
+    c = "" if edit == "delete" else draw(_EDIT_CHARS)
+    return line[:i] + c + line[i + (edit != "insert"):]
+
+
+# items that are not one line each: two lines in one item, or a line
+# without its newline in mid-block
+_NOT_LINE_ITEMS = st.one_of(
+    st.builds(str.__add__, _PLAIN_LINES, _PLAIN_LINES),
+    _PLAIN_LINES.map(lambda line: line[:-1]))
+_NEAR_PLAIN = st.builds(
+    lambda lines, cut: lines[:-1] + [lines[-1][:-1]] if lines and cut
+    else lines,
+    st.lists(st.one_of(_PLAIN_LINES, _PLAIN_LINES, _PLAIN_LINES,
+                       _near_plain_lines(), _NOT_LINE_ITEMS), max_size=10),
+    st.booleans())
+
+
+class _CountingLineRe:
+    """Stands in for ntriples._LINE_RE and counts its match calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def match(self, line):
+        self.calls += 1
+        return _LINE_RE.match(line)
+
+
 class TestBlockParse:
     @settings(max_examples=300, deadline=None)
     @given(lines=_NT_LINES, strict=st.booleans())
     def test_matches_reference_parser(self, lines, strict):
         assert_parses_like_reference(lines, strict)
+
+    @settings(max_examples=500, deadline=None)
+    @given(lines=_NEAR_PLAIN, strict=st.booleans())
+    @example(lines=["<a> <p> <b> .\n", "<b> <p> <c> ."], strict=False)
+    @example(lines=["<a> <p> <b> .\n<b> <p> <c> .\n"], strict=True)
+    @example(lines=["<a> <p> <b> .", "<b> <p> <c> .\n"], strict=False)
+    @example(lines=["<a> <p> <_:b> .\n"], strict=False)
+    @example(lines=["<a> <p> <\x85> .\n"], strict=False)
+    @example(lines=["<a> <p> <b> .\x00", "<b> <p> <c> .\n"], strict=False)
+    @example(lines=["<a> <p> <b> x\n", '<a> <p> <b"> .\n'], strict=False)
+    @example(lines=["<a> <p> <b\tc> .\n", "<> <p> <b> .\n"], strict=False)
+    @example(lines=["<a> <p> <b> .\n<b> <p> <c> .", "\n"], strict=False)
+    def test_near_plain_lines_match_reference_parser(self, lines, strict):
+        assert_parses_like_reference(lines, strict)
+
+    def test_plain_file_without_final_newline(self, tmp_path):
+        path = tmp_path / "g.nt"
+        path.write_text("".join(f"<http://x/s{i}> <http://x/p> <http://x/o> .\n"
+                                for i in range(7)).rstrip("\n"))
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
+        assert not lines[-1].endswith("\n")
+        for strict in (False, True):
+            assert_parses_like_reference(lines, strict)
+        assert load_graph(str(path)).n_triples == 7
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 4097])
+    def test_plain_lines_split_in_runs(self, monkeypatch, n):
+        lines = [f"<http://x/s{i % 70}> <http://x/p{i % 3}> <http://x/o{i}> .\n"
+                 for i in range(n)]
+        counting = _CountingLineRe()
+        monkeypatch.setattr(ntriples, "_LINE_RE", counting)
+        assert_parses_like_reference(lines)
+        assert counting.calls == 0
+
+    @pytest.mark.parametrize("make", ["franchise", "layered"])
+    def test_serialized_graphs_never_reach_the_regex(self, monkeypatch,
+                                                     request, make):
+        g, _ = request.getfixturevalue(make)
+        out = io.StringIO()
+        serialize_ntriples(g, out)
+        lines = out.getvalue().splitlines(keepends=True)
+        counting = _CountingLineRe()
+        monkeypatch.setattr(ntriples, "_LINE_RE", counting)
+        got = parse_ntriples(lines)
+        assert counting.calls == 0
+        assert got.checksum() == g.checksum()
+        # one literal sends its block, and only its block, to the regex
+        monkeypatch.setattr(ntriples, "BLOCK_LINES", 100)
+        lines[150] = '<http://x/a> <http://x/p> "x" .\n'
+        parse_ntriples(lines)
+        assert counting.calls == 100
 
     def test_malformed_line_in_second_block(self, monkeypatch):
         lines = [f"<http://x/s{i}> <http://x/p> <http://x/o> .\n"
