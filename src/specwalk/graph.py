@@ -20,7 +20,7 @@ log = logging.getLogger(__name__)
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
-SNAPSHOT_MAGIC = b"SWSNAP01"
+SNAPSHOT_MAGIC = b"SWSNAP02"
 _TOKEN_ESCAPE = re.compile(r"[\\\s]")
 
 
@@ -363,15 +363,24 @@ class Graph:
         string, by (s, p, o) compared as rendered: the lines' text order
         unless a term is a prefix of another that goes on with a character
         at or below sep or end, as no two N-Triples terms do."""
-        r = [self.render_term(t) for t in range(len(self.terms))]
-        rank = np.empty(len(r), dtype=np.int64)
-        rank[sorted(range(len(r)), key=r.__getitem__)] = np.arange(len(r))
-        cols = (self.out_src, self.out_pred, self.out_obj)
-        order = np.lexsort([rank[a] for a in cols[::-1]])
+        r = [t if lit or t[:2] == "_:" else f"<{t}>"
+             for t, lit in zip(self.terms, self.literal)]
+        n = len(r)
+        rank = np.empty(n, dtype=np.uint64)
+        rank[sorted(range(n), key=r.__getitem__)] = np.arange(n, dtype=np.uint64)
+        # rank[s] * n + rank[p] < n**2 <= 2**64 for any u32 term count
+        order = np.lexsort((rank[self.out_obj], rank[self.out_src]
+                            * np.uint64(n) + rank[self.out_pred]))
+        word = np.array(r, dtype=object)
         for lo in range(0, len(order), 4096):  # bounds the strings held
             at = order[lo:lo + 4096]
-            yield "".join(f"{r[s]}{sep}{r[p]}{sep}{r[o]}{end}" for s, p, o
-                          in zip(*(a[at].tolist() for a in cols)))
+            cells = np.empty((len(at), 6), dtype=object)
+            cells[:, 0] = word[self.out_src[at]]
+            cells[:, 2] = word[self.out_pred[at]]
+            cells[:, 4] = word[self.out_obj[at]]
+            cells[:, 1] = cells[:, 3] = sep
+            cells[:, 5] = end
+            yield "".join(cells.ravel().tolist())
 
     def checksum(self) -> str:
         """sha256 of the tab-separated rendered_lines (id-order independent)."""
@@ -385,53 +394,92 @@ class Graph:
 
 # -- binary snapshot -----------------------------------------------------
 #
-# Layout (little-endian):
-#   8s   magic "SWSNAP01"
-#   u32  term count
-#   u64  triple count
+# Layout (little-endian), a term table then the triples:
+#   8s   magic "SWSNAP02"
+#   u32  term count n
+#   u64  triple count m
 #   u16  rdf:type IRI length, then the IRI bytes
-#   per term: u32 utf-8 length, bytes, u8 literal flag
-#   per triple (strictly ascending): 3 x u32 (subject, predicate, object)
+#   n x u32  each term's utf-8 length
+#   n x u8   each term's literal flag, 0 or 1
+#   the n terms' utf-8 bytes, concatenated
+#   m x 3 x u32  (subject, predicate, object), strictly ascending
+
+
+def _continuation_bytes(blob: bytes) -> np.ndarray:
+    """Ascending positions of the utf-8 continuation bytes (10xxxxxx)."""
+    b = np.frombuffer(blob, np.uint8)
+    return np.flatnonzero((b & 0xC0) == 0x80)
+
 
 def write_snapshot(graph: Graph, path: str) -> None:
+    blob = "".join(graph.terms).encode("utf-8")
+    # a term's utf-8 length is its length in characters plus the
+    # continuation bytes of its characters; the character owning the
+    # continuation byte at q (the r-th) is the (q - r)-th, counting from 1
+    cont = _continuation_bytes(blob)
+    chars = np.cumsum(np.fromiter(map(len, graph.terms), np.int64,
+                                  len(graph.terms)))
+    ends = chars + np.searchsorted(cont - np.arange(len(cont)), chars, "right")
+    rt = graph.rdf_type.encode("utf-8")
     with open(path, "wb") as f:
         f.write(SNAPSHOT_MAGIC)
-        f.write(struct.pack("<IQ", len(graph.terms), graph.n_triples))
-        rt = graph.rdf_type.encode("utf-8")
-        f.write(struct.pack("<H", len(rt)))
+        f.write(struct.pack("<IQH", len(graph.terms), graph.n_triples, len(rt)))
         f.write(rt)
-        for term, lit in zip(graph.terms, graph.literal):
-            tb = term.encode("utf-8")
-            f.write(struct.pack("<I", len(tb)))
-            f.write(tb)
-            f.write(struct.pack("<B", 1 if lit else 0))
+        f.write(np.diff(ends, prepend=0).astype("<u4").tobytes())
+        f.write(np.array(graph.literal, dtype=np.uint8).tobytes())
+        f.write(blob)
         f.write(np.stack([graph.out_src, graph.out_pred, graph.out_obj],
                          axis=1).astype("<u4").tobytes())
 
 
 def read_snapshot(path: str) -> Graph:
-    """Load a snapshot; GraphError when it is truncated or inconsistent."""
+    """Load a snapshot; GraphError naming the file when it is not a format-2
+    snapshot, or is truncated, padded or inconsistent."""
     with open(path, "rb") as f:
-        def read(n: int) -> bytes:
-            data = f.read(n)
-            if len(data) != n:
-                raise GraphError(f"truncated graph snapshot: {path}")
-            return data
+        data = f.read()
 
-        if f.read(8) != SNAPSHOT_MAGIC:
-            raise GraphError(f"not a graph snapshot: {path}")
-        n_terms, n_triples = struct.unpack("<IQ", read(12))
-        (rt_len,) = struct.unpack("<H", read(2))
-        rdf_type = read(rt_len).decode("utf-8")
-        terms: list[str] = []
-        literal: list[bool] = []
-        for _ in range(n_terms):
-            (tlen,) = struct.unpack("<I", read(4))
-            terms.append(read(tlen).decode("utf-8"))
-            literal.append(read(1) != b"\0")
-        buf = f.read()
-    if len(buf) != 12 * n_triples:
-        raise GraphError(f"triple block is {len(buf)} bytes, expected "
-                         f"{12 * n_triples}: {path}")
-    return Graph(terms, literal, np.frombuffer(buf, "<u4").reshape(-1, 3),
-                 rdf_type)
+    def fail(problem: str):
+        return GraphError(f"{problem}: {path}")
+
+    if data[:8] == b"SWSNAP01":
+        raise fail("format 1 snapshot; re-run ingest on the N-Triples input")
+    if data[:8] != SNAPSHOT_MAGIC:
+        raise fail("not a graph snapshot")
+    if len(data) < 22:
+        raise fail("truncated graph snapshot")
+    n_terms, n_triples, rt_len = struct.unpack_from("<IQH", data, 8)
+    at = 22 + rt_len  # the term lengths
+    if len(data) < at + 5 * n_terms:
+        raise fail("truncated graph snapshot")
+    lengths = np.frombuffer(data, "<u4", n_terms, at).astype(np.int64)
+    flags = np.frombuffer(data, np.uint8, n_terms, at + 4 * n_terms)
+    ends = np.cumsum(lengths)
+    at += 5 * n_terms  # the term bytes
+    size = int(ends[-1]) if n_terms else 0
+    if len(data) != at + size + 12 * n_triples:
+        raise fail(f"snapshot is {len(data)} bytes, but its header and term "
+                   f"lengths give {at + size + 12 * n_triples}")
+    if (flags > 1).any():
+        raise fail("literal flag other than 0 or 1")
+    blob = memoryview(data)[at:at + size]
+    try:
+        rdf_type = data[22:22 + rt_len].decode("utf-8")
+        text = str(blob, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise fail(f"snapshot text is not utf-8 ({exc.reason})") from None
+    # a term's character offset is its byte offset less the continuation
+    # bytes before it; a term may not end on a continuation byte
+    cont = _continuation_bytes(blob)
+    before = np.searchsorted(cont, ends, "left")
+    if (np.searchsorted(cont, ends, "right") != before).any():
+        raise fail("term boundary inside a utf-8 character")
+    ends = (ends - before).tolist()
+    terms = [text[a:z] for a, z in zip([0, *ends], ends)]
+    literal = flags.astype(bool).tolist()
+    triples = np.frombuffer(data, "<u4", 3 * n_triples, at + size)
+    triples = triples.astype(np.int64).reshape(-1, 3)
+    del data, blob, flags, text  # free the file before Graph's arrays
+    try:
+        return Graph(terms, literal, triples, rdf_type)
+    except GraphError as exc:
+        raise fail(str(exc)) from None

@@ -173,7 +173,8 @@ def load_graph(path: str, strict: bool = False, rdf_type: str = RDF_TYPE) -> Gra
     name ends in .gz)."""
     with open(path, "rb") as f:
         magic = f.read(len(SNAPSHOT_MAGIC))
-    if magic == SNAPSHOT_MAGIC:
+    # any format's magic: read_snapshot rejects an old one by name
+    if magic[:6] == SNAPSHOT_MAGIC[:6]:
         return read_snapshot(path)
     with open_text(path) as f:
         return parse_ntriples(f, strict=strict, rdf_type=rdf_type)

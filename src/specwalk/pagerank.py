@@ -65,8 +65,8 @@ def compute_pagerank(graph: Graph, damping: float = 0.85) -> ScoreMap:
     rank = np.full(n, 1.0 / n)
     for _ in range(MAX_ITERS):
         contrib = rank * inv_deg
-        new = np.bincount(dst_a, contrib[src_a], n)
-        new += rank[dangling].sum() / n
+        # with no edge, bincount's zeros are int64: add, do not +=
+        new = np.bincount(dst_a, contrib[src_a], n) + rank[dangling].sum() / n
         new = damping * new + (1.0 - damping) / n
         delta = np.abs(new - rank).sum()
         rank = new

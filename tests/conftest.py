@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import strategies as st
 
@@ -6,6 +8,16 @@ from specwalk.synth import franchise_graph, layered_graph
 
 EX = "http://x/"
 TYPE_T = EX + "T"
+
+
+def v1_snapshot_bytes(g):
+    """A graph in the format-1 snapshot layout: per term a u32 utf-8 length,
+    the bytes and a flag byte, then the 3 x u32 triple rows."""
+    rt = g.rdf_type.encode()
+    return (b"SWSNAP01" + struct.pack("<IQH", g.n_terms, g.n_triples, len(rt))
+            + rt + b"".join(struct.pack("<I", len(t.encode())) + t.encode()
+                            + bytes([f]) for t, f in zip(g.terms, g.literal))
+            + b"".join(struct.pack("<III", *t) for t in g.triples))
 
 
 def build(triples, rdf_type=RDF_TYPE):

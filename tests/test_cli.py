@@ -3,9 +3,13 @@ import gzip
 import hashlib
 import json
 import math
+import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import settings, given
+from hypothesis import strategies as st
 
 from specwalk.cli import main
 from specwalk.graph import read_snapshot
@@ -14,6 +18,7 @@ from specwalk.skipgram import EmbeddingModel, TrainConfig, train
 from specwalk.specificity import SemanticRelationship
 from specwalk.walks import read_corpus_lines
 
+from conftest import build, v1_snapshot_bytes
 from test_specificity import scan_trials
 
 SYNTH = "http://synth.specwalk.local/"
@@ -160,6 +165,38 @@ class TestIngest:
         assert main(["ingest", str(snap), "--out", str(tmp_path / "g2.snap")]) == 0
         assert read_meta(snap)["graph_checksum"] == \
             read_meta(tmp_path / "g2.snap")["graph_checksum"]
+
+    def test_snapshot_reingest_reproduces_bytes(self, pipeline, tmp_path):
+        g2 = tmp_path / "g2.snap"
+        assert main(["ingest", str(pipeline / "g.snap"), "--out", str(g2)]) == 0
+        assert g2.read_bytes() == (pipeline / "g.snap").read_bytes()
+
+    @pytest.mark.parametrize("command", ["ingest", "pagerank"])
+    def test_snapshot_not_utf8_names_the_file(self, tmp_path, capsys,
+                                             command):
+        nt = tmp_path / "g.nt"
+        nt.write_text("<http://x/é> <http://x/p> <http://x/o> .\n",
+                      encoding="utf-8")
+        snap = tmp_path / "bad.snap"
+        assert main(["ingest", str(nt), "--out", str(snap)]) == 0
+        snap.write_bytes(snap.read_bytes().replace("é".encode(), b"\xff\xfe"))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, str(snap), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(snap) in err and "utf-8" in err
+        assert not out.exists()
+        assert not (tmp_path / "out.meta.json").exists()
+
+    def test_format_1_snapshot_asks_for_reingest(self, tmp_path, capsys):
+        snap = tmp_path / "old.snap"
+        snap.write_bytes(v1_snapshot_bytes(build(
+            [("http://x/s", "http://x/p", "http://x/o")])))
+        out = tmp_path / "g.snap"
+        assert main(["ingest", str(snap), "--out", str(out)]) == 2
+        assert f"format 1 snapshot; re-run ingest on the N-Triples input: " \
+            f"{snap}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [snap]
 
     def test_strict_parse_failure_is_data_error(self, tmp_path):
         nt = tmp_path / "bad.nt"
@@ -980,3 +1017,88 @@ class TestSensitivityAndPagerank:
                          "--type", FILM, "--depth", "1",
                          "--seed-set-size", "10"] + values) == 1
             assert not out.exists()
+
+
+_RDF_TYPE_IRI = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+_FUZZ_IRIS = ["<#>", "<#a>", "<x\\y>", "<http://x/é>", "<\U0001D11E>",
+              "<http://x/a>"]
+_FUZZ_NODES = st.sampled_from(_FUZZ_IRIS + ["_:b", "_:b1"])
+_FUZZ_OBJECTS = st.one_of(_FUZZ_NODES, st.sampled_from([
+    '"a\\"b"', '"x y"@en', '"1"^^<#int>', '"\\\\"', '"é\\n"@fr-CA']))
+_FUZZ_LINES = st.lists(st.one_of(
+    st.builds("{} {} {} .\n".format, _FUZZ_NODES,
+              st.sampled_from(["<#p>", "<http://x/q>", "<#>"]), _FUZZ_OBJECTS),
+    st.builds(f"{{}} {_RDF_TYPE_IRI} <#T> .\n".format, _FUZZ_NODES),
+    st.sampled_from(["# comment\n", "\n", "<#a> <#p> .\n",
+                     "<#a> <#p> <#b>\n", " <#a>\t<#p>\t<#b> . # c\n"])),
+    min_size=1, max_size=15)
+
+
+def _run_pipeline(d):
+    """ingest -> pagerank -> specificity -> walk (pagerank and specificity
+    bias) -> train in directory d; each step runs only if the ones it reads
+    exited 0. Returns the exit codes by step."""
+    def at(name):
+        return os.path.join(d, name)
+
+    steps = {
+        "ingest": ["ingest", at("g.nt"), "--out", at("g.snap")],
+        "pagerank": ["pagerank", at("g.snap"), "--out", at("pr.tsv")],
+        "specificity": ["specificity", at("g.snap"), "--out", at("spec.tsv"),
+                        "--type", "#T", "--seed-set-size", "5",
+                        "--n-walks", "20", "--threshold", "0"],
+        "walk_pagerank": ["walk", at("g.snap"), "--out", at("wp.txt"),
+                          "--type", "#T", "--bias", "pagerank",
+                          "--scores", at("pr.tsv"), "--walks", "4"],
+        "walk_specificity": ["walk", at("g.snap"), "--out", at("ws.txt"),
+                             "--type", "#T", "--bias", "specificity",
+                             "--table", at("spec.tsv"), "--threshold", "0",
+                             "--walks", "4"],
+        "train_pagerank": ["train", at("wp.txt"), "--out", at("mp.txt"),
+                           "--dim", "4", "--window", "2", "--negatives", "2",
+                           "--epochs", "1"],
+        "train_specificity": ["train", at("ws.txt"), "--out", at("ms.txt"),
+                              "--dim", "4", "--window", "2",
+                              "--negatives", "2", "--epochs", "1"],
+    }
+    needs = {"pagerank": ["ingest"], "specificity": ["ingest"],
+             "walk_pagerank": ["pagerank"],
+             "walk_specificity": ["specificity"],
+             "train_pagerank": ["walk_pagerank"],
+             "train_specificity": ["walk_specificity"]}
+    codes = {}
+    for step, argv in steps.items():
+        if all(codes.get(n) == 0 for n in needs.get(step, [])):
+            codes[step] = main(argv + ["--seed", "2"])
+    return codes
+
+
+class TestPipelineContract:
+    @settings(max_examples=12, deadline=None)
+    @given(lines=_FUZZ_LINES)
+    def test_odd_terms_keep_the_pipeline_contract(self, lines):
+        # odd IRIs (<#>, <x\y>, astral), literals with escapes, tags and
+        # datatypes, blank nodes, and comment, blank and malformed lines
+        with tempfile.TemporaryDirectory() as d:
+            with open(os.path.join(d, "g.nt"), "w", encoding="utf-8") as f:
+                f.writelines(lines)
+            runs = []
+            for _ in range(2):
+                codes = _run_pipeline(d)
+                files = {}
+                for name in sorted(os.listdir(d)):
+                    with open(os.path.join(d, name), "rb") as f:
+                        files[name] = f.read()
+                runs.append((codes, files))
+            assert runs[0] == runs[1]
+            assert set(codes.values()) <= {0, 2}
+            for bias in ("pagerank", "specificity"):
+                if codes.get(f"train_{bias}") != 0:
+                    continue
+                with open(os.path.join(d, f"w{bias[0]}.txt"),
+                          encoding="utf-8") as f:
+                    tokens = {t for walk in read_corpus_lines(f) for t in walk}
+                with open(os.path.join(d, f"m{bias[0]}.txt"),
+                          encoding="utf-8") as f:
+                    assert set(EmbeddingModel.load_text(f).vocab.tokens) \
+                        == tokens

@@ -2,8 +2,11 @@ import gzip
 import hashlib
 import io
 import random
+import re
 import struct
+import tempfile
 from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from specwalk.ntriples import (_LINE_RE, ParseError, ParseReport, load_graph,
 from specwalk.walks import WalkStrategy, extract_corpus
 
 from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, small_edges,
-                      small_graph, small_graphs)
+                      small_graph, small_graphs, v1_snapshot_bytes)
 
 
 TOP_UNIFORM = 1.0 - 2.0 ** -53  # the largest value hashed_uniforms returns
@@ -606,6 +609,8 @@ class TestSamplePath:
                                               np.arange(3)))
 
 
+_SNAPSHOT_TEXT = st.text(alphabet="aé\u2028\U0001D11E\\\"\t", max_size=5)
+
 _NT_RESOURCES = st.sampled_from([EX + "a", EX + "a/b", EX + "ab", "_:b",
                                   "_:b1", "_:b10", "_:b1a", "_:b1.x"])
 _NT_LITERALS = st.builds(
@@ -618,6 +623,24 @@ _NT_LITERALS = st.builds(
 _MANY_TRIPLES = [(f"_:b{i % 1000}", EX + "pq"[i % 2],
                   (f'"{i % 1200}"' + ("@en" if i % 3 else ""), True))
                  for i in range(6000)]
+
+
+def _reference_rendered_lines(g, sep, end):
+    """Graph.rendered_lines as one f-string per line: the oracle for the
+    array renderer."""
+    r = [g.render_term(t) for t in range(g.n_terms)]
+    rank = np.empty(len(r), dtype=np.int64)
+    rank[sorted(range(len(r)), key=r.__getitem__)] = np.arange(len(r))
+    cols = (g.out_src, g.out_pred, g.out_obj)
+    order = np.lexsort([rank[a] for a in cols[::-1]])
+    for lo in range(0, len(order), 4096):
+        at = order[lo:lo + 4096]
+        yield "".join(f"{r[s]}{sep}{r[p]}{sep}{r[o]}{end}" for s, p, o
+                      in zip(*(a[at].tolist() for a in cols)))
+
+
+_ORACLE_RESOURCES = st.sampled_from(
+    ["#", "#a", EX + "a", EX + "a/b", EX + "ab", "_:b", "_:b1", "_:b10"])
 
 
 class TestSerialization:
@@ -642,6 +665,25 @@ class TestSerialization:
             f"{r[s]} {r[p]} {r[o]} .\n" for s, p, o in g.triples))
         # every generated term is N-Triples: the text parses back strictly
         assert parse(buf.getvalue(), strict=True).checksum() == g.checksum()
+
+    @settings(max_examples=150, deadline=None)
+    @example(triples=_MANY_TRIPLES)
+    @given(triples=st.lists(st.tuples(
+        _ORACLE_RESOURCES, st.sampled_from(["#", EX + "p", EX + "p/q"]),
+        st.one_of(_ORACLE_RESOURCES.map(lambda t: (t, False)),
+                  _NT_LITERALS.map(lambda t: (t, True)),
+                  st.sampled_from(['"a\\"b"', '"\\u00e9"@fr', '"é"',
+                                   '"\\\\"^^<#>']).map(lambda t: (t, True)))),
+        max_size=25))
+    def test_rendered_lines_equal_the_reference(self, triples):
+        # <#>, blank nodes, literals with escapes and non-ASCII text, and
+        # terms that prefix each other (#/#a, _:b1/_:b10, "x"/"x"@en)
+        g = build([(s, p, o, lit) for s, p, (o, lit) in triples])
+        for sep, end in ((" ", " .\n"), ("\t", "\n")):
+            assert list(g.rendered_lines(sep, end)) == \
+                list(_reference_rendered_lines(g, sep, end))
+        assert g.checksum() == hashlib.sha256("".join(
+            _reference_rendered_lines(g, "\t", "\n")).encode()).hexdigest()
 
     def test_checksum_pinned(self):
         # digest of the sorted rendered lines, as written before terms
@@ -683,11 +725,12 @@ class TestSerialization:
                  ('"lit"', 1)]
         triples = [(0, 1, 2), (0, 3, 4), (2, 1, 0)]
         assert list(zip(g.terms, g.literal)) == [(t, bool(f)) for t, f in terms]
-        want = (b"SWSNAP01" + struct.pack("<IQ", 5, 3)
+        want = (b"SWSNAP02" + struct.pack("<IQ", 5, 3)
                 + struct.pack("<H", len(RDF_TYPE)) + RDF_TYPE.encode()
-                + b"".join(struct.pack("<I", len(t)) + t.encode()
-                           + struct.pack("<B", f) for t, f in terms)
-                + b"".join(struct.pack("<III", *t) for t in triples))
+                + struct.pack("<5I", 10, 10, 10, 10, 5)
+                + bytes([0, 0, 0, 0, 1])
+                + b"http://x/ahttp://x/phttp://x/bhttp://x/q\"lit\""
+                + struct.pack("<9I", *(i for t in triples for i in t)))
         path = tmp_path / "g.snap"
         write_snapshot(g, str(path))
         assert path.read_bytes() == want
@@ -702,7 +745,8 @@ class TestSerialization:
         write_snapshot(g, str(path))
         # same length, so only the term table changes
         path.write_bytes(path.read_bytes().replace(b"http://x/c", b"http://x/a"))
-        with pytest.raises(GraphError, match="repeats a term"):
+        with pytest.raises(GraphError,
+                           match="repeats a term.*" + re.escape(str(path))):
             read_snapshot(str(path))
         out = tmp_path / "pr.tsv"
         assert main(["pagerank", str(path), "--out", str(out)]) == 2
@@ -755,6 +799,84 @@ class TestSerialization:
             read_snapshot(str(path))
         assert main(["pagerank", str(path),
                      "--out", str(tmp_path / "pr.tsv")]) == 2
+
+    # "é" is two utf-8 bytes, the literal's characters two, three and four
+    _UNICODE = [(EX + "é", EX + "p", '"ü\u2028\U0001D11E"', True),
+                (EX + "x", EX + "p", EX + "é")]
+
+    def _unicode_snapshot(self, tmp_path):
+        """The snapshot bytes of _UNICODE and the offset of its term
+        lengths (header: magic, counts and the rdf:type IRI)."""
+        path = tmp_path / "g.snap"
+        write_snapshot(build(self._UNICODE), str(path))
+        return path, bytearray(path.read_bytes()), 22 + len(RDF_TYPE)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_snapshot_lengths_do_not_sum_to_the_blob(self, tmp_path, delta):
+        path, data, at = self._unicode_snapshot(tmp_path)
+        (n,) = struct.unpack_from("<I", data, at)
+        struct.pack_into("<I", data, at, n + delta)
+        path.write_bytes(data)
+        with pytest.raises(GraphError,
+                           match="term lengths give.*" + re.escape(str(path))):
+            read_snapshot(str(path))
+
+    def test_snapshot_term_boundary_inside_a_character(self, tmp_path):
+        path, data, at = self._unicode_snapshot(tmp_path)
+        # http://x/é (11 bytes) then http://x/p (10): cut é in two instead
+        assert struct.unpack_from("<2I", data, at) == (11, 10)
+        struct.pack_into("<2I", data, at, 10, 11)
+        path.write_bytes(data)
+        with pytest.raises(GraphError,
+                           match="inside a utf-8 char.*" + re.escape(str(path))):
+            read_snapshot(str(path))
+
+    def test_snapshot_bytes_not_utf8(self, tmp_path):
+        path, data, _ = self._unicode_snapshot(tmp_path)
+        path.write_bytes(bytes(data).replace("é".encode(), b"\xff\xfe"))
+        with pytest.raises(GraphError,
+                           match="not utf-8.*" + re.escape(str(path))):
+            read_snapshot(str(path))
+
+    @pytest.mark.parametrize("flag", [2, 0xFF])
+    def test_snapshot_flag_byte_not_0_or_1(self, tmp_path, flag):
+        path, data, at = self._unicode_snapshot(tmp_path)
+        data[at + 4 * 4 + 2] = flag  # the literal's flag, third of 4 terms
+        path.write_bytes(data)
+        with pytest.raises(GraphError,
+                           match="literal flag.*" + re.escape(str(path))):
+            read_snapshot(str(path))
+
+    def test_snapshot_format_1_is_rejected(self, tmp_path):
+        path = tmp_path / "g.snap"
+        path.write_bytes(v1_snapshot_bytes(build(self._UNICODE)))
+        for load in (read_snapshot, load_graph):
+            with pytest.raises(GraphError, match="format 1 snapshot; re-run "
+                               "ingest on the N-Triples input: "
+                               + re.escape(str(path))):
+                load(str(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(triples=st.lists(st.tuples(
+        _SNAPSHOT_TEXT, _SNAPSHOT_TEXT, _SNAPSHOT_TEXT, st.booleans()),
+        min_size=1, max_size=12))
+    def test_snapshot_round_trip_any_text(self, triples):
+        # non-ASCII, U+2028 and astral characters, and literals holding
+        # backslashes and quotes; an object literal is quoted, so it never
+        # shares a term with an IRI
+        g = build([(EX + s, EX + p, f'"{o}"' if lit else EX + o, lit)
+                   for s, p, o, lit in triples])
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "g.snap"
+            write_snapshot(g, str(path))
+            data = path.read_bytes()
+            g2 = read_snapshot(str(path))
+            write_snapshot(g2, str(path))
+            assert path.read_bytes() == data
+        assert g2.terms == g.terms and g2.literal == g.literal
+        for a in ("out_src", "out_pred", "out_obj"):
+            assert np.array_equal(getattr(g2, a), getattr(g, a))
+        assert g2.checksum() == g.checksum()
 
     def test_gzip_input(self, tmp_path):
         text = "<http://x/s> <http://x/p> <http://x/o> .\n"

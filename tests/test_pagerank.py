@@ -77,6 +77,13 @@ class TestCompute:
         assert '"five"' not in scores
         assert EX + "b" in scores
 
+    def test_no_resource_to_resource_edge(self):
+        # every node dangles: uniform scores, not a casting error
+        g = build([(EX + "a", EX + "p", '"five"', True)])
+        scores = compute_pagerank(g).scores
+        assert scores == pytest.approx({EX + "a": 0.5, EX + "p": 0.5})
+        assert scores == pytest.approx(dense_solve(g))
+
     def test_invalid_damping(self, chain_graph):
         with pytest.raises(ValueError):
             compute_pagerank(chain_graph, damping=1.0)
