@@ -13,8 +13,7 @@ from .skipgram import (EmbeddingModel, TrainConfig, Vocabulary, build_vocab,
 from .specificity import (EstimatorParams, SemanticRelationship,
                           SpecificityEntry, SpecificityTable,
                           estimate_specificity, exact_specificity,
-                          node_to_node_specificity, rank_by_specificity,
-                          select_paths)
+                          rank_by_specificity)
 from .walks import Walk, WalkCorpus, WalkStrategy, extract_corpus, prune_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]

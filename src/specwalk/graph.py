@@ -344,13 +344,6 @@ class Graph:
 
     # -- rendering & checksum --------------------------------------------
 
-    def render_term(self, tid: int) -> str:
-        """N-Triples surface form of a term."""
-        t = self.terms[tid]
-        if self.literal[tid] or t.startswith("_:"):
-            return t
-        return f"<{t}>"
-
     def render_token(self, tid: int) -> str:
         """Corpus/vocabulary token for a term: the raw term, each backslash
         doubled and each whitespace character (a corpus separator) written

@@ -21,10 +21,9 @@ MAX_ITERS = 200
 
 @dataclass
 class ScoreMap:
-    """Term-keyed node scores; `normalized` means they sum to 1."""
+    """Term-keyed node scores."""
 
     scores: dict[str, float]
-    normalized: bool
 
     def bind(self, graph: Graph) -> dict[int, float]:
         """Resolve term strings to graph ids; unmatched entries are reported."""
@@ -74,8 +73,7 @@ def compute_pagerank(graph: Graph, damping: float = 0.85) -> ScoreMap:
             break
     rank = rank / rank.sum()
     return ScoreMap({graph.terms[v]: r
-                     for v, r in zip(nodes.tolist(), rank.tolist())},
-                    normalized=True)
+                     for v, r in zip(nodes.tolist(), rank.tolist())})
 
 
 def load_scores(lines, strict: bool = False) -> ScoreMap:
@@ -105,7 +103,7 @@ def load_scores(lines, strict: bool = False) -> ScoreMap:
             log.warning("duplicate score entry for %r at line %d; keeping last",
                         term, lineno)
         scores[term] = value
-    return ScoreMap(scores, normalized=False)
+    return ScoreMap(scores)
 
 
 def save_scores(score_map: ScoreMap, out) -> None:

@@ -11,7 +11,7 @@ the training RNG and steps through them a batch at a time. A batch draws
 ``negatives`` per pair, computes every gradient from the weights as they were
 before the batch, and adds the *summed* update of each row: a token that
 appears k times in a batch moves as far as k single-pair steps would from
-the same start. ``sgns_step`` is the one-pair batch.
+the same start. ``sgns_step`` takes one such step on a batch it is given.
 
 Everything a batch needs that does not depend on the weights is built once
 per chunk of ``PLAN_BATCHES`` batches: the negatives (one draw, the same
@@ -304,31 +304,24 @@ def _sgns_step(w_in: np.ndarray, w_out: np.ndarray, plan, lr: float,
     return float(obj)
 
 
-def sgns_batch(w_in: np.ndarray, w_out: np.ndarray, centers: np.ndarray,
-               contexts: np.ndarray, negatives: np.ndarray, lr: float) -> float:
-    """One summed gradient step on sum_b log s(u_ctx.v) + sum log s(-u_neg.v).
+def sgns_step(model: EmbeddingModel, centers, contexts, negatives,
+              lr: float) -> float:
+    """One summed gradient step on sum_b log s(u_ctx.v) + sum log s(-u_neg.v)
+    over the (center, context) pairs; a scalar center and context are a
+    batch of one.
 
-    `negatives` has one row per (center, context) pair. Every gradient is
-    taken at the weights before the step, and the updates that land on one
-    row add up. Updates both matrices in place; returns the objective before
-    the update.
+    `negatives` has one row per pair. Every gradient is taken at the weights
+    before the step, and the updates that land on one row add up. Updates
+    both matrices in place; returns the objective before the update. lr=0
+    leaves the model unchanged.
     """
-    n, k = len(centers), negatives.shape[1] + 1
-    (plan,) = _batch_plans(centers, contexts, negatives, n, len(w_in))
-    return _sgns_step(w_in, w_out, plan, lr,
-                      _Work(n, k, w_in.shape[1], w_in.dtype))
-
-
-def sgns_step(model: EmbeddingModel, center: int, context: int,
-              negatives, lr: float) -> float:
-    """One gradient step for one pair: `sgns_batch` with a batch of one.
-
-    Updates both matrices in place; returns the objective value before the
-    update. lr=0 leaves the model unchanged.
-    """
-    return sgns_batch(model.w_in, model.w_out, np.array([center]),
-                      np.array([context]),
-                      np.asarray(negatives, dtype=np.int64).reshape(1, -1), lr)
+    centers, contexts = np.atleast_1d(centers), np.atleast_1d(contexts)
+    n = len(centers)
+    negatives = np.asarray(negatives, dtype=np.int64).reshape(n, -1)
+    (plan,) = _batch_plans(centers, contexts, negatives, n, len(model.w_in))
+    return _sgns_step(model.w_in, model.w_out, plan, lr,
+                      _Work(n, negatives.shape[1] + 1, model.w_in.shape[1],
+                            model.w_in.dtype))
 
 
 def train(token_lines, config: TrainConfig) -> EmbeddingModel:

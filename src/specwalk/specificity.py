@@ -161,17 +161,6 @@ def _exact_entry(rel: SemanticRelationship, reachable: np.ndarray,
                             sum(total.astype(np.int64).tolist()))
 
 
-def node_to_node_specificity(g: Graph, n1: int, n2: int, depth: int) -> float:
-    """Fraction of all length-`depth` paths into n1 that originate at n2."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    g._check(n1)
-    g._check(n2)
-    total, fro = next(islice(_incoming_paths(g, [n2]), depth - 1, None))
-    (total,) = exact_counts(total[[n1]])
-    return float(fro[n1] / total) if total else 0.0
-
-
 def exact_specificity(g: Graph, rel: SemanticRelationship, t,
                       seeds=None) -> SpecificityEntry:
     """Exhaustive specificity: mean over reachable nodes of the fraction of
@@ -191,10 +180,29 @@ def exact_specificity(g: Graph, rel: SemanticRelationship, t,
 
 # -- bidirectional random-walk estimator ---------------------------------
 
-def _trials(g: Graph, rels, seeds, type_set, n_walks: int,
-            seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hit, dead): trial_outcomes, and which trials' forward walks still
-    dead-ended after the last retry, both (len(rels), n_walks) matrices."""
+def trial_outcomes(g: Graph, rels, seeds, type_set, n_walks: int,
+                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, dead): whether each of the n_walks trials of each of the
+    same-depth candidates rels hit, and whether its forward walk still
+    dead-ended after the last retry, both (len(rels), n_walks) matrices.
+
+    Rows are (candidate, trial) pairs, candidate-major. Each forward attempt
+    advances the rows still pending together, in blocks of at most
+    BLOCK_ROWS, and a row whose forward walk ends takes its reverse walk in
+    the same block. Trial i of candidate (p1, ..., pd) reads the floats
+    hashed_uniforms(seed, d, p1, ..., pd, i, c). Forward attempt a reads
+    columns a(1 + d) to a(1 + d) + d: the first picks its seed,
+    seeds[floor(u * |S|)] of the sorted seed set, and the others walk the
+    candidate's predicates with Graph.sample_paths. Rows that dead-end
+    retry with the next attempt, up to FORWARD_RETRY_LIMIT times, and only
+    they draw its columns. The reverse walk reads the d columns after the
+    last attempt's: each step takes an in-edge of the current node, lo +
+    floor(u * (hi - lo)) of its in-edge slice. A trial hits when it lands on
+    a member of type_set; a forward or reverse dead-end is a miss. Trial i
+    depends on the seed, its candidate and i alone, so the outcomes at
+    budget n are the first n outcomes at any larger budget, whatever the
+    other candidates and the block bounds.
+    """
     depth = rels[0].depth if rels else 1
     preds = np.array([r.predicates for r in rels],
                      dtype=np.int64).reshape(len(rels), depth)
@@ -233,31 +241,6 @@ def _trials(g: Graph, rels, seeds, type_set, n_walks: int,
     return hit.reshape(-1, n_walks), dead.reshape(-1, n_walks)
 
 
-def trial_outcomes(g: Graph, rels, seeds, type_set, n_walks: int,
-                   seed: int = 0) -> np.ndarray:
-    """Hit (True) or miss of each of the n_walks trials of each of the
-    same-depth candidates rels, a (len(rels), n_walks) matrix.
-
-    Rows are (candidate, trial) pairs, candidate-major. Each forward attempt
-    advances the rows still pending together, in blocks of at most
-    BLOCK_ROWS, and a row whose forward walk ends takes its reverse walk in
-    the same block. Trial i of candidate (p1, ..., pd) reads the floats
-    hashed_uniforms(seed, d, p1, ..., pd, i, c). Forward attempt a reads
-    columns a(1 + d) to a(1 + d) + d: the first picks its seed,
-    seeds[floor(u * |S|)] of the sorted seed set, and the others walk the
-    candidate's predicates with Graph.sample_paths. Rows that dead-end
-    retry with the next attempt, up to FORWARD_RETRY_LIMIT times, and only
-    they draw its columns. The reverse walk reads the d columns after the
-    last attempt's: each step takes an in-edge of the current node, lo +
-    floor(u * (hi - lo)) of its in-edge slice. A trial hits when it lands on
-    a member of type_set; a forward or reverse dead-end is a miss. Trial i
-    depends on the seed, its candidate and i alone, so the outcomes at
-    budget n are the first n outcomes at any larger budget, whatever the
-    other candidates and the block bounds.
-    """
-    return _trials(g, rels, seeds, type_set, n_walks, seed)[0]
-
-
 def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
                          seed: int = 0) -> list[SpecificityEntry]:
     """Monte-Carlo specificity per candidate via bidirectional walks.
@@ -267,7 +250,7 @@ def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
     along arbitrary incoming edges; the trial counts when it lands on a node
     of type t. A forward walk that dead-ends is retried from a fresh seed up
     to FORWARD_RETRY_LIMIT times; a trial still dead-ended counts as a miss.
-    The score is the mean of trial_outcomes, one lockstep per depth.
+    The score is the mean of trial_outcomes' hits, one lockstep per depth.
     """
     seeds = sorted(seeds)
     if not seeds:
@@ -279,8 +262,8 @@ def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
     hits = {}
     for depth in sorted({rel.depth for rel in candidates}):
         rels = [rel for rel in candidates if rel.depth == depth]
-        hits.update(zip(rels, trial_outcomes(
-            g, rels, seeds, type_set, n_walks, seed).sum(axis=1).tolist()))
+        hit, _ = trial_outcomes(g, rels, seeds, type_set, n_walks, seed)
+        hits.update(zip(rels, hit.sum(axis=1).tolist()))
     return [SpecificityEntry(rel, hits[rel] / n_walks, n_walks)
             for rel in candidates]
 
@@ -307,36 +290,6 @@ def _extend(g: Graph, frontiers: dict, include_type_edges: bool) -> dict:
                      np.split(objs, lo[1:]), np.split(counts, lo[1:]))
     found.sort(key=lambda c: c[:2])
     return {seq: (nodes, paths) for _, seq, nodes, paths in found}
-
-
-def select_paths(g: Graph, seeds, depth: int, n_paths: int,
-                 prev: list[SpecificityEntry] | None = None,
-                 threshold: float = 0.5,
-                 include_type_edges: bool = False) -> list[SemanticRelationship]:
-    """Candidate relationships of the given depth, ranked by frequency of
-    occurrence from the seed set.
-
-    With `prev` (entries of depth `depth - 1`, a relationship listed twice
-    counted once), only one-predicate extensions of above-threshold entries
-    are considered; otherwise all length-`depth` sequences from the seeds
-    are enumerated, one predicate at a time. A sequence's frequency is its
-    paths from the seeds; ties go to the smaller predicate-id sequence.
-    """
-    if not seeds:
-        raise ValueError("seed set must be non-empty")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if prev is None:
-        frontiers, steps = {(): g.path_counts(seeds, ())}, depth
-    else:
-        if any(e.relationship.depth != depth - 1 for e in prev):
-            raise ValueError("prev entries must have depth one less")
-        kept = {e.relationship.predicates for e in prev
-                if e.score >= threshold}
-        frontiers, steps = {p: g.path_counts(seeds, p) for p in kept}, 1
-    for _ in range(steps):
-        frontiers = _extend(g, frontiers, include_type_edges)
-    return [SemanticRelationship(seq) for seq in islice(frontiers, n_paths)]
 
 
 # -- full ranking pipeline -----------------------------------------------
@@ -375,8 +328,8 @@ def rank_at_budgets(g: Graph, t, params: EstimatorParams,
             exact = {rel: _exact_entry(rel, frontiers[rel.predicates][0],
                                        counts) for rel in union}
         else:
-            hit, dead = _trials(g, union, seeds, type_set, max(budgets),
-                                params.seed)
+            hit, dead = trial_outcomes(g, union, seeds, type_set,
+                                       max(budgets), params.seed)
             row = {rel: i for i, rel in enumerate(union)}
         for table, rels, n in zip(tables, chosen, budgets):
             if params.mode == "eq2":

@@ -102,8 +102,6 @@ class _View(Sequence):
         return len(self._arrays()[0])
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
         return self._record(*(a[i].tolist() for a in self._arrays()))
 
     def __iter__(self):
@@ -111,9 +109,6 @@ class _View(Sequence):
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
     def extend(self, other: "_View") -> None:
         """Append other's records; token rows are padded with -1 to the
@@ -366,11 +361,12 @@ def write_stats_csv(g: Graph, corpus: WalkCorpus, out) -> None:
 
 
 def read_corpus_lines(stream):
-    """Token lists from a corpus stream. Only the first line can be a header,
-    and only when it starts with '# ': a later line that starts with '#' is a
-    walk rooted at an IRI such as <#a>. Blank lines are skipped."""
+    """Token lists from a corpus stream, each line split on runs of
+    whitespace (render_token escapes it within a token). Only the first line
+    can be a header, and only when it starts with '# ': a later line that
+    starts with '#' is a walk rooted at an IRI such as <#a>. Blank lines are
+    skipped."""
     for i, line in enumerate(stream):
-        line = line.rstrip("\n")
-        if not line or (i == 0 and line.startswith("# ")):
-            continue
-        yield line.split(" ")
+        tokens = line.split()
+        if tokens and not (i == 0 and line.startswith("# ")):
+            yield tokens

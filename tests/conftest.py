@@ -3,7 +3,8 @@ import struct
 import pytest
 from hypothesis import strategies as st
 
-from specwalk.graph import RDF_TYPE, GraphBuilder
+from specwalk.graph import RDF_TYPE, GraphBuilder, hashed_uniforms
+from specwalk.specificity import FORWARD_RETRY_LIMIT
 from specwalk.synth import franchise_graph, layered_graph
 
 EX = "http://x/"
@@ -54,6 +55,47 @@ def small_graph(edges):
 def small_graphs():
     """Random small_graph over up to 30 edges."""
     return small_edges.map(small_graph)
+
+
+def scan_trials(g, relationship, seeds, type_set, n_walks, seed):
+    """Scalar reference for trial_outcomes: (hit, dead) per trial, dead when
+    the forward walk still dead-ends after the last retry. Trial i reads one
+    draw at a time, hashed_uniforms(seed, d, p1, ..., pd, i, column), with
+    forward attempt a in columns a(1 + d) to a(1 + d) + d and the reverse
+    walk in the d columns after the last attempt's; each step's edges are
+    found by scanning the sorted triples. A draw u picks options[floor(u *
+    len(options))], clamped to the last option."""
+    triples = sorted(g.triples)
+    seeds = sorted(seeds)
+    d = relationship.depth
+
+    def draw(i, column):
+        return float(hashed_uniforms(seed, d, *relationship.predicates, i,
+                                     column)[0])
+
+    def pick(options, u):
+        return options[min(int(u * len(options)), len(options) - 1)] \
+            if options else -1
+
+    outcomes = []
+    for i in range(n_walks):
+        v = -1
+        for a in range(FORWARD_RETRY_LIMIT + 1):  # until one walks them all
+            v = pick(seeds, draw(i, a * (1 + d)))
+            for k, pred in enumerate(relationship.predicates):
+                v = pick([o for s, p, o in triples if s == v and p == pred],
+                         draw(i, a * (1 + d) + 1 + k))
+                if v < 0:
+                    break
+            if v >= 0:
+                break
+        dead = v < 0
+        for k in range(d):
+            if v >= 0:
+                v = pick([s for s, p, o in triples if o == v],
+                         draw(i, (FORWARD_RETRY_LIMIT + 1) * (1 + d) + k))
+        outcomes.append((v in type_set, dead))
+    return outcomes
 
 
 @pytest.fixture

@@ -18,8 +18,7 @@ from specwalk.skipgram import EmbeddingModel, TrainConfig, train
 from specwalk.specificity import SemanticRelationship
 from specwalk.walks import read_corpus_lines
 
-from conftest import build, v1_snapshot_bytes
-from test_specificity import scan_trials
+from conftest import build, scan_trials, v1_snapshot_bytes
 
 SYNTH = "http://synth.specwalk.local/"
 FILM = SYNTH + "class/Film"
@@ -1102,3 +1101,22 @@ class TestPipelineContract:
                           encoding="utf-8") as f:
                     assert set(EmbeddingModel.load_text(f).vocab.tokens) \
                         == tokens
+
+    def test_hand_written_corpus_with_extra_spaces(self, tmp_path, capsys):
+        # doubled, leading and trailing spaces and a tab separate tokens as
+        # one space does: no empty token reaches the model
+        corpus, model = tmp_path / "w.txt", tmp_path / "m.txt"
+        corpus.write_text("a p  b \n b p\ta\na q  c  \n", encoding="utf-8")
+        assert main(["train", str(corpus), "--out", str(model), "--dim", "4",
+                     "--window", "2", "--negatives", "2", "--epochs",
+                     "1"]) == 0
+        with open(model, encoding="utf-8") as f:
+            assert sorted(EmbeddingModel.load_text(f).vocab.tokens) == [
+                "a", "b", "c", "p", "q"]
+        with open(corpus, encoding="utf-8") as f:
+            assert list(read_corpus_lines(f)) == [
+                ["a", "p", "b"], ["b", "p", "a"], ["a", "q", "c"]]
+        capsys.readouterr()
+        assert main(["recommend", str(model), "--query", "a", "--k",
+                     "2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2

@@ -625,10 +625,17 @@ _MANY_TRIPLES = [(f"_:b{i % 1000}", EX + "pq"[i % 2],
                  for i in range(6000)]
 
 
+def _rendered_terms(g):
+    """N-Triples surface form of each term: a literal or a blank node as
+    interned, any other term as an IRI in angle brackets."""
+    return [t if lit or t.startswith("_:") else f"<{t}>"
+            for t, lit in zip(g.terms, g.literal)]
+
+
 def _reference_rendered_lines(g, sep, end):
     """Graph.rendered_lines as one f-string per line: the oracle for the
     array renderer."""
-    r = [g.render_term(t) for t in range(g.n_terms)]
+    r = _rendered_terms(g)
     rank = np.empty(len(r), dtype=np.int64)
     rank[sorted(range(len(r)), key=r.__getitem__)] = np.arange(len(r))
     cols = (g.out_src, g.out_pred, g.out_obj)
@@ -655,7 +662,7 @@ class TestSerialization:
         # and literals holding a tab or a space; the reference is the sort
         # of the rendered lines as strings
         g = build([(s, p, o, lit) for s, p, (o, lit) in triples])
-        r = [g.render_term(t) for t in range(g.n_terms)]
+        r = _rendered_terms(g)
         tab_lines = sorted(f"{r[s]}\t{r[p]}\t{r[o]}" for s, p, o in g.triples)
         assert g.checksum() == hashlib.sha256(
             "".join(line + "\n" for line in tab_lines).encode()).hexdigest()

@@ -67,7 +67,6 @@ class TestCompute:
     def test_normalized_sum(self, layered):
         g, _ = layered
         sm = compute_pagerank(g)
-        assert sm.normalized
         assert sum(sm.scores.values()) == pytest.approx(1.0, abs=1e-8)
 
     def test_literals_excluded(self):
@@ -97,7 +96,6 @@ class TestScoreIO:
         assert sm.scores["http://x/a"] == 0.586402
         assert sm.scores["http://x/b"] == 161.258
         assert sm.scores["http://x/c"] == 57.1176
-        assert not sm.normalized
 
     def test_comments_and_blanks_skipped(self):
         sm = load_scores(["# header\n", "\n", "http://x/a\t1.5\n"])
@@ -116,7 +114,7 @@ class TestScoreIO:
             load_scores(["http://x/a\t1\n", "garbage row\n"], strict=True)
 
     def test_round_trip(self):
-        sm = ScoreMap({"http://x/b": 161.258, "http://x/a": 0.586402}, False)
+        sm = ScoreMap({"http://x/b": 161.258, "http://x/a": 0.586402})
         buf = io.StringIO()
         save_scores(sm, buf)
         buf.seek(0)
@@ -141,6 +139,6 @@ class TestScoreIO:
 
     def test_bind_resolves_and_drops_unmatched(self, chain_graph):
         g = chain_graph
-        sm = ScoreMap({EX + "f": 0.3, "http://nowhere/z": 0.7}, False)
+        sm = ScoreMap({EX + "f": 0.3, "http://nowhere/z": 0.7})
         bound = sm.bind(g)
         assert bound == {g.term_id(EX + "f"): 0.3}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from specwalk.skipgram import (BATCH_SIZE, PLAN_BATCHES, EmbeddingModel,
                                TrainConfig, Vocabulary, build_vocab,
                                context_pair_arrays, init_model,
-                               sample_negatives, sgns_batch, sgns_step, train,
+                               sample_negatives, sgns_step, train,
                                unigram_table)
 
 
@@ -173,7 +173,7 @@ class TestGradients:
                 centers = rng.integers(4, size=b)
                 contexts = rng.integers(4, size=b)
                 negs = rng.integers(0, 4, size=(b, 3))
-                sgns_batch(model.w_in, model.w_out, centers, contexts, negs, lr)
+                sgns_step(model, centers, contexts, negs, lr)
             analytic_in = model.w_in - base_in
             analytic_out = model.w_out - base_out
             # check several coordinates of each matrix numerically
@@ -229,8 +229,8 @@ class TestGradients:
         batch = init_model(v, TrainConfig(dim=4, seed=2))
         batch.w_out += 0.1
         start_in = batch.w_in.copy()
-        sgns_batch(batch.w_in, batch.w_out, np.array([0, 0]), np.array([1, 1]),
-                   np.array([[2], [2]]), lr=0.5)
+        sgns_step(batch, np.array([0, 0]), np.array([1, 1]),
+                  np.array([[2], [2]]), lr=0.5)
         sgns_step(single, 0, 1, np.array([2]), lr=0.5)
         assert np.allclose(batch.w_in[0] - start_in[0],
                            2 * (single.w_in[0] - start_in[0]))
@@ -510,7 +510,9 @@ class TestByteIdentity:
         contexts = rng.integers(n_rows, size=pairs)
         negs = rng.integers(n_rows, size=(pairs, negatives))
         ref_in, ref_out = w_in.copy(), w_out.copy()
-        got = sgns_batch(w_in, w_out, centers, contexts, negs, lr)
+        model = EmbeddingModel(Vocabulary({}), w_in, w_out,
+                               TrainConfig(dim=dim))
+        got = sgns_step(model, centers, contexts, negs, lr)
         want = _reference_sgns_batch(ref_in, ref_out, centers, contexts, negs,
                                      lr)
         assert got == want

@@ -712,7 +712,6 @@ class TestArrayCorpus:
         assert len(corpus.walks) == 2
         assert corpus.walks[1] == Walk((4, 5, 6, 7, 8))
         assert corpus.walks[-2] == Walk((1, 2, 3))
-        assert corpus.walks[::-1] == [Walk((4, 5, 6, 7, 8)), Walk((1, 2, 3))]
         assert corpus.walks == [Walk((1, 2, 3)), Walk((4, 5, 6, 7, 8))]
         assert corpus.walks != [Walk((1, 2, 3))]
         assert Walk((1, 2, 3)) in corpus.walks
