@@ -31,8 +31,9 @@ from .specificity import (EstimatorParams, SpecificityTable,
                           rank_by_specificity)
 from .synth import (franchise_graph, layered_graph, relevance_inversion_graph,
                     sensitivity_fixture)
-from .walks import (WalkCorpus, WalkStrategy, extract_corpus,
-                    read_corpus_lines, write_corpus, write_stats_csv)
+from .walks import (BIASES, PRUNING_SCHEMES, WalkCorpus, WalkStrategy,
+                    extract_corpus, read_corpus_lines, write_corpus,
+                    write_stats_csv)
 
 
 class UsageError(Exception):
@@ -122,11 +123,6 @@ def cmd_specificity(args) -> int:
     return 0
 
 
-def _load_table(g: Graph, path: str) -> SpecificityTable:
-    with open(path, encoding="utf-8") as f:
-        return SpecificityTable.from_tsv(g, f)
-
-
 def _walk_entities(g: Graph, args) -> list[int]:
     if args.limit is not None and args.limit < 1:
         raise ValueError("--limit must be >= 1")
@@ -151,26 +147,25 @@ def cmd_walk(args) -> int:
         raise UsageError("bias=specificity requires --table")
     if args.bias == "pagerank" and not args.scores:
         raise UsageError("bias=pagerank requires --scores")
-    table = _load_table(g, args.table) if args.table else None
-    scores = None
+    table = scores = None
+    if args.table:
+        with open(args.table, encoding="utf-8") as f:
+            table = SpecificityTable.from_tsv(g, f)
     if args.scores:
         with open(args.scores, encoding="utf-8") as f:
             scores = load_scores(f).bind(g)
     entities = _walk_entities(g, args)
-
-    def strategy(depth: int) -> WalkStrategy:
-        return WalkStrategy(bias=args.bias, pruning=args.pruning, depth=depth,
-                            walks_per_entity=args.walks,
+    strategy = WalkStrategy(bias=args.bias, pruning=args.pruning,
+                            depth=args.depth, walks_per_entity=args.walks,
                             specificity_table=table, threshold=args.threshold,
                             pagerank_scores=scores)
-
     depths = [args.depth]
     if args.depth > 1 and not args.no_depth1:
         depths = [1, args.depth]  # depth-d corpora include depth-1 walks
     merged, counters = WalkCorpus(), {}
     for depth in depths:
-        part = extract_corpus(g, entities, strategy(depth), seed=args.seed,
-                              workers=args.workers)
+        part = extract_corpus(g, entities, replace(strategy, depth=depth),
+                              seed=args.seed, workers=args.workers)
         merged.walks.extend(part.walks)
         merged.stats.extend(part.stats)
         counters[depth] = part.counters
@@ -243,7 +238,13 @@ def cmd_eval(args) -> int:
     with open(args.model, encoding="utf-8") as f:
         model = EmbeddingModel.load_text(f)
     with open(args.truth, encoding="utf-8") as f:
-        truth = {q: set(v) for q, v in json.load(f).items()}
+        truth = json.load(f)
+    if not isinstance(truth, dict) or not all(
+            isinstance(v, list) and all(isinstance(t, str) for t in v)
+            for v in truth.values()):
+        raise ValueError(f"{args.truth}: truth must be a JSON object that "
+                         "maps each query to a list of strings")
+    truth = {q: set(v) for q, v in truth.items()}
     rows = []
     for query in sorted(truth):
         relevant = truth[query]
@@ -382,10 +383,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("walk", help="extract a walk corpus")
     p.add_argument("snapshot")
     p.add_argument("--out", required=True)
-    p.add_argument("--bias", default="uniform",
-                   choices=["uniform", "frequency", "pagerank", "specificity"])
-    p.add_argument("--pruning", default="none",
-                   choices=["none", "NRSE", "UE", "NRST", "UET"])
+    p.add_argument("--bias", default="uniform", choices=BIASES)
+    p.add_argument("--pruning", default="none", choices=PRUNING_SCHEMES)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--walks", type=int, default=500,
                    help="walk attempts per entity")

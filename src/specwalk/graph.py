@@ -164,15 +164,13 @@ def exact_counts(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def slice_pick(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray,
-               u: np.ndarray) -> np.ndarray:
-    """Per row, targets[lo + floor(u * (hi - lo))] clamped to hi - 1, or -1
-    where the slice [lo, hi) is empty."""
+def slice_pick(lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, lo + floor(u * (hi - lo)) clamped to hi - 1, or -1 where the
+    slice [lo, hi) is empty."""
     out = np.full(len(lo), -1, dtype=np.int64)
     live = hi > lo
     lo, hi = lo[live], hi[live]
-    pick = lo + (u[live] * (hi - lo)).astype(np.int64)
-    out[live] = targets[np.minimum(pick, hi - 1)]
+    out[live] = np.minimum(lo + (u[live] * (hi - lo)).astype(np.int64), hi - 1)
     return out
 
 
@@ -265,22 +263,31 @@ class Graph:
         return (np.searchsorted(self.out_key, keys, "left")[inv],
                 np.searchsorted(self.out_key, keys, "right")[inv])
 
-    def sample_paths(self, starts, predicates, u: np.ndarray) -> np.ndarray:
-        """Walk the predicate sequence from each start, one row per walk.
+    def sample_paths(self, starts, u: np.ndarray, predicates=None,
+                     pick=None) -> np.ndarray:
+        """The out-edge indices of a walk from each start, shape u.shape =
+        (len(starts), d), -1 from a dead end on.
 
-        Step k of row i takes the matching out-edge lo + floor(u[i, k] *
-        (hi - lo)) of the current node's out_slices [lo, hi) for
-        predicates[k]: one id, or one per row when predicates is a (d, rows)
-        matrix. Returns the visited nodes, shape (len(starts), len(predicates)
-        + 1); a row that reaches a node with no edge for the next predicate
-        holds -1 from there on.
+        Step k takes pick(lo, hi, u[:, k]) (default slice_pick) among the
+        current node's out-edges [lo, hi): all of them when predicates is
+        None, else its out_slices for predicates[k], one id or one per row
+        when predicates is a (d, rows) matrix.
         """
-        nodes = np.empty((len(starts), len(predicates) + 1), dtype=np.int64)
-        nodes[:, 0] = starts
-        for k, pred in enumerate(predicates):
-            nodes[:, k + 1] = slice_pick(*self.out_slices(nodes[:, k], pred),
-                                         self.out_obj, u[:, k])
-        return nodes
+        pick = pick or slice_pick
+        edges = np.full(u.shape, -1, dtype=np.int64)
+        live = np.arange(len(edges))
+        v = np.asarray(starts, dtype=np.int64)
+        for k in range(edges.shape[1]):
+            if predicates is None:
+                lo, hi = self.out_ptr[v], self.out_ptr[v + 1]
+            else:
+                pred = np.asarray(predicates[k])
+                lo, hi = self.out_slices(v, pred[live] if pred.ndim else pred)
+            e = pick(lo, hi, u[live, k])
+            live, e = live[e >= 0], e[e >= 0]
+            edges[live, k] = e
+            v = self.out_obj[e]
+        return edges
 
     def path_counts(self, sources, predicates) -> tuple[np.ndarray, np.ndarray]:
         """(nodes, paths): ascending nodes reached from the sources along the

@@ -76,7 +76,7 @@ def compute_pagerank(graph: Graph, damping: float = 0.85) -> ScoreMap:
                      for v, r in zip(nodes.tolist(), rank.tolist())})
 
 
-def load_scores(lines, strict: bool = False) -> ScoreMap:
+def load_scores(lines) -> ScoreMap:
     """Read raw (non-normalized) scores from TSV lines `term<TAB>score`.
 
     A line that starts with '#' is a comment unless it is such a row, as
@@ -92,11 +92,9 @@ def load_scores(lines, strict: bool = False) -> ScoreMap:
             if len(parts) != 2:
                 raise ValueError("expected two columns")
             term, value = parts[0], float(parts[1])
-        except ValueError as exc:
+        except ValueError:
             if line.startswith("#"):
                 continue
-            if strict:
-                raise GraphError(f"bad score row at line {lineno}: {line!r}") from exc
             log.warning("skipping bad score row at line %d: %r", lineno, line)
             continue
         if term in scores:

@@ -193,15 +193,15 @@ def trial_outcomes(g: Graph, rels, seeds, type_set, n_walks: int,
     hashed_uniforms(seed, d, p1, ..., pd, i, c). Forward attempt a reads
     columns a(1 + d) to a(1 + d) + d: the first picks its seed,
     seeds[floor(u * |S|)] of the sorted seed set, and the others walk the
-    candidate's predicates with Graph.sample_paths. Rows that dead-end
-    retry with the next attempt, up to FORWARD_RETRY_LIMIT times, and only
-    they draw its columns. The reverse walk reads the d columns after the
-    last attempt's: each step takes an in-edge of the current node, lo +
-    floor(u * (hi - lo)) of its in-edge slice. A trial hits when it lands on
-    a member of type_set; a forward or reverse dead-end is a miss. Trial i
-    depends on the seed, its candidate and i alone, so the outcomes at
-    budget n are the first n outcomes at any larger budget, whatever the
-    other candidates and the block bounds.
+    candidate's predicates with Graph.sample_paths to the object of the
+    last edge taken. Rows that dead-end retry with the next attempt, up to
+    FORWARD_RETRY_LIMIT times, and only they draw its columns. The reverse
+    walk reads the d columns after the last attempt's: each step takes an
+    in-edge of the current node, lo + floor(u * (hi - lo)) of its in-edge
+    slice. A trial hits when it lands on a member of type_set; a forward or
+    reverse dead-end is a miss. Trial i depends on the seed, its candidate
+    and i alone, so the outcomes at budget n are the first n outcomes at any
+    larger budget, whatever the other candidates and the block bounds.
     """
     depth = rels[0].depth if rels else 1
     preds = np.array([r.predicates for r in rels],
@@ -223,17 +223,18 @@ def trial_outcomes(g: Graph, rels, seeds, type_set, n_walks: int,
             cand, trial = np.divmod(rows, n_walks)
             state = hashed_state(prefix[cand], trial)[:, None]
             u = hashed_uniforms(state, attempt * width + np.arange(width))
-            starts = slice_pick(np.zeros(len(rows), dtype=np.int64),
-                                np.full(len(rows), len(seeds)), seeds, u[:, 0])
+            starts = seeds[slice_pick(np.zeros(len(rows), dtype=np.int64),
+                                      np.full(len(rows), len(seeds)), u[:, 0])]
             # a (d, rows) predicate matrix: column i holds row i's predicates
-            v = g.sample_paths(starts, preds[cand].T, u[:, 1:])[:, -1]
-            done = v >= 0
+            last = g.sample_paths(starts, u[:, 1:], preds[cand].T)[:, -1]
+            done = last >= 0
             left.append(rows[~done])
             u = hashed_uniforms(state[done], (FORWARD_RETRY_LIMIT + 1) * width
                                 + np.arange(depth))
-            v = v[done]
+            v = g.out_obj[last[done]]
             for k in range(depth):  # v = -1 reads in_ptr[-1] >= in_ptr[0]
-                v = slice_pick(g.in_ptr[v], g.in_ptr[v + 1], g.in_src, u[:, k])
+                i = slice_pick(g.in_ptr[v], g.in_ptr[v + 1], u[:, k])
+                v = np.where(i >= 0, g.in_src[i], -1)
             hit[rows[done]] = member[v]
         todo = np.concatenate(left)
     dead = np.zeros(len(hit), dtype=bool)

@@ -14,15 +14,14 @@ entity), and attempt a does not depend on the budget.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import (Graph, distinct_rows, hashed_uniforms, slice_members,
-                    slice_pick)
+from .graph import Graph, distinct_rows, hashed_uniforms, slice_members
 from .specificity import SpecificityTable
 
 BIASES = ("uniform", "frequency", "pagerank", "specificity")
@@ -79,6 +78,9 @@ class WalkStrategy:
             raise ValueError("specificity bias requires a specificity table")
         if self.bias == "pagerank" and self.pagerank_scores is None:
             raise ValueError("pagerank bias requires node scores")
+        if self.bias == "pagerank" and not all(
+                0.0 <= s < math.inf for s in self.pagerank_scores.values()):
+            raise ValueError("pagerank scores must be finite and >= 0")
 
 
 class EntityStats(NamedTuple):
@@ -222,58 +224,59 @@ def weighted_pick(cum, last, lo, hi, u) -> np.ndarray:
 
 
 def _edge_picker(g: Graph, strategy: WalkStrategy):
-    """pick(lo, hi, u): one out-edge index per row inside [lo, hi), or -1."""
+    """Graph.sample_paths's pick for a free walk: None, the uniform default,
+    or out-edges weighted by predicate frequency or the object's score."""
     if strategy.bias == "uniform":
-        edges = np.arange(g.n_triples)
-        return lambda lo, hi, u: slice_pick(lo, hi, edges, u)
+        return None
     if strategy.bias == "frequency":
         weights = g.predicate_frequency()[g.out_pred]
     else:
         scores = np.zeros(g.n_terms)
-        bound = strategy.pagerank_scores
-        scores[np.fromiter(bound.keys(), np.int64, len(bound))] = list(
-            bound.values())
+        scores[list(strategy.pagerank_scores)] = list(
+            strategy.pagerank_scores.values())
         weights = scores[g.out_obj]
     cum, last = _cumulative(weights)
     return lambda lo, hi, u: weighted_pick(cum, last, lo, hi, u)
 
 
-def _free_walks(g, seed, root, attempt, *, depth, pick) -> np.ndarray:
-    """Token rows v0,e1,v1,... of up to depth steps, -1 after a dead end."""
-    tokens = np.full((len(root), 2 * depth + 1), -1, dtype=np.int64)
-    tokens[:, 0] = v = root
-    live = np.arange(len(root))
-    for k in range(depth):
-        edge = pick(g.out_ptr[v], g.out_ptr[v + 1],
-                    hashed_uniforms(seed, root[live], attempt[live], k + 1))
-        walked = edge >= 0
-        live, edge = live[walked], edge[walked]
-        tokens[live, 2 * k + 1] = g.out_pred[edge]
-        tokens[live, 2 * k + 2] = v = g.out_obj[edge]
-    return tokens
-
-
-def _template_walks(g, seed, root, attempt, *, templates, cum) -> np.ndarray:
-    """Token rows along a template picked by cumulative score; a row whose
-    template dead-ends holds only its root."""
-    longest = max(map(len, templates), default=1)
-    tokens = np.full((len(root), 2 * longest + 1), -1, dtype=np.int64)
-    tokens[:, 0] = root
-    picks = weighted_pick(*cum, np.zeros(len(root), dtype=np.int64),
-                          np.full(len(root), len(templates)),
-                          hashed_uniforms(seed, root, attempt, 0))
-    for j, template in enumerate(templates):
-        rows = np.flatnonzero(picks == j)
-        d = len(template)
-        nodes = g.sample_paths(
-            root[rows], template,
-            hashed_uniforms(seed, root[rows, None], attempt[rows, None],
-                            np.arange(1, d + 1)))
-        done = nodes[:, -1] >= 0
-        rows = rows[done]
-        tokens[rows, 2:2 * d + 1:2] = nodes[done, 1:]
-        tokens[rows, 1:2 * d:2] = template
-    return tokens
+def _walk_tokens(g: Graph, roots: np.ndarray, strategy: WalkStrategy, seed):
+    """Per chunk of attempt rows r (attempt r % walks_per_entity of root i =
+    r // walks_per_entity): (i, token rows padded with -1); a template walk
+    that does not complete holds only its root."""
+    attempts, depth = strategy.walks_per_entity, strategy.depth
+    if strategy.bias == "specificity":
+        entries = strategy.specificity_table.above_threshold(
+            depth, strategy.threshold)
+        if any(e.relationship.depth != depth for e in entries):
+            raise ValueError(f"specificity templates at depth {depth} must "
+                             f"have {depth} predicates")
+        templates = np.array([e.relationship.predicates for e in entries],
+                             dtype=np.int64).reshape(-1, depth)
+        cum = _cumulative([e.score for e in entries])
+    else:
+        pick = _edge_picker(g, strategy)
+    n_rows = len(roots) * attempts
+    for r0 in range(0, n_rows, CHUNK_ROWS):
+        rows = np.arange(r0, min(r0 + CHUNK_ROWS, n_rows))
+        root = roots[rows // attempts]
+        u = hashed_uniforms(seed, root[:, None], (rows % attempts)[:, None],
+                            np.arange(depth + 1))
+        if strategy.bias == "specificity":
+            j = weighted_pick(*cum, np.zeros(len(rows), dtype=np.int64),
+                              np.full(len(rows), len(templates)), u[:, 0])
+            edges = np.full((len(rows), depth), -1, dtype=np.int64)
+            has = j >= 0
+            edges[has] = g.sample_paths(root[has], u[has, 1:],
+                                        templates[j[has]].T)
+            edges[edges[:, -1] < 0] = -1  # an incomplete template is dead
+        else:
+            edges = g.sample_paths(root, u[:, 1:], pick=pick)
+        taken = edges >= 0
+        tokens = np.full((len(rows), 2 * depth + 1), -1, dtype=np.int64)
+        tokens[:, 0] = root
+        tokens[:, 1::2][taken] = g.out_pred[edges[taken]]
+        tokens[:, 2::2][taken] = g.out_obj[edges[taken]]
+        yield rows // attempts, tokens
 
 
 def extract_corpus(g: Graph, entities, strategy: WalkStrategy,
@@ -292,40 +295,26 @@ def extract_corpus(g: Graph, entities, strategy: WalkStrategy,
         g._check(e)
     roots = np.array(roots, dtype=np.int64)
     attempts = strategy.walks_per_entity
-    if strategy.bias == "specificity":
-        entries = strategy.specificity_table.above_threshold(
-            strategy.depth, strategy.threshold)
-        walk = partial(_template_walks,
-                       templates=[e.relationship.predicates for e in entries],
-                       cum=_cumulative([e.score for e in entries]))
-    else:
-        walk = partial(_free_walks, depth=strategy.depth,
-                       pick=_edge_picker(g, strategy))
-
-    blocks, owners = [], []
-    dead = pruned = 0
-    n_rows = len(roots) * attempts
-    for r0 in range(0, n_rows, CHUNK_ROWS):
-        rows = np.arange(r0, min(r0 + CHUNK_ROWS, n_rows))
-        tokens = walk(g, seed, roots[rows // attempts], rows % attempts)
+    blocks, n_live = [], 0  # accepted rows, each after its root's index
+    for owner, tokens in _walk_tokens(g, roots, strategy, seed):
         nodes = tokens[:, 0::2]
         live = nodes[:, 1] >= 0
         keep = live & prune_mask(g, nodes, strategy.pruning)
-        blocks.append(tokens[keep])
-        owners.append(rows[keep] // attempts)
-        dead += len(rows) - int(live.sum())
-        pruned += int(live.sum() - keep.sum())
+        blocks.append(np.column_stack((owner[keep], tokens[keep])))
+        n_live += int(live.sum())
 
-    tokens = np.concatenate(
-        blocks or [np.zeros((0, 2 * strategy.depth + 1), dtype=np.int64)])
-    owner = np.concatenate(owners or [np.zeros(0, dtype=np.int64)])
-    distinct = distinct_rows(np.column_stack((owner, tokens)))[:, 0]
+    n_rows = len(roots) * attempts
+    owned = np.concatenate(
+        blocks or [np.zeros((0, 2 * strategy.depth + 2), dtype=np.int64)])
+    owner, tokens = owned[:, 0], owned[:, 1:]
+    distinct = distinct_rows(owned)[:, 0]
     return WalkCorpus(
         tokens, roots, np.full(len(roots), attempts),
         np.bincount(owner, minlength=len(roots)),
         np.bincount(distinct, minlength=len(roots)),
         {"attempts": n_rows, "accepted": len(tokens),
-         "distinct": len(distinct), "pruned": pruned, "dead": dead})
+         "distinct": len(distinct), "pruned": n_live - len(tokens),
+         "dead": n_rows - n_live})
 
 
 # -- corpus files --------------------------------------------------------

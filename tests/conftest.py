@@ -57,6 +57,20 @@ def small_graphs():
     return small_edges.map(small_graph)
 
 
+def scan_pick(weights, u):
+    """The first index whose running weight exceeds u * total, the last
+    positive one if rounding leaves none, None for a zero total."""
+    total = sum(weights)
+    if total <= 0:
+        return None
+    run = 0.0
+    for i, w in enumerate(weights):
+        run += w
+        if run > u * total:
+            return i
+    return max(i for i, w in enumerate(weights) if w > 0)
+
+
 def scan_trials(g, relationship, seeds, type_set, n_walks, seed):
     """Scalar reference for trial_outcomes: (hit, dead) per trial, dead when
     the forward walk still dead-ends after the last retry. Trial i reads one

@@ -842,6 +842,20 @@ class TestTrainRecommendEval:
             assert "--k must be >= 1" in capsys.readouterr().err
             assert not list(tmp_path.iterdir())  # no CSV, no sidecar
 
+    @pytest.mark.parametrize("truth", ['[]', '{"q": 5}', '{"q": "<iri>"}',
+                                       '{"q": [5]}', '"q"'])
+    def test_eval_malformed_truth_is_data_error(self, pipeline, tmp_path,
+                                                capsys, truth):
+        # a string value was read as a set of characters (|truth| = 5 here)
+        path = tmp_path / "truth.json"
+        path.write_text(truth)
+        out = tmp_path / "eval.csv"
+        assert main(["eval", str(pipeline / "model.txt"), "--truth",
+                     str(path), "--out", str(out), "--allow-mismatch"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "list of strings" in err
+        assert not out.exists()
+
 
 class TestConfig:
     def test_config_file_sets_defaults(self, pipeline, tmp_path, capsys):
@@ -980,6 +994,26 @@ class TestSensitivityAndPagerank:
         rows = [l.split("\t") for l in out.read_text().splitlines()]
         total = sum(float(v) for _, v in rows)
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("score", ["-1000", "nan", "inf"])
+    def test_walk_rejects_negative_or_non_finite_score(self, pipeline,
+                                                       tmp_path, capsys,
+                                                       score):
+        # with person/dir0 at -1000, 20 of 150 attempts dead-ended and 4
+        # walks were not graph triples, such as film/f1_0 p/genre movement/x9
+        scores = tmp_path / "scores.tsv"
+        assert main(["pagerank", str(pipeline / "g.snap"),
+                     "--out", str(scores)]) == 0
+        rows = scores.read_text().splitlines()
+        at = [r.split("\t")[0] for r in rows].index(SYNTH + "person/dir0")
+        rows[at] = f"{SYNTH}person/dir0\t{score}"
+        scores.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "c.txt"
+        assert main(["walk", str(pipeline / "g.snap"), "--out", str(out),
+                     "--type", FILM, "--bias", "pagerank", "--scores",
+                     str(scores), "--depth", "1", "--walks", "5"]) == 2
+        assert "finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("size", [30, 3000])
     def test_truncated_snapshot_is_data_error(self, pipeline, tmp_path, size):

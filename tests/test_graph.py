@@ -21,24 +21,34 @@ from specwalk.graph import (RDF_TYPE, GraphBuilder, GraphError,
 from specwalk import ntriples
 from specwalk.ntriples import (_LINE_RE, ParseError, ParseReport, load_graph,
                                parse_ntriples, serialize_ntriples)
-from specwalk.walks import WalkStrategy, extract_corpus
+from specwalk.walks import (WalkStrategy, _cumulative, extract_corpus,
+                            weighted_pick)
 
-from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, small_edges,
-                      small_graph, small_graphs, v1_snapshot_bytes)
+from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, scan_pick,
+                      small_edges, small_graph, small_graphs,
+                      v1_snapshot_bytes)
 
 
 TOP_UNIFORM = 1.0 - 2.0 ** -53  # the largest value hashed_uniforms returns
 
 
-def scan_path(g, v, predicates, u):
-    """Reference sampler: scan every out-edge for the predicate and take
-    matches[floor(u[k] * len(matches))]; -1 from a dead end on."""
-    nodes = [v]
+def scan_path(g, v, predicates, u, weights=None):
+    """Reference sampler: scan v's out-edges for the step's predicate (all of
+    them for None) and take matches[floor(u[k] * len(matches))], or, with
+    per-edge weights, scan_pick's index among the matches; the out-edge
+    indices taken, -1 from a dead end on."""
+    edges = []
     for pred, uk in zip(predicates, u):
-        matches = [o for p, o in g.out_adj[v] if p == pred] if v >= 0 else []
-        v = matches[int(uk * len(matches))] if matches else -1
-        nodes.append(v)
-    return nodes
+        matches = [(g.out_ptr[v] + i, o)
+                   for i, (p, o) in enumerate(g.out_adj[v])
+                   if pred is None or p == pred] if v >= 0 else []
+        if weights is None:
+            i = int(uk * len(matches)) if matches else None
+        else:
+            i = scan_pick([weights[e] for e, _ in matches], uk)
+        e, v = matches[i] if i is not None else (-1, -1)
+        edges.append(int(e))
+    return edges
 
 
 def splitmix_reference(seed, *counters):
@@ -523,19 +533,45 @@ class TestSamplePath:
     @given(g=small_graphs(), data=st.data(),
            starts=st.lists(st.integers(0, N_NODES - 1), min_size=1,
                            max_size=8),
-           names=st.lists(st.sampled_from(PREDICATES), max_size=4))
-    def test_matches_scanning_reference(self, g, data, starts, names):
-        predicates = [g.term_id(p) for p in names]
+           depth=st.integers(0, 4),
+           mode=st.sampled_from(["one id", "per row", "free"]),
+           weighted=st.booleans())
+    def test_matches_scanning_reference(self, g, data, starts, depth, mode,
+                                        weighted):
+        # step k reads predicates[k]: one id, a row of a (d, rows) matrix,
+        # or, with predicates None, every out-edge of the current node
+        names = st.lists(st.sampled_from(PREDICATES), min_size=depth,
+                         max_size=depth)
+        if mode == "one id":
+            predicates = [g.term_id(p) for p in data.draw(names)]
+            per_row = [predicates] * len(starts)
+        elif mode == "per row":
+            per_row = [[g.term_id(p) for p in data.draw(names)]
+                       for _ in starts]
+            predicates = np.array(per_row, dtype=np.int64).reshape(
+                len(starts), depth).T
+        else:
+            predicates, per_row = None, [[None] * depth] * len(starts)
         u = np.array(data.draw(st.lists(
             st.lists(st.sampled_from([0.0, 0.5, TOP_UNIFORM])
                      | st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53),
-                     min_size=len(predicates), max_size=len(predicates)),
+                     min_size=depth, max_size=depth),
             min_size=len(starts), max_size=len(starts)))).reshape(
-                len(starts), len(predicates))
-        got = g.sample_paths(np.array(starts), predicates, u)
-        assert got.shape == (len(starts), len(predicates) + 1)
-        assert got.tolist() == [scan_path(g, v, predicates, row)
-                                for v, row in zip(starts, u)]
+                len(starts), depth)
+        weights = pick = None
+        if weighted:  # dyadic, zero included, so running sums are exact
+            weights = data.draw(st.lists(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                min_size=g.n_triples, max_size=g.n_triples))
+            cum, last = _cumulative(weights)
+
+            def pick(lo, hi, u):
+                return weighted_pick(cum, last, lo, hi, u)
+
+        got = g.sample_paths(np.array(starts), u, predicates, pick)
+        assert got.shape == (len(starts), depth)
+        assert got.tolist() == [scan_path(g, v, preds, row, weights)
+                                for v, preds, row in zip(starts, per_row, u)]
 
     def test_pick_rule_on_every_slice_width(self):
         # one node with w edges for predicate p{w}, w = 1..40, and a second
@@ -548,11 +584,12 @@ class TestSamplePath:
             u = [i / w for i in range(w)] + [(i + 0.999) / w
                                              for i in range(w)] + [TOP_UNIFORM]
             got = g.sample_paths(np.full(len(u), s),
-                                 [g.term_id(EX + f"p{w:02d}")],
-                                 np.array(u).reshape(-1, 1))
+                                 np.array(u).reshape(-1, 1),
+                                 [g.term_id(EX + f"p{w:02d}")])
             picked = [int(x * w) for x in u]
             assert picked[-1] == w - 1
-            assert got[:, 1].tolist() == [
+            assert (got >= 0).all()
+            assert g.out_obj[got[:, 0]].tolist() == [
                 g.term_id(EX + f"o{w:02d}_{i:02d}") for i in picked]
 
     def test_follows_predicate_runs(self):
@@ -562,12 +599,33 @@ class TestSamplePath:
         ids = [g.term_id(EX + n) for n in ("s", "b", "c")]
         preds = [g.term_id(EX + "q"), g.term_id(EX + "p")]
         u = np.zeros((1, 2))
-        assert g.sample_paths([ids[0]], preds, u).tolist() == [ids]
-        assert g.sample_paths([ids[0]], preds[::-1], u).tolist() == [
-            [ids[0], g.term_id(EX + "a"), -1]]
-        assert g.sample_paths([ids[0]], [], u[:, :0]).tolist() == [[ids[0]]]
+        edges = g.sample_paths([ids[0]], u, preds)
+        assert g.out_obj[edges].tolist() == [ids[1:]]
+        assert g.out_pred[edges].tolist() == [preds]
+        edges = g.sample_paths([ids[0]], u, preds[::-1])
+        assert edges[0, 1] == -1
+        assert g.out_obj[edges[0, 0]] == g.term_id(EX + "a")
+        assert g.sample_paths([ids[0]], u[:, :0], []).tolist() == [[]]
         nodes, paths = g.path_counts([ids[0], ids[0]], preds)
         assert nodes.tolist() == [ids[2]] and paths.tolist() == [2]
+
+    def test_free_steps_and_weighted_pick(self):
+        # with predicates None a step chooses among all of the current
+        # node's out-edges; a pick of -1 ends the walk there
+        g = build([(EX + "s", EX + "p", EX + "a"),
+                   (EX + "s", EX + "q", EX + "b"),
+                   (EX + "b", EX + "p", EX + "c")])
+        s, a, b, c = (g.term_id(EX + n) for n in "sabc")
+        u = np.array([[0.0, 0.0], [0.5, 0.0]])
+        edges = g.sample_paths([s, s], u)
+        assert g.out_obj[edges[0, 0]] == a and edges[0, 1] == -1
+        assert g.out_obj[edges[1]].tolist() == [b, c]
+        cum, last = _cumulative((g.out_obj != a).astype(float))
+        edges = g.sample_paths([s, s], u, pick=lambda lo, hi, u:
+                               weighted_pick(cum, last, lo, hi, u))
+        assert g.out_obj[edges].tolist() == [[b, c], [b, c]]
+        assert g.sample_paths([s], u[:1], pick=lambda lo, hi, u: np.full(
+            len(lo), -1)).tolist() == [[-1, -1]]
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.one_of(st.integers(-2 ** 70, -1),

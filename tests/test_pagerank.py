@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from specwalk.graph import GraphError
 from specwalk.ntriples import parse_ntriples
 from specwalk.pagerank import (ScoreMap, compute_pagerank, load_scores,
                                save_scores)
@@ -109,10 +108,6 @@ class TestScoreIO:
         sm = load_scores(["http://x/a\t1\n", "garbage row\n", "http://x/b\t2\n"])
         assert set(sm.scores) == {"http://x/a", "http://x/b"}
 
-    def test_strict_raises_with_line_number(self):
-        with pytest.raises(GraphError, match="line 2"):
-            load_scores(["http://x/a\t1\n", "garbage row\n"], strict=True)
-
     def test_round_trip(self):
         sm = ScoreMap({"http://x/b": 161.258, "http://x/a": 0.586402})
         buf = io.StringIO()
@@ -129,12 +124,12 @@ class TestScoreIO:
         save_scores(sm, buf)
         assert buf.getvalue().startswith("#a\t")
         buf.seek(0)
-        loaded = load_scores(buf, strict=True)
+        loaded = load_scores(buf)
         assert set(loaded.scores) == set(sm.scores) == {"#a", "b", "c", "p"}
         assert loaded.bind(g)[g.term_id("#a")] > 0
 
-    def test_hash_comment_without_score_still_skipped_in_strict_mode(self):
-        sm = load_scores(["# two\tcolumns\n", "#x\t0.5\n"], strict=True)
+    def test_hash_comment_without_score_still_skipped(self):
+        sm = load_scores(["# two\tcolumns\n", "#x\t0.5\n"])
         assert sm.scores == {"#x": 0.5}
 
     def test_bind_resolves_and_drops_unmatched(self, chain_graph):

@@ -678,9 +678,10 @@ class TestLockstep:
         calls = []
         sample_paths = Graph.sample_paths
 
-        def counting_sample_paths(self, starts, predicates, u):
+        def counting_sample_paths(self, starts, u, predicates=None,
+                                  pick=None):
             calls.append(len(predicates))  # one call per step count (depth)
-            return sample_paths(self, starts, predicates, u)
+            return sample_paths(self, starts, u, predicates, pick)
 
         monkeypatch.setattr(Graph, "sample_paths", counting_sample_paths)
         for k in (1, 3, 8):

@@ -3,14 +3,13 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specwalk.graph import RDF_TYPE, GraphBuilder, hashed_uniforms
+from specwalk.graph import RDF_TYPE, Graph, GraphBuilder, hashed_uniforms
 from specwalk.specificity import (SemanticRelationship, SpecificityEntry,
                                   SpecificityTable)
 from specwalk import walks
@@ -18,7 +17,8 @@ from specwalk.walks import (Walk, WalkCorpus, WalkStrategy, extract_corpus,
                             prune_check, read_corpus_lines, write_corpus,
                             write_stats_csv)
 
-from conftest import EX, N_NODES, PREDICATES, build, small_graphs
+from conftest import (EX, N_NODES, PREDICATES, build, scan_pick,
+                      small_graphs)
 
 FILM = EX + "Film"
 PERSON = EX + "Person"
@@ -268,6 +268,79 @@ class TestBiases:
         with pytest.raises(ValueError):
             WalkStrategy(depth=0)
 
+    @pytest.mark.parametrize("bad", [-100.0, math.nan, math.inf])
+    def test_pagerank_scores_must_be_finite_and_non_negative(self, bad):
+        # scored objects x1, x2, x3 10, y bad, w 5, z 7: with -100 the
+        # cumulative weights fall, and every walk from b read "b q z", an
+        # edge of c; with NaN every walk from b dead-ended
+        g = build([(EX + "a", EX + "p", EX + n) for n in ("x1", "x2", "x3",
+                                                          "y")]
+                  + [(EX + "b", EX + "q", EX + "w"),
+                     (EX + "c", EX + "q", EX + "z")])
+        scores = {g.term_id(EX + n): s for n, s in zip(
+            ("x1", "x2", "x3", "y", "w", "z"), (10, 10, 10, bad, 5, 7))}
+        strategy = WalkStrategy(depth=1, walks_per_entity=20)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            replace(strategy, bias="pagerank", pagerank_scores=scores)
+        scores[g.term_id(EX + "y")] = 0.0
+        corpus = extract_corpus(g, [g.term_id(EX + "b")], replace(
+            strategy, bias="pagerank", pagerank_scores=scores))
+        assert {w.tokens for w in corpus.walks} == {tuple(
+            g.term_id(EX + n) for n in ("b", "q", "w"))}
+
+    def test_template_length_must_match_depth(self, chain_graph):
+        g = chain_graph
+        p = g.out_pred[0]
+        for predicates in ((p,), (p, p, p)):
+            table = SpecificityTable(depths={2: [
+                SpecificityEntry(SemanticRelationship((p, p)), 1.0, 1),
+                SpecificityEntry(SemanticRelationship(predicates), 1.0, 1)]})
+            strategy = WalkStrategy(bias="specificity", depth=2,
+                                    specificity_table=table,
+                                    walks_per_entity=5)
+            with pytest.raises(ValueError, match="at depth 2 must have 2"):
+                extract_corpus(g, [g.out_src[0]], strategy)
+
+    @pytest.mark.parametrize("n_templates", [1, 6])
+    def test_one_sample_paths_call_per_specificity_chunk(self, franchise,
+                                                         monkeypatch,
+                                                         n_templates):
+        g, info = franchise
+        calls = []
+        sample_paths = Graph.sample_paths
+
+        def counting_sample_paths(self, *args, **kwargs):
+            calls.append(1)
+            return sample_paths(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "sample_paths", counting_sample_paths)
+        monkeypatch.setattr(walks, "CHUNK_ROWS", 64)
+        films = sorted(g.entities_of_type(info["type"]))[:10]
+        preds = sorted(set(g.out_pred[np.isin(g.out_src, films)].tolist()))
+        preds = preds[:n_templates]
+        table = SpecificityTable(depths={1: [
+            SpecificityEntry(SemanticRelationship((p,)), 1.0, 1)
+            for p in preds]})
+        strategy = WalkStrategy(bias="specificity", depth=1,
+                                specificity_table=table, walks_per_entity=30)
+        corpus = extract_corpus(g, films, strategy, seed=1)
+        assert len(calls) == math.ceil(10 * 30 / 64) == 5
+        used = {w.predicates for w in corpus.walks}
+        assert used <= {(p,) for p in preds}
+        assert len(used) == min(n_templates, len(preds)) > 0
+
+    @pytest.mark.parametrize("bias", walks.BIASES)
+    def test_graph_without_triples(self, bias):
+        g = Graph(["http://x/a", "http://x/p"], [False, False],
+                  np.zeros((0, 3), dtype=np.int64))
+        table = SpecificityTable(depths={1: [
+            SpecificityEntry(SemanticRelationship((1,)), 1.0, 1)]})
+        strategy = WalkStrategy(bias=bias, depth=1, walks_per_entity=4,
+                                specificity_table=table,
+                                pagerank_scores={0: 1.0})
+        corpus = extract_corpus(g, [0], strategy)
+        assert corpus.walks == [] and corpus.counters["dead"] == 4
+
 
 class TestCorpusIO:
     def test_stats_empty_and_duplicates(self):
@@ -401,20 +474,6 @@ class TestCorpusTokens:
 
 # -- lockstep extraction against a scalar reference -----------------------
 
-def scan_pick(weights, u):
-    """The first index whose running weight exceeds u * total, the last
-    positive one if rounding leaves none, None for a zero total."""
-    total = sum(weights)
-    if total <= 0:
-        return None
-    run = 0.0
-    for i, w in enumerate(weights):
-        run += w
-        if run > u * total:
-            return i
-    return max(i for i, w in enumerate(weights) if w > 0)
-
-
 def scan_prune(nodes, scheme, g):
     """The pruning predicates over sets of directly asserted types."""
     types = [g.types_of(v) for v in nodes]
@@ -430,52 +489,57 @@ def scan_prune(nodes, scheme, g):
     return True
 
 
-def scan_walks(g, entities, strategy, seed):
-    """Reference extraction: one attempt and one step at a time, scanning
-    out_adj and reading draw column c of attempt a of entity e as
-    hashed_uniforms(seed, e, a, c)."""
+def scan_attempt(g, e, a, strategy, seed):
+    """Reference for one attempt: attempt a of entity e, one step at a time,
+    scanning out_adj and reading draw column c as hashed_uniforms(seed, e,
+    a, c). Returns its tokens, only (e,) when it takes no step: a free walk
+    dead-ended at its root, no template picked or a template that does not
+    complete."""
+    def u(column):
+        return float(hashed_uniforms(seed, e, a, column)[0])
+
+    tokens, v = [e], e
+    if strategy.bias == "specificity":
+        entries = strategy.specificity_table.above_threshold(
+            strategy.depth, strategy.threshold)
+        j = scan_pick([x.score for x in entries], u(0))
+        if j is None:
+            return (e,)
+        for k, pred in enumerate(entries[j].relationship.predicates):
+            matches = [o for p, o in g.out_adj[v] if p == pred]
+            if not matches:
+                return (e,)
+            v = matches[min(int(u(k + 1) * len(matches)), len(matches) - 1)]
+            tokens += [pred, v]
+        return tuple(tokens)
     freq = g.predicate_frequency()
     scores = strategy.pagerank_scores or {}
     weight = {"frequency": lambda p, o: freq[p],
               "pagerank": lambda p, o: scores.get(o, 0.0)}.get(strategy.bias)
-    entries = (strategy.specificity_table.above_threshold(
-        strategy.depth, strategy.threshold)
-        if strategy.bias == "specificity" else [])
+    for k in range(strategy.depth):
+        edges = g.out_adj[v]
+        if weight is None:
+            i = (min(int(u(k + 1) * len(edges)), len(edges) - 1)
+                 if edges else None)
+        else:
+            i = scan_pick([weight(p, o) for p, o in edges], u(k + 1))
+        if i is None:
+            break
+        tokens += edges[i]
+        v = tokens[-1]
+    return tuple(tokens)
+
+
+def scan_walks(g, entities, strategy, seed):
+    """Reference extraction: every attempt's scan_attempt walk, in entity
+    then attempt order, kept when it took a step and passes pruning."""
     out = []
     for e in entities:
         for a in range(strategy.walks_per_entity):
-            def u(column):
-                return float(hashed_uniforms(seed, e, a, column)[0])
-
-            tokens, v = [e], e
-            if strategy.bias == "specificity":
-                j = scan_pick([x.score for x in entries], u(0))
-                if j is None:
-                    continue
-                for k, pred in enumerate(entries[j].relationship.predicates):
-                    matches = [o for p, o in g.out_adj[v] if p == pred]
-                    if not matches:
-                        tokens = [e]
-                        break
-                    v = matches[min(int(u(k + 1) * len(matches)),
-                                    len(matches) - 1)]
-                    tokens += [pred, v]
-            else:
-                for k in range(strategy.depth):
-                    edges = g.out_adj[v]
-                    if weight is None:
-                        i = (min(int(u(k + 1) * len(edges)), len(edges) - 1)
-                             if edges else None)
-                    else:
-                        i = scan_pick([weight(p, o) for p, o in edges],
-                                      u(k + 1))
-                    if i is None:
-                        break
-                    tokens += edges[i]
-                    v = tokens[-1]
-            if len(tokens) >= 3 and scan_prune(tokens[0::2], strategy.pruning,
-                                               g):
-                out.append(tuple(tokens))
+            tokens = scan_attempt(g, e, a, strategy, seed)
+            if len(tokens) >= 3 and scan_prune(tokens[0::2],
+                                               strategy.pruning, g):
+                out.append(tokens)
     return out
 
 
@@ -584,45 +648,24 @@ class TestLockstep:
 # -- the array corpus against the tuple-building extraction it replaced ---
 
 def _reference_extract_corpus(g, entities, strategy, seed):
-    """extract_corpus as it was before the corpus became token arrays: one
-    Walk per accepted row, distinct walks counted over a set of (owner,
-    tokens) pairs. Returns ([tokens], [(entity, attempts, walks, distinct)],
-    counters) with counters from the same masks."""
-    roots = np.array(list(entities), dtype=np.int64)
+    """extract_corpus one scan_attempt at a time: one Walk per accepted
+    attempt, distinct walks counted per listed entity over a set. Returns
+    ([tokens], [(entity, attempts, walks, distinct)], counters)."""
     attempts = strategy.walks_per_entity
-    if strategy.bias == "specificity":
-        entries = strategy.specificity_table.above_threshold(
-            strategy.depth, strategy.threshold)
-        walk = partial(walks._template_walks,
-                       templates=[e.relationship.predicates for e in entries],
-                       cum=walks._cumulative([e.score for e in entries]))
-    else:
-        walk = partial(walks._free_walks, depth=strategy.depth,
-                       pick=walks._edge_picker(g, strategy))
-    out, owners = [], []
-    live_rows = 0
-    n_rows = len(roots) * attempts
-    for r0 in range(0, n_rows, walks.CHUNK_ROWS):
-        rows = np.arange(r0, min(r0 + walks.CHUNK_ROWS, n_rows))
-        tokens = walk(g, seed, roots[rows // attempts], rows % attempts)
-        nodes = tokens[:, 0::2]
-        live = nodes[:, 1] >= 0
-        keep = live & walks.prune_mask(g, nodes, strategy.pruning)
-        live_rows += int(live.sum())
-        lengths = 2 * (nodes[keep] >= 0).sum(axis=1) - 1
-        out.extend(Walk(tuple(t[:n])) for t, n in zip(
-            tokens[keep].tolist(), lengths.tolist()))
-        owners.append(rows[keep] // attempts)
-    owner = np.concatenate(owners or [np.zeros(0, dtype=np.int64)])
-    accepted = np.bincount(owner, minlength=len(roots))
-    pairs = set(zip(owner.tolist(), (w.tokens for w in out)))
-    distinct = np.bincount(np.fromiter((o for o, _ in pairs), np.int64,
-                                       len(pairs)), minlength=len(roots))
-    stats = [(e, attempts, n, d) for e, n, d in zip(
-        roots.tolist(), accepted.tolist(), distinct.tolist())]
+    out, stats, live_rows = [], [], 0
+    for e in entities:
+        walked = [scan_attempt(g, e, a, strategy, seed)
+                  for a in range(attempts)]
+        live = [t for t in walked if len(t) >= 3]
+        kept = [Walk(t) for t in live
+                if scan_prune(t[0::2], strategy.pruning, g)]
+        live_rows += len(live)
+        out += kept
+        stats.append((e, attempts, len(kept), len({w.tokens for w in kept})))
+    n_rows = len(stats) * attempts
     counters = {"attempts": n_rows, "accepted": len(out),
-                "distinct": len(pairs), "pruned": live_rows - len(out),
-                "dead": n_rows - live_rows}
+                "distinct": sum(s[3] for s in stats),
+                "pruned": live_rows - len(out), "dead": n_rows - live_rows}
     return [w.tokens for w in out], stats, counters
 
 
