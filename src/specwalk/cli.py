@@ -244,6 +244,10 @@ def cmd_eval(args) -> int:
             for v in truth.values()):
         raise ValueError(f"{args.truth}: truth must be a JSON object that "
                          "maps each query to a list of strings")
+    for query, v in truth.items():
+        if not v:
+            raise ValueError(f"{args.truth}: the truth of {query!r} must be "
+                             "a non-empty list of strings")
     truth = {q: set(v) for q, v in truth.items()}
     rows = []
     for query in sorted(truth):

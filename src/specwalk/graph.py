@@ -12,7 +12,9 @@ import logging
 import random
 import re
 import struct
+from collections import defaultdict
 from collections.abc import Sequence, Set
+from itertools import count
 
 import numpy as np
 
@@ -20,7 +22,7 @@ log = logging.getLogger(__name__)
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
-SNAPSHOT_MAGIC = b"SWSNAP02"
+SNAPSHOT_MAGIC = b"SWSNAP03"
 _TOKEN_ESCAPE = re.compile(r"[\\\s]")
 
 
@@ -33,37 +35,23 @@ class UnknownTermError(GraphError):
 
 
 class GraphBuilder:
-    """Single-writer builder; produces an immutable Graph."""
+    """Single-writer builder of an immutable Graph; ids follow first use."""
 
     def __init__(self, rdf_type: str = RDF_TYPE):
         self.rdf_type = rdf_type
-        self._terms: list[str] = []
-        self._literal: list[bool] = []
-        self._ids: dict[str, int] = {}
+        # term -> id: a missing term takes the next id
+        self._ids = defaultdict(count().__next__)
         self._triples: list[int] = []  # s, p, o ids, one triple after another
 
-    def intern(self, term: str, literal: bool = False) -> int:
-        tid = self._ids.get(term)
-        if tid is None:
-            tid = len(self._terms)
-            self._ids[term] = tid
-            self._terms.append(term)
-            self._literal.append(literal)
-        elif self._literal[tid] != literal:
-            raise GraphError(f"term interned as both literal and resource: {term!r}")
-        return tid
+    def intern(self, term: str) -> int:
+        return self._ids[term]
 
-    def add(self, subject: str, predicate: str, obj: str,
-            object_literal: bool = False) -> None:
-        s = self.intern(subject, literal=False)
-        p = self.intern(predicate, literal=False)
-        o = self.intern(obj, literal=object_literal)
-        self._triples += (s, p, o)
+    def add(self, subject: str, predicate: str, obj: str) -> None:
+        self._triples += map(self._ids.__getitem__, (subject, predicate, obj))
 
     def build(self) -> "Graph":
         spo = np.array(self._triples, dtype=np.int64).reshape(-1, 3)
-        return Graph(self._terms, self._literal, distinct_rows(spo),
-                     self.rdf_type)
+        return Graph(list(self._ids), distinct_rows(spo), self.rdf_type)
 
 
 def distinct_rows(a: np.ndarray) -> np.ndarray:
@@ -178,6 +166,10 @@ class Graph:
     """Immutable triple store: int64 arrays, built once, that hold each
     triple once on the out side and once on the in side.
 
+    A term's kind comes from its N-Triples text: a literal starts with '"'
+    (tag or datatype kept), a blank node with "_:", and any other term is an
+    IRI without its angle brackets; literal[v] follows this rule.
+
     Out side, in ascending (s, p, o) order: out_src, out_pred and out_obj;
     out_key = s * n_terms + p, so each (node, predicate) owns one slice of
     out_key; out_ptr, the offsets of each subject's slice. In side, in
@@ -186,14 +178,14 @@ class Graph:
     (predicate, other end) pairs from these arrays.
     """
 
-    def __init__(self, terms: list[str], literal: list[bool],
-                 triples: np.ndarray, rdf_type: str = RDF_TYPE):
+    def __init__(self, terms: list[str], triples: np.ndarray,
+                 rdf_type: str = RDF_TYPE):
         """`triples` is an (n, 3) integer array of strictly ascending (s, p,
         o) rows, so sorted and distinct; GraphError otherwise, or when an id
         is out of range, a subject or predicate is a literal or a term is
         repeated."""
         self.terms = terms
-        self.literal = literal
+        self.literal = [t[:1] == '"' for t in terms]
         self.rdf_type = rdf_type
         self._ids = {t: i for i, t in enumerate(terms)}
         if len(self._ids) != len(terms):
@@ -212,11 +204,12 @@ class Graph:
                 raise GraphError(f"{problem}: triple {i} "
                                  f"{tuple(spo[i].tolist())}")
 
-        reject(((spo < 0) | (spo >= n)).any(axis=1), "term id out of range")
+        if spo.size and (spo.min() < 0 or spo.max() >= n):
+            reject(((spo < 0) | (spo >= n)).any(axis=1), "term id out of range")
         reject(np.append(False, (key[1:] < key[:-1]) | (
             (key[1:] == key[:-1]) & (obj[1:] <= obj[:-1]))),
                "triples must be sorted and distinct")
-        lit = np.array(literal, dtype=bool)
+        lit = np.array(self.literal, dtype=bool)
         reject(lit[spo[:, 0]] | lit[spo[:, 1]],
                "literal in subject or predicate position")
         self.out_ptr = np.searchsorted(self.out_src, np.arange(n + 1))
@@ -394,46 +387,31 @@ class Graph:
 
 # -- binary snapshot -----------------------------------------------------
 #
-# Layout (little-endian), a term table then the triples:
-#   8s   magic "SWSNAP02"
+# Layout (little-endian), format 3:
+#   8s   magic "SWSNAP03"
 #   u32  term count n
 #   u64  triple count m
-#   u16  rdf:type IRI length, then the IRI bytes
-#   n x u32  each term's utf-8 length
-#   n x u8   each term's literal flag, 0 or 1
-#   the n terms' utf-8 bytes, concatenated
+#   u16  rdf:type IRI length in bytes, then the IRI's utf-8 bytes
+#   n x u32  each term's length in characters
 #   m x 3 x u32  (subject, predicate, object), strictly ascending
-
-
-def _continuation_bytes(blob: bytes) -> np.ndarray:
-    """Ascending positions of the utf-8 continuation bytes (10xxxxxx)."""
-    b = np.frombuffer(blob, np.uint8)
-    return np.flatnonzero((b & 0xC0) == 0x80)
+#   the n terms' utf-8 text, concatenated, to the end of the file
 
 
 def write_snapshot(graph: Graph, path: str) -> None:
-    blob = "".join(graph.terms).encode("utf-8")
-    # a term's utf-8 length is its length in characters plus the
-    # continuation bytes of its characters; the character owning the
-    # continuation byte at q (the r-th) is the (q - r)-th, counting from 1
-    cont = _continuation_bytes(blob)
-    chars = np.cumsum(np.fromiter(map(len, graph.terms), np.int64,
-                                  len(graph.terms)))
-    ends = chars + np.searchsorted(cont - np.arange(len(cont)), chars, "right")
     rt = graph.rdf_type.encode("utf-8")
     with open(path, "wb") as f:
         f.write(SNAPSHOT_MAGIC)
         f.write(struct.pack("<IQH", len(graph.terms), graph.n_triples, len(rt)))
         f.write(rt)
-        f.write(np.diff(ends, prepend=0).astype("<u4").tobytes())
-        f.write(np.array(graph.literal, dtype=np.uint8).tobytes())
-        f.write(blob)
+        f.write(np.fromiter(map(len, graph.terms), "<u4",
+                            len(graph.terms)).tobytes())
         f.write(np.stack([graph.out_src, graph.out_pred, graph.out_obj],
                          axis=1).astype("<u4").tobytes())
+        f.write("".join(graph.terms).encode("utf-8"))
 
 
 def read_snapshot(path: str) -> Graph:
-    """Load a snapshot; GraphError naming the file when it is not a format-2
+    """Load a snapshot; GraphError naming the file when it is not a format-3
     snapshot, or is truncated, padded or inconsistent."""
     with open(path, "rb") as f:
         data = f.read()
@@ -441,45 +419,34 @@ def read_snapshot(path: str) -> Graph:
     def fail(problem: str):
         return GraphError(f"{problem}: {path}")
 
-    if data[:8] == b"SWSNAP01":
-        raise fail("format 1 snapshot; re-run ingest on the N-Triples input")
+    if data[:8] in (b"SWSNAP01", b"SWSNAP02"):
+        raise fail(f"format {int(data[6:8])} snapshot; re-run ingest on the "
+                   "N-Triples input")
     if data[:8] != SNAPSHOT_MAGIC:
         raise fail("not a graph snapshot")
     if len(data) < 22:
         raise fail("truncated graph snapshot")
     n_terms, n_triples, rt_len = struct.unpack_from("<IQH", data, 8)
-    at = 22 + rt_len  # the term lengths
-    if len(data) < at + 5 * n_terms:
+    at = 22 + rt_len  # the term lengths, then the triples, then the text
+    text_at = at + 4 * n_terms + 12 * n_triples
+    if len(data) < text_at:
         raise fail("truncated graph snapshot")
-    lengths = np.frombuffer(data, "<u4", n_terms, at).astype(np.int64)
-    flags = np.frombuffer(data, np.uint8, n_terms, at + 4 * n_terms)
-    ends = np.cumsum(lengths)
-    at += 5 * n_terms  # the term bytes
-    size = int(ends[-1]) if n_terms else 0
-    if len(data) != at + size + 12 * n_triples:
-        raise fail(f"snapshot is {len(data)} bytes, but its header and term "
-                   f"lengths give {at + size + 12 * n_triples}")
-    if (flags > 1).any():
-        raise fail("literal flag other than 0 or 1")
-    blob = memoryview(data)[at:at + size]
     try:
-        rdf_type = data[22:22 + rt_len].decode("utf-8")
-        text = str(blob, "utf-8")
+        rdf_type = data[22:at].decode("utf-8")
+        text = str(memoryview(data)[text_at:], "utf-8")
     except UnicodeDecodeError as exc:
         raise fail(f"snapshot text is not utf-8 ({exc.reason})") from None
-    # a term's character offset is its byte offset less the continuation
-    # bytes before it; a term may not end on a continuation byte
-    cont = _continuation_bytes(blob)
-    before = np.searchsorted(cont, ends, "left")
-    if (np.searchsorted(cont, ends, "right") != before).any():
-        raise fail("term boundary inside a utf-8 character")
-    ends = (ends - before).tolist()
-    terms = [text[a:z] for a, z in zip([0, *ends], ends)]
-    literal = flags.astype(bool).tolist()
-    triples = np.frombuffer(data, "<u4", 3 * n_triples, at + size)
+    # the text runs to the end of the file: a cut or padding shows here
+    ends = [0, *np.cumsum(np.frombuffer(data, "<u4", n_terms, at),
+                          dtype=np.int64).tolist()]
+    if ends[-1] != len(text):
+        raise fail(f"snapshot text is {len(text)} characters, but its term "
+                   f"lengths sum to {ends[-1]}")
+    terms = [text[a:z] for a, z in zip(ends, ends[1:])]
+    triples = np.frombuffer(data, "<u4", 3 * n_triples, at + 4 * n_terms)
     triples = triples.astype(np.int64).reshape(-1, 3)
-    del data, blob, flags, text  # free the file before Graph's arrays
+    del data, text  # free the file before Graph's arrays
     try:
-        return Graph(terms, literal, triples, rdf_type)
+        return Graph(terms, triples, rdf_type)
     except GraphError as exc:
         raise fail(str(exc)) from None

@@ -25,8 +25,8 @@ BLOCK_LINES = 4096
 # terms that outlive the block are not scattered over memory freed after it
 _SPLIT_LINES = 64
 
-# a body "_:b" would intern as the blank node _:b, one holding '"' could
-# share a term with a literal, and the empty IRI would render as no token
+# a body "_:b" would intern as the blank node _:b, one starting with '"' as
+# a literal (IRIREF forbids '"'), and the empty IRI would render as no token
 _IRI = r'<((?!_:)[^<>"\s]+)>'
 _BNODE = r"(_:[A-Za-z0-9][A-Za-z0-9_.\-]*)"
 _LITERAL = r'("(?:[^"\\]|\\.)*"(?:\^\^<[^<>\s]*>|@[A-Za-z][A-Za-z0-9\-]*)?)'
@@ -75,11 +75,7 @@ def parse_ntriples(lines, strict: bool = False, rdf_type: str = RDF_TYPE) -> Gra
         start += len(block)
     spo = np.concatenate(blocks).reshape(-1, 3)
     report.parsed = len(spo)
-    # _IRI forbids '"' and a blank node starts with "_:", so only a literal
-    # starts with '"'
-    terms = list(ids)
-    graph = Graph(terms, [t.startswith('"') for t in terms],
-                  distinct_rows(spo), rdf_type)
+    graph = Graph(list(ids), distinct_rows(spo), rdf_type)
     graph.report = report
     return graph
 

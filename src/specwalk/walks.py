@@ -291,8 +291,10 @@ def extract_corpus(g: Graph, entities, strategy: WalkStrategy,
     accepted for compatibility and ignored.
     """
     roots = list(entities)
-    for e in roots:
-        g._check(e)
+    if not (set(map(type, roots)) <= {int}
+            and (not roots or 0 <= min(roots) and max(roots) < g.n_terms)):
+        for e in roots:  # name the first bad root
+            g._check(e)
     roots = np.array(roots, dtype=np.int64)
     attempts = strategy.walks_per_entity
     blocks, n_live = [], 0  # accepted rows, each after its root's index

@@ -21,12 +21,22 @@ def v1_snapshot_bytes(g):
             + b"".join(struct.pack("<III", *t) for t in g.triples))
 
 
+def v2_snapshot_bytes(g):
+    """A graph in the format-2 snapshot layout: the terms' u32 utf-8 lengths,
+    their flag bytes and their bytes, then the 3 x u32 triple rows."""
+    rt = g.rdf_type.encode()
+    blobs = [t.encode() for t in g.terms]
+    return (b"SWSNAP02" + struct.pack("<IQH", g.n_terms, g.n_triples, len(rt))
+            + rt + struct.pack(f"<{len(blobs)}I", *map(len, blobs))
+            + bytes(g.literal) + b"".join(blobs)
+            + b"".join(struct.pack("<III", *t) for t in g.triples))
+
+
 def build(triples, rdf_type=RDF_TYPE):
-    """Graph from (s, p, o[, literal]) tuples of short local names."""
+    """Graph from (s, p, o) tuples of terms."""
     b = GraphBuilder(rdf_type=rdf_type)
-    for t in triples:
-        s, p, o = t[:3]
-        b.add(s, p, o, object_literal=len(t) > 3 and t[3])
+    for s, p, o in triples:
+        b.add(s, p, o)
     return b.build()
 
 

@@ -18,7 +18,7 @@ from specwalk.skipgram import EmbeddingModel, TrainConfig, train
 from specwalk.specificity import SemanticRelationship
 from specwalk.walks import read_corpus_lines
 
-from conftest import build, scan_trials, v1_snapshot_bytes
+from conftest import build, scan_trials, v1_snapshot_bytes, v2_snapshot_bytes
 
 SYNTH = "http://synth.specwalk.local/"
 FILM = SYNTH + "class/Film"
@@ -194,6 +194,18 @@ class TestIngest:
         out = tmp_path / "g.snap"
         assert main(["ingest", str(snap), "--out", str(out)]) == 2
         assert f"format 1 snapshot; re-run ingest on the N-Triples input: " \
+            f"{snap}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [snap]
+
+    @pytest.mark.parametrize("command", ["ingest", "pagerank"])
+    def test_format_2_snapshot_asks_for_reingest(self, tmp_path, capsys,
+                                                 command):
+        snap = tmp_path / "old.snap"
+        snap.write_bytes(v2_snapshot_bytes(build(
+            [("http://x/s", "http://x/p", "http://x/o")])))
+        out = tmp_path / "out"
+        assert main([command, str(snap), "--out", str(out)]) == 2
+        assert f"format 2 snapshot; re-run ingest on the N-Triples input: " \
             f"{snap}" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [snap]
 
@@ -843,7 +855,7 @@ class TestTrainRecommendEval:
             assert not list(tmp_path.iterdir())  # no CSV, no sidecar
 
     @pytest.mark.parametrize("truth", ['[]', '{"q": 5}', '{"q": "<iri>"}',
-                                       '{"q": [5]}', '"q"'])
+                                       '{"q": [5]}', '"q"', '{"q": []}'])
     def test_eval_malformed_truth_is_data_error(self, pipeline, tmp_path,
                                                 capsys, truth):
         # a string value was read as a set of characters (|truth| = 5 here)

@@ -26,7 +26,7 @@ from specwalk.walks import (WalkStrategy, _cumulative, extract_corpus,
 
 from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, scan_pick,
                       small_edges, small_graph, small_graphs,
-                      v1_snapshot_bytes)
+                      v1_snapshot_bytes, v2_snapshot_bytes)
 
 
 TOP_UNIFORM = 1.0 - 2.0 ** -53  # the largest value hashed_uniforms returns
@@ -152,11 +152,7 @@ def _reference_parse_ntriples(lines, strict=False, rdf_type=RDF_TYPE):
             report.errors.append((lineno, line))
             continue
         s_iri, s_bnode, pred, o_iri, o_bnode, o_lit = m.groups()
-        subject = s_iri if s_iri is not None else s_bnode
-        if o_lit is not None:
-            builder.add(subject, pred, o_lit, object_literal=True)
-        else:
-            builder.add(subject, pred, o_iri if o_iri is not None else o_bnode)
+        builder.add(s_iri or s_bnode, pred, o_iri or o_bnode or o_lit)
         report.parsed += 1
     graph = builder.build()
     graph.report = report
@@ -165,7 +161,7 @@ def _reference_parse_ntriples(lines, strict=False, rdf_type=RDF_TYPE):
 
 def assert_parses_like_reference(lines, strict=False):
     """parse_ntriples at BLOCK_LINES, 1 and 3 lines a block gives the
-    reference's terms, literal flags, triple arrays and report, or its
+    reference's terms, triple arrays and report, or its
     ParseError message."""
     try:
         want, error = _reference_parse_ntriples(lines, strict), None
@@ -180,7 +176,7 @@ def assert_parses_like_reference(lines, strict=False):
                 assert str(exc.value) == error
                 continue
             got = parse_ntriples(iter(lines), strict)
-        assert (got.terms, got.literal) == (want.terms, want.literal)
+        assert got.terms == want.terms
         for name in ("out_src", "out_pred", "out_obj"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         assert got.report == want.report
@@ -355,7 +351,7 @@ class TestAdjacency:
         assert sorted(g.terms[p] for p, _ in out) == [EX + "p", EX + "q"]
 
     def test_literal_has_no_outgoing_edges(self):
-        g = build([(EX + "v", EX + "p", '"5"', True)])
+        g = build([(EX + "v", EX + "p", '"5"')])
         assert g.out_adj[g.term_id('"5"')] == []
 
     def test_unknown_id_distinct_from_empty(self):
@@ -679,7 +675,7 @@ _NT_LITERALS = st.builds(
 
 # 6,000 distinct triples, more than one 4,096-line chunk of rendered_lines
 _MANY_TRIPLES = [(f"_:b{i % 1000}", EX + "pq"[i % 2],
-                  (f'"{i % 1200}"' + ("@en" if i % 3 else ""), True))
+                  f'"{i % 1200}"' + ("@en" if i % 3 else ""))
                  for i in range(6000)]
 
 
@@ -713,13 +709,12 @@ class TestSerialization:
     @example(triples=_MANY_TRIPLES)
     @given(triples=st.lists(st.tuples(
         _NT_RESOURCES, st.sampled_from([EX + "p", EX + "p/q", EX + "q"]),
-        st.one_of(_NT_RESOURCES.map(lambda t: (t, False)),
-                  _NT_LITERALS.map(lambda t: (t, True)))), max_size=25))
+        st.one_of(_NT_RESOURCES, _NT_LITERALS)), max_size=25))
     def test_canonical_order_is_the_line_sort(self, triples):
         # terms that prefix each other (_:b1/_:b10, "x"/"x"@en/"x"@en-US)
         # and literals holding a tab or a space; the reference is the sort
         # of the rendered lines as strings
-        g = build([(s, p, o, lit) for s, p, (o, lit) in triples])
+        g = build(triples)
         r = _rendered_terms(g)
         tab_lines = sorted(f"{r[s]}\t{r[p]}\t{r[o]}" for s, p, o in g.triples)
         assert g.checksum() == hashlib.sha256(
@@ -735,15 +730,14 @@ class TestSerialization:
     @example(triples=_MANY_TRIPLES)
     @given(triples=st.lists(st.tuples(
         _ORACLE_RESOURCES, st.sampled_from(["#", EX + "p", EX + "p/q"]),
-        st.one_of(_ORACLE_RESOURCES.map(lambda t: (t, False)),
-                  _NT_LITERALS.map(lambda t: (t, True)),
+        st.one_of(_ORACLE_RESOURCES, _NT_LITERALS,
                   st.sampled_from(['"a\\"b"', '"\\u00e9"@fr', '"é"',
-                                   '"\\\\"^^<#>']).map(lambda t: (t, True)))),
+                                   '"\\\\"^^<#>']))),
         max_size=25))
     def test_rendered_lines_equal_the_reference(self, triples):
         # <#>, blank nodes, literals with escapes and non-ASCII text, and
         # terms that prefix each other (#/#a, _:b1/_:b10, "x"/"x"@en)
-        g = build([(s, p, o, lit) for s, p, (o, lit) in triples])
+        g = build(triples)
         for sep, end in ((" ", " .\n"), ("\t", "\n")):
             assert list(g.rendered_lines(sep, end)) == \
                 list(_reference_rendered_lines(g, sep, end))
@@ -754,10 +748,10 @@ class TestSerialization:
         # digest of the sorted rendered lines, as written before terms
         # were rendered once each
         g = build([(EX + "a", EX + "p", "_:b1"),
-                   ("_:b1", EX + "q", '"two words"@en', True),
+                   ("_:b1", EX + "q", '"two words"@en'),
                    (EX + "a", RDF_TYPE, EX + "T"),
                    (EX + "a", EX + "q",
-                    '"1"^^<http://www.w3.org/2001/XMLSchema#integer>', True)])
+                    '"1"^^<http://www.w3.org/2001/XMLSchema#integer>')])
         assert g.checksum() == ("a3fab5cb36f6373b7e2fdf70521d6e94"
                                 "016ef006351bc14daf09396952197291")
 
@@ -784,18 +778,17 @@ class TestSerialization:
 
     def test_snapshot_golden_bytes(self, tmp_path):
         g = build([(EX + "a", EX + "p", EX + "b"),
-                   (EX + "a", EX + "q", '"lit"', True),
+                   (EX + "a", EX + "q", '"lit"'),
                    (EX + "b", EX + "p", EX + "a")])
-        terms = [(EX + "a", 0), (EX + "p", 0), (EX + "b", 0), (EX + "q", 0),
-                 ('"lit"', 1)]
+        terms = [EX + "a", EX + "p", EX + "b", EX + "q", '"lit"']
         triples = [(0, 1, 2), (0, 3, 4), (2, 1, 0)]
-        assert list(zip(g.terms, g.literal)) == [(t, bool(f)) for t, f in terms]
-        want = (b"SWSNAP02" + struct.pack("<IQ", 5, 3)
+        assert g.terms == terms
+        assert g.literal == [False] * 4 + [True]
+        want = (b"SWSNAP03" + struct.pack("<IQ", 5, 3)
                 + struct.pack("<H", len(RDF_TYPE)) + RDF_TYPE.encode()
                 + struct.pack("<5I", 10, 10, 10, 10, 5)
-                + bytes([0, 0, 0, 0, 1])
-                + b"http://x/ahttp://x/phttp://x/bhttp://x/q\"lit\""
-                + struct.pack("<9I", *(i for t in triples for i in t)))
+                + struct.pack("<9I", *(i for t in triples for i in t))
+                + b"http://x/ahttp://x/phttp://x/bhttp://x/q\"lit\"")
         path = tmp_path / "g.snap"
         write_snapshot(g, str(path))
         assert path.read_bytes() == want
@@ -823,25 +816,40 @@ class TestSerialization:
         with pytest.raises(GraphError):
             read_snapshot(str(path))
 
-    @pytest.mark.parametrize("where", ["header", "terms", "triples", "trailing"])
+    @staticmethod
+    def _triples_at(g):
+        """The offset of a snapshot's triple rows: after the header (magic,
+        counts and the rdf:type IRI) and the term lengths."""
+        return 22 + len(g.rdf_type.encode()) + 4 * g.n_terms
+
+    @pytest.mark.parametrize("where", ["header", "lengths", "triples",
+                                       "terms", "trailing"])
     def test_snapshot_truncated_or_padded(self, tmp_path, where):
         g = build([(EX + "s", EX + "p", EX + "o"), (EX + "o", EX + "p", EX + "s")])
         path = tmp_path / "g.snap"
         write_snapshot(g, str(path))
         data = path.read_bytes()
-        triples_at = len(data) - 12 * g.n_triples
-        cut = {"header": data[:14], "terms": data[:triples_at - 3],
-               "triples": data[:-5], "trailing": data + b"\0"}[where]
+        text_at = self._triples_at(g) + 12 * g.n_triples
+        cut = {"header": data[:14], "lengths": data[:self._triples_at(g) - 3],
+               "triples": data[:text_at - 5], "terms": data[:-3],
+               "trailing": data + b"\0"}[where]
         path.write_bytes(cut)
-        with pytest.raises(GraphError):
+        # a cut in the text, or padding after it, leaves too few or too
+        # many characters for the term lengths
+        problem = ("term lengths sum to" if where in ("terms", "trailing")
+                   else "truncated graph snapshot")
+        with pytest.raises(GraphError,
+                           match=problem + ".*" + re.escape(str(path))):
             read_snapshot(str(path))
 
     def test_snapshot_term_id_out_of_range(self, tmp_path):
         g = build([(EX + "s", EX + "p", EX + "o")])
         path = tmp_path / "g.snap"
         write_snapshot(g, str(path))
-        data = path.read_bytes()
-        path.write_bytes(data[:-4] + struct.pack("<I", g.n_terms))
+        data = bytearray(path.read_bytes())
+        # the last triple's object
+        struct.pack_into("<I", data, self._triples_at(g) + 8, g.n_terms)
+        path.write_bytes(data)
         with pytest.raises(GraphError, match="out of range"):
             read_snapshot(str(path))
 
@@ -852,21 +860,22 @@ class TestSerialization:
         path = tmp_path / "g.snap"
         write_snapshot(g, str(path))
         data = path.read_bytes()
-        at = len(data) - 12 * g.n_triples
-        head, block = data[:at], data[at:]
+        at = self._triples_at(g)
+        head, block, text = (data[:at], data[at:at + 12 * g.n_triples],
+                             data[at + 12 * g.n_triples:])
         if fault == "swapped":
             block = block[12:24] + block[:12] + block[24:]
         else:  # a repeated last triple, counted in the header
             block += block[-12:]
             head = head[:12] + struct.pack("<Q", g.n_triples + 1) + head[20:]
-        path.write_bytes(head + block)
+        path.write_bytes(head + block + text)
         with pytest.raises(GraphError, match="sorted and distinct"):
             read_snapshot(str(path))
         assert main(["pagerank", str(path),
                      "--out", str(tmp_path / "pr.tsv")]) == 2
 
-    # "é" is two utf-8 bytes, the literal's characters two, three and four
-    _UNICODE = [(EX + "é", EX + "p", '"ü\u2028\U0001D11E"', True),
+    # characters of two ("é"), three and four utf-8 bytes
+    _UNICODE = [(EX + "é", EX + "p", '"ü\u2028\U0001D11E"'),
                 (EX + "x", EX + "p", EX + "é")]
 
     def _unicode_snapshot(self, tmp_path):
@@ -880,20 +889,11 @@ class TestSerialization:
     def test_snapshot_lengths_do_not_sum_to_the_blob(self, tmp_path, delta):
         path, data, at = self._unicode_snapshot(tmp_path)
         (n,) = struct.unpack_from("<I", data, at)
+        assert n == len(EX + "é")  # characters, not bytes
         struct.pack_into("<I", data, at, n + delta)
         path.write_bytes(data)
         with pytest.raises(GraphError,
-                           match="term lengths give.*" + re.escape(str(path))):
-            read_snapshot(str(path))
-
-    def test_snapshot_term_boundary_inside_a_character(self, tmp_path):
-        path, data, at = self._unicode_snapshot(tmp_path)
-        # http://x/é (11 bytes) then http://x/p (10): cut é in two instead
-        assert struct.unpack_from("<2I", data, at) == (11, 10)
-        struct.pack_into("<2I", data, at, 10, 11)
-        path.write_bytes(data)
-        with pytest.raises(GraphError,
-                           match="inside a utf-8 char.*" + re.escape(str(path))):
+                           match="term lengths sum to.*" + re.escape(str(path))):
             read_snapshot(str(path))
 
     def test_snapshot_bytes_not_utf8(self, tmp_path):
@@ -903,20 +903,20 @@ class TestSerialization:
                            match="not utf-8.*" + re.escape(str(path))):
             read_snapshot(str(path))
 
-    @pytest.mark.parametrize("flag", [2, 0xFF])
-    def test_snapshot_flag_byte_not_0_or_1(self, tmp_path, flag):
-        path, data, at = self._unicode_snapshot(tmp_path)
-        data[at + 4 * 4 + 2] = flag  # the literal's flag, third of 4 terms
-        path.write_bytes(data)
-        with pytest.raises(GraphError,
-                           match="literal flag.*" + re.escape(str(path))):
-            read_snapshot(str(path))
-
     def test_snapshot_format_1_is_rejected(self, tmp_path):
         path = tmp_path / "g.snap"
         path.write_bytes(v1_snapshot_bytes(build(self._UNICODE)))
         for load in (read_snapshot, load_graph):
             with pytest.raises(GraphError, match="format 1 snapshot; re-run "
+                               "ingest on the N-Triples input: "
+                               + re.escape(str(path))):
+                load(str(path))
+
+    def test_snapshot_format_2_is_rejected(self, tmp_path):
+        path = tmp_path / "g.snap"
+        path.write_bytes(v2_snapshot_bytes(build(self._UNICODE)))
+        for load in (read_snapshot, load_graph):
+            with pytest.raises(GraphError, match="format 2 snapshot; re-run "
                                "ingest on the N-Triples input: "
                                + re.escape(str(path))):
                 load(str(path))
@@ -929,7 +929,7 @@ class TestSerialization:
         # non-ASCII, U+2028 and astral characters, and literals holding
         # backslashes and quotes; an object literal is quoted, so it never
         # shares a term with an IRI
-        g = build([(EX + s, EX + p, f'"{o}"' if lit else EX + o, lit)
+        g = build([(EX + s, EX + p, f'"{o}"' if lit else EX + o)
                    for s, p, o, lit in triples])
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "g.snap"
@@ -953,6 +953,7 @@ class TestSerialization:
 
     def test_literal_subject_rejected(self):
         b = GraphBuilder()
-        b.add(EX + "s", EX + "p", '"lit"', object_literal=True)
-        with pytest.raises(GraphError):
-            b.add('"lit"', EX + "p", EX + "o")
+        b.add(EX + "s", EX + "p", '"lit"')
+        b.add('"lit"', EX + "p", EX + "o")
+        with pytest.raises(GraphError, match="literal in subject"):
+            b.build()

@@ -69,7 +69,7 @@ class TestCompute:
         assert sum(sm.scores.values()) == pytest.approx(1.0, abs=1e-8)
 
     def test_literals_excluded(self):
-        g = build([(EX + "a", EX + "p", '"five"', True),
+        g = build([(EX + "a", EX + "p", '"five"'),
                    (EX + "a", EX + "q", EX + "b")])
         scores = compute_pagerank(g).scores
         assert '"five"' not in scores
@@ -77,7 +77,7 @@ class TestCompute:
 
     def test_no_resource_to_resource_edge(self):
         # every node dangles: uniform scores, not a casting error
-        g = build([(EX + "a", EX + "p", '"five"', True)])
+        g = build([(EX + "a", EX + "p", '"five"')])
         scores = compute_pagerank(g).scores
         assert scores == pytest.approx({EX + "a": 0.5, EX + "p": 0.5})
         assert scores == pytest.approx(dense_solve(g))

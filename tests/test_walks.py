@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specwalk.graph import RDF_TYPE, Graph, GraphBuilder, hashed_uniforms
+from specwalk.graph import (RDF_TYPE, Graph, GraphBuilder, UnknownTermError,
+                            hashed_uniforms)
 from specwalk.specificity import (SemanticRelationship, SpecificityEntry,
                                   SpecificityTable)
 from specwalk import walks
@@ -177,6 +178,17 @@ class TestExtraction:
         assert [w.tokens for w in a.walks] == [w.tokens for w in b.walks]
         assert [w.tokens for w in a.walks] != [w.tokens for w in c.walks]
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "0", -1, 3, 2 ** 70,
+                                     np.int64(3)])
+    def test_bad_root_named(self, bad):
+        # a bool, a non-integer, a negative or an out-of-range root (ids
+        # 0-2 are interned), between good roots and before another bad one
+        g = build([(EX + "f", EX + "p", EX + "x")])
+        with pytest.raises(UnknownTermError,
+                           match=re.escape(f"unknown term id: {bad!r}")):
+            extract_corpus(g, [0, np.int64(2), bad, -5],
+                           WalkStrategy(depth=1, walks_per_entity=2))
+
 
 class TestBiases:
     def test_frequency_bias_proportions(self):
@@ -202,7 +214,7 @@ class TestBiases:
         assert hi / len(corpus.walks) == pytest.approx(0.9, abs=0.03)
 
     def test_pagerank_unscored_literal_never_taken(self):
-        g = build([(EX + "root", EX + "p", '"literal leaf"', True),
+        g = build([(EX + "root", EX + "p", '"literal leaf"'),
                    (EX + "root", EX + "p", EX + "node")])
         scores = {g.term_id(EX + "node"): 0.5}
         strategy = WalkStrategy(bias="pagerank", depth=1, walks_per_entity=200,
@@ -331,8 +343,7 @@ class TestBiases:
 
     @pytest.mark.parametrize("bias", walks.BIASES)
     def test_graph_without_triples(self, bias):
-        g = Graph(["http://x/a", "http://x/p"], [False, False],
-                  np.zeros((0, 3), dtype=np.int64))
+        g = Graph(["http://x/a", "http://x/p"], np.zeros((0, 3), dtype=np.int64))
         table = SpecificityTable(depths={1: [
             SpecificityEntry(SemanticRelationship((1,)), 1.0, 1)]})
         strategy = WalkStrategy(bias=bias, depth=1, walks_per_entity=4,
@@ -363,7 +374,7 @@ class TestCorpusIO:
         assert lines[0] == [EX + "f", EX + "p", EX + "x"]
 
     def test_literal_whitespace_escaped_in_tokens(self):
-        g = build([(EX + "f", EX + "p", '"two words"', True)])
+        g = build([(EX + "f", EX + "p", '"two words"')])
         w = Walk((g.term_id(EX + "f"), g.term_id(EX + "p"),
                   g.term_id('"two words"')))
         buf = io.StringIO()
@@ -374,8 +385,8 @@ class TestCorpusIO:
 
     def test_space_and_underscore_literals_keep_apart(self):
         # "x y" and "x_y" once folded to one token and one embedding node
-        g = build([(EX + "a", EX + "p", '"x y"', True),
-                   (EX + "a", EX + "p", '"x_y"', True),
+        g = build([(EX + "a", EX + "p", '"x y"'),
+                   (EX + "a", EX + "p", '"x_y"'),
                    (EX + "a", EX + "q", EX + "b")])
         corpus = extract_corpus(g, [g.term_id(EX + "a")],
                                 WalkStrategy(depth=1, walks_per_entity=40), 0)
@@ -385,9 +396,9 @@ class TestCorpusIO:
             len(set(tokens_of(corpus))) == 3
 
     def test_bytes_match_per_token_rendering(self):
-        g = build([(EX + "f", EX + "p", '"two  words\tand tab"', True),
+        g = build([(EX + "f", EX + "p", '"two  words\tand tab"'),
                    (EX + "f", EX + "q", EX + "x"),
-                   (EX + "x", EX + "p", '"two  words\tand tab"', True),
+                   (EX + "x", EX + "p", '"two  words\tand tab"'),
                    (EX + "x", EX + "q", EX + "f")])
         corpus = extract_corpus(g, [g.term_id(EX + "f"), g.term_id(EX + "x")],
                                 WalkStrategy(depth=3, walks_per_entity=20), 1)
@@ -418,21 +429,20 @@ _TRICKY = st.sampled_from(list(' \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000'
                                '"\\_u0#:@^<>'))
 _text = st.text(st.one_of(_TRICKY, st.characters()), max_size=8)
 _terms = st.lists(st.one_of(
-    _text.map(lambda t: (EX + t, False)),  # IRI
+    _text.map(lambda t: EX + t),  # IRI
     st.text("abcxyz019_.-", min_size=1, max_size=4).map(
-        lambda t: ("_:" + t, False)),  # blank node
+        lambda t: "_:" + t),  # blank node
     st.tuples(_text, st.sampled_from(
         ["", "@en", "@en-GB", "^^<http://www.w3.org/2001/XMLSchema#string>"])
-              ).map(lambda t: ('"' + t[0] + '"' + t[1], True)),  # literal
+              ).map(lambda t: '"' + t[0] + '"' + t[1]),  # literal
 ), min_size=1, max_size=12)
 
 
 def term_graph(terms):
-    """Graph interning each distinct term string once (its first kind)."""
+    """Graph interning each distinct term string once."""
     b = GraphBuilder()
-    kinds = dict(reversed(terms))
-    for term, literal in terms:
-        b.intern(term, kinds[term])
+    for term in terms:
+        b.intern(term)
     return b.build()
 
 
