@@ -358,12 +358,7 @@ class Graph:
         at or below sep or end, as no two N-Triples terms do."""
         r = [t if lit or t[:2] == "_:" else f"<{t}>"
              for t, lit in zip(self.terms, self.literal)]
-        n = len(r)
-        rank = np.empty(n, dtype=np.uint64)
-        rank[sorted(range(n), key=r.__getitem__)] = np.arange(n, dtype=np.uint64)
-        # rank[s] * n + rank[p] < n**2 <= 2**64 for any u32 term count
-        order = np.lexsort((rank[self.out_obj], rank[self.out_src]
-                            * np.uint64(n) + rank[self.out_pred]))
+        order = self._rendered_order(r)
         word = np.array(r, dtype=object)
         for lo in range(0, len(order), 4096):  # bounds the strings held
             at = order[lo:lo + 4096]
@@ -374,6 +369,24 @@ class Graph:
             cells[:, 1] = cells[:, 3] = sep
             cells[:, 5] = end
             yield "".join(cells.ravel().tolist())
+
+    def _rendered_order(self, r: list[str]) -> np.ndarray:
+        """The triples' order by (s, p, o) compared as the rendered terms r
+        (its own call, so that its arrays are freed before lines are built)."""
+        n = len(r)
+        rank = np.empty(n, dtype=np.uint64)
+        rank[sorted(range(n), key=r.__getitem__)] = np.arange(n, dtype=np.uint64)
+        # the distinct (s, p) pairs start the runs of out_key; rank them by
+        # rank[s] * n + rank[p] (< n**2 <= 2**64 for any u32 term count)
+        first = np.flatnonzero(np.diff(self.out_key, prepend=-1))
+        sp = (rank[self.out_src[first]] * np.uint64(n)
+              + rank[self.out_pred[first]])
+        pair_rank = np.empty(len(first), dtype=np.uint64)
+        pair_rank[np.argsort(sp)] = np.arange(len(first), dtype=np.uint64)
+        # one distinct key per triple, below n_triples * n
+        runs = np.diff(first, append=len(self.out_key))
+        return np.argsort(np.repeat(pair_rank, runs) * np.uint64(n)
+                          + rank[self.out_obj])
 
     def checksum(self) -> str:
         """sha256 of the tab-separated rendered_lines (id-order independent)."""

@@ -15,11 +15,14 @@ the same start. ``sgns_step`` takes one such step on a batch it is given.
 
 Everything a batch needs that does not depend on the weights is built once
 per chunk of ``PLAN_BATCHES`` batches: the negatives (one draw, the same
-bits as one draw per batch), the learning rates, and each batch's stable row
-order and run starts for summing the updates per row. A batch step then
-gathers, multiplies and sums into work buffers allocated once per ``train``
-call, so it allocates nothing that grows with ``dim``; the models are
-bit-identical to computing each batch from scratch.
+bits as one draw per batch), the learning rates, and each batch's distinct
+rows with the map from its entries to them. A batch step sums each row's
+updates with two small matrix products: one ``np.bincount`` of the gradient
+scales gives the (distinct output rows x pairs) coefficients, which multiply
+the center vectors, and the (distinct centers x pairs) indicator matrix
+multiplies the per-pair input gradients. Each distinct row is then added
+once. The models are bit-identical to computing each batch from scratch,
+and under OpenBLAS they do not depend on its number of threads.
 
 The learning rate decays linearly from ``lr`` to ``lr * 1e-4`` over the pairs
 actually trained: epoch e covers the fraction [e/epochs, (e+1)/epochs) of the
@@ -42,7 +45,7 @@ SIGMOID_CLAMP = 30.0  # |x| beyond this contributes negligible gradient
 BATCH_SIZE = 64
 # Batches whose negatives and row plans are built at once. Plans take tens of
 # bytes per (pair, row) they cover: planning a whole epoch at once added
-# about 660 bytes of peak memory per pair (dim 16, 10 negatives).
+# about 720 bytes of peak memory per pair (dim 16, 10 negatives, 40 tokens).
 PLAN_BATCHES = 16
 
 
@@ -212,95 +215,77 @@ def init_model(vocab: Vocabulary, config: TrainConfig) -> EmbeddingModel:
     return EmbeddingModel(vocab, w_in, w_out, config)
 
 
-def _row_plan(rows: np.ndarray, per_batch: int, n_rows: int):
-    """Plan for summing updates per distinct row, batch by batch.
-
-    Batch b is `rows[b * per_batch:(b + 1) * per_batch]`. Returns (order,
-    starts, distinct, bounds): `order[b * per_batch:(b + 1) * per_batch]` is
-    the stable argsort of batch b's rows (indices into the batch), and in
-    that order its equal rows form runs that begin at `starts[bounds[b]:
-    bounds[b + 1]]` and hold the rows `distinct[bounds[b]:bounds[b + 1]]`.
-    One stable argsort of `batch * n_rows + row` gives every batch's.
+def _distinct_rows(rows: np.ndarray, per_batch: int, n_rows: int):
+    """Each batch's distinct rows, for batches of `per_batch` consecutive
+    entries of `rows`. Returns (distinct, inverse, bounds): batch b's
+    distinct rows, ascending, are `distinct[bounds[b]:bounds[b + 1]]`, and
+    its entry j is row `distinct[bounds[b] + inverse[j]]`. One sort of
+    `batch * n_rows + row` gives every batch's.
     """
-    keys = np.arange(len(rows)) // per_batch * n_rows + rows
-    order = np.argsort(keys, kind="stable")
+    batch = np.arange(len(rows)) // per_batch
+    keys = batch * n_rows + rows
+    order = np.argsort(keys)
     keys = keys[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    bounds = np.searchsorted(first, np.arange(0, len(rows) + per_batch,
-                                              per_batch))
-    # sorting keeps every batch in place, so position j and order[j] are
-    # both in batch j // per_batch
-    return (order % per_batch, first % per_batch, rows[order[first]],
-            bounds)
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    # sorting keeps every batch in place, so batch b holds the sorted
+    # positions [b * per_batch, (b + 1) * per_batch)
+    bounds = np.searchsorted(np.flatnonzero(first),
+                             np.arange(0, len(rows) + per_batch, per_batch))
+    return keys[first] % n_rows, inverse - bounds[batch], bounds
 
 
 def _batch_plans(centers: np.ndarray, contexts: np.ndarray,
-                 negatives: np.ndarray, per_batch: int, n_rows: int) -> list:
+                 negatives: np.ndarray, per_batch: int, n_rows: int,
+                 dtype) -> list:
     """The weight-independent inputs of `_sgns_step` for each batch of
-    `per_batch` consecutive pairs."""
+    `per_batch` consecutive pairs: its centers, its context and negative
+    rows, and for each weight matrix the distinct rows it updates with a
+    map from (distinct row, pair) cells to the batch's entries. For `w_in`
+    that map is the (distinct centers x pairs) indicator matrix; for
+    `w_out` it is each (pair, row) entry's flat cell index."""
     idx = np.concatenate((contexts[:, None], negatives), axis=1)
-    k = idx.shape[1]
-    in_order, in_starts, in_rows, in_bounds = _row_plan(centers, per_batch,
-                                                        n_rows)
-    out_order, out_starts, out_rows, out_bounds = _row_plan(
-        idx.ravel(), per_batch * k, n_rows)
-    out_pair = out_order // k
+    n, k = idx.shape
+    in_rows, in_inv, in_bounds = _distinct_rows(centers, per_batch, n_rows)
+    out_rows, out_inv, out_bounds = _distinct_rows(idx.ravel(),
+                                                   per_batch * k, n_rows)
+    batch, col = np.divmod(np.arange(n), per_batch)
+    width = np.minimum(per_batch, n - batch * per_batch)  # its batch's pairs
+    out_cell = out_inv * np.repeat(width, k) + np.repeat(col, k)
+    # every batch's indicator matrix, back to back in one array
+    size = np.diff(in_bounds) * width[::per_batch]
+    at = np.cumsum(size) - size
+    onehot = np.zeros(size.sum(), dtype=dtype)
+    onehot[at[batch] + in_inv * width + col] = 1
     plans = []
-    for b, lo in enumerate(range(0, len(centers), per_batch)):
+    for b, lo in enumerate(range(0, n, per_batch)):
         hi = lo + per_batch
         i0, i1 = in_bounds[b], in_bounds[b + 1]
-        o0, o1 = out_bounds[b], out_bounds[b + 1]
-        plans.append((centers[lo:hi], idx[lo:hi], in_order[lo:hi],
-                      in_starts[i0:i1], in_rows[i0:i1],
-                      out_order[lo * k:hi * k], out_pair[lo * k:hi * k],
-                      out_starts[o0:o1], out_rows[o0:o1]))
+        plans.append((centers[lo:hi], idx[lo:hi], in_rows[i0:i1],
+                      onehot[at[b]:at[b] + size[b]].reshape(i1 - i0, -1),
+                      out_rows[out_bounds[b]:out_bounds[b + 1]],
+                      out_cell[lo * k:hi * k]))
     return plans
 
 
-class _Work:
-    """Buffers for batches of up to `pairs` pairs of `k` rows (the context
-    and its negatives) each, in the weights' dtype."""
-
-    def __init__(self, pairs: int, k: int, dim: int, dtype):
-        self.v = np.empty((pairs, dim), dtype)  # center rows of w_in
-        self.us = np.empty((pairs, k, dim), dtype)  # w_out rows; then gathers
-        self.grad_in = np.empty((pairs, dim), dtype)  # per-pair w_in update
-        self.rows = np.empty((pairs * k, dim), dtype)  # updates in row order
-        self.sums = np.empty((pairs * k, dim), dtype)  # summed per row
-
-
-def _add_runs(w: np.ndarray, updates: np.ndarray, starts: np.ndarray,
-              rows: np.ndarray, work: _Work) -> None:
-    """w[rows[i]] += sum of the run of `updates` beginning at starts[i]."""
-    sums = np.add.reduceat(updates, starts, axis=0,
-                           out=work.sums[:len(starts)])
-    gathered = np.take(w, rows, axis=0,
-                       out=work.us.reshape(-1, w.shape[1])[:len(rows)])
-    np.add(gathered, sums, out=sums)
-    w[rows] = sums
-
-
-def _sgns_step(w_in: np.ndarray, w_out: np.ndarray, plan, lr: float,
-               work: _Work) -> float:
+def _sgns_step(w_in: np.ndarray, w_out: np.ndarray, plan, lr: float) -> float:
     """One summed gradient step over the batch `plan` describes."""
-    (centers, idx, in_order, in_starts, in_rows,
-     out_order, out_pair, out_starts, out_rows) = plan
-    n = len(centers)
-    v = np.take(w_in, centers, axis=0, out=work.v[:n])
-    us = np.take(w_out, idx, axis=0, out=work.us[:n])
+    centers, idx, in_rows, onehot, out_rows, out_cell = plan
+    v = w_in[centers]
+    us = w_out[idx]
     f = _sigmoid(np.einsum("bd,bkd->bk", v, us))
     obj = (np.log(np.maximum(f[:, 0], 1e-12)).sum(dtype=np.float64)
            + np.log(np.maximum(1.0 - f[:, 1:], 1e-12)).sum(dtype=np.float64))
     gscale = -f
     gscale[:, 0] += 1.0
     gscale *= lr
-    grad_in = np.einsum("bk,bkd->bd", gscale, us, out=work.grad_in[:n])
-    _add_runs(w_in, np.take(grad_in, in_order, axis=0, out=work.rows[:n]),
-              in_starts, in_rows, work)
-    # the outer products gscale[b, j] * v[b], built in w_out row order
-    outer = np.take(v, out_pair, axis=0, out=work.rows[:len(out_order)])
-    outer *= gscale.ravel()[out_order][:, None]
-    _add_runs(w_out, outer, out_starts, out_rows, work)
+    # coef[r, b]: the summed gscale of pair b's entries on distinct row r
+    coef = np.bincount(out_cell, gscale.ravel(), len(out_rows) * len(v))
+    w_in[in_rows] += onehot @ np.einsum("bk,bkd->bd", gscale, us)
+    # in the weights' dtype, so that the product is one BLAS gemm
+    w_out[out_rows] += coef.astype(v.dtype, copy=False).reshape(
+        len(out_rows), -1) @ v
     return float(obj)
 
 
@@ -318,10 +303,9 @@ def sgns_step(model: EmbeddingModel, centers, contexts, negatives,
     centers, contexts = np.atleast_1d(centers), np.atleast_1d(contexts)
     n = len(centers)
     negatives = np.asarray(negatives, dtype=np.int64).reshape(n, -1)
-    (plan,) = _batch_plans(centers, contexts, negatives, n, len(model.w_in))
-    return _sgns_step(model.w_in, model.w_out, plan, lr,
-                      _Work(n, negatives.shape[1] + 1, model.w_in.shape[1],
-                            model.w_in.dtype))
+    (plan,) = _batch_plans(centers, contexts, negatives, n, len(model.w_in),
+                           model.w_in.dtype)
+    return _sgns_step(model.w_in, model.w_out, plan, lr)
 
 
 def train(token_lines, config: TrainConfig) -> EmbeddingModel:
@@ -356,8 +340,6 @@ def train(token_lines, config: TrainConfig) -> EmbeddingModel:
     lr_floor = config.lr * 1e-4
     lr = config.lr
     chunk = PLAN_BATCHES * BATCH_SIZE
-    work = _Work(BATCH_SIZE, config.negatives + 1, config.dim,
-                 model.w_in.dtype)
     for epoch in range(config.epochs):
         if keep_prob is None:
             centers, contexts = all_pairs
@@ -376,10 +358,9 @@ def train(token_lines, config: TrainConfig) -> EmbeddingModel:
             lrs = np.maximum(lr_floor, config.lr * (
                 1.0 - (epoch + starts / n_pairs) / config.epochs)).tolist()
             plans = _batch_plans(centers[picked], contexts[picked], negs,
-                                 BATCH_SIZE, len(vocab))
+                                 BATCH_SIZE, len(vocab), model.w_in.dtype)
             for plan, lr in zip(plans, lrs):
-                epoch_obj += _sgns_step(model.w_in, model.w_out, plan, lr,
-                                        work)
+                epoch_obj += _sgns_step(model.w_in, model.w_out, plan, lr)
         mean = epoch_obj / n_pairs if n_pairs else 0.0
         model.epoch_losses.append(-mean)  # negative objective = loss
         model.epoch_pairs.append(n_pairs)

@@ -1,6 +1,9 @@
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specwalk
 from specwalk.skipgram import (BATCH_SIZE, PLAN_BATCHES, EmbeddingModel,
                                TrainConfig, Vocabulary, build_vocab,
                                context_pair_arrays, init_model,
@@ -239,6 +243,64 @@ class TestGradients:
                                2 * (single.w_out[row] - 0.1))
         assert np.array_equal(batch.w_in[1:], start_in[1:])
 
+    @settings(max_examples=150, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           pairs=st.integers(1, 2 * BATCH_SIZE), negatives=st.integers(2, 5),
+           dim=st.integers(1, 9), n_rows=st.integers(1, 12),
+           lr=st.sampled_from([0.025, 1.0]), seed=st.integers(0, 2**16))
+    def test_step_matches_float64_add_at(self, dtype, pairs, negatives, dim,
+                                         n_rows, lr, seed):
+        """sgns_step against the per-pair updates summed per row by
+        np.add.at in float64. Each element may differ by 1e-5 (float32)
+        or 1e-12 (float64) times its scale: |w| plus the sum of lr * |x|
+        over the updates on it, x the vector the update scales. Over 2,000 random batches of these
+        sizes the worst ratio was 5.8e-7 in float32 (about ten ulps) and
+        5.7e-15 in float64."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        w_in = rng.normal(0, 0.5, (n_rows, dim)).astype(dtype)
+        w_out = rng.normal(0, 0.5, (n_rows, dim)).astype(dtype)
+        centers = rng.integers(n_rows, size=pairs)
+        contexts = rng.integers(n_rows, size=pairs)
+        negs = rng.integers(n_rows, size=(pairs, negatives))
+        centers[-1] = centers[0]  # a repeated center
+        contexts[-1] = negs[0, -1]  # a w_out row in two pairs, two roles
+        negs[0, 0] = contexts[0]  # a negative equal to its context
+        negs[-1, 1] = negs[-1, 0]  # the same negative twice in one pair
+        want = float64_step(w_in, w_out, centers, contexts, negs, lr)
+        start = w_in.astype(np.float64), w_out.astype(np.float64)
+        model = EmbeddingModel(Vocabulary({}), w_in, w_out,
+                               TrainConfig(dim=dim))
+        obj = sgns_step(model, centers, contexts, negs, lr)
+        tol = {np.float32: 1e-5, np.float64: 1e-12}[dtype]
+        assert obj == pytest.approx(want[0], rel=tol, abs=tol)
+        for got, w0, (delta, scale) in zip((w_in, w_out), start, want[1:]):
+            err = np.abs(got.astype(np.float64) - w0 - delta)
+            assert (err <= tol * (np.abs(w0) + scale)).all()
+
+
+def float64_step(w_in, w_out, centers, contexts, negatives, lr):
+    """(objective, (delta, scale) of w_in, (delta, scale) of w_out) of one
+    summed step in float64: each pair's updates added with np.add.at, and
+    the same sums over lr * |x| for the vector x each update scales."""
+    w_in, w_out = w_in.astype(np.float64), w_out.astype(np.float64)
+    idx = np.concatenate((contexts[:, None], negatives), axis=1)
+    v, us = w_in[centers], w_out[idx]
+    f = 1.0 / (1.0 + np.exp(-np.clip(np.einsum("bd,bkd->bk", v, us),
+                                     -30.0, 30.0)))
+    obj = (np.log(np.maximum(f[:, 0], 1e-12)).sum()
+           + np.log(np.maximum(1.0 - f[:, 1:], 1e-12)).sum())
+    gscale = -f
+    gscale[:, 0] += 1.0
+    gscale *= lr
+    d_in, s_in = np.zeros_like(w_in), np.zeros_like(w_in)
+    d_out, s_out = np.zeros_like(w_out), np.zeros_like(w_out)
+    np.add.at(d_in, centers, np.einsum("bk,bkd->bd", gscale, us))
+    np.add.at(s_in, centers, lr * np.abs(us).sum(axis=1))
+    np.add.at(d_out, idx, gscale[:, :, None] * v[:, None, :])
+    np.add.at(s_out, idx, lr * np.broadcast_to(np.abs(v)[:, None, :],
+                                               us.shape))
+    return obj, (d_in, s_in), (d_out, s_out)
+
 
 class TestTraining:
     def test_epochs_zero_returns_initialization(self):
@@ -286,6 +348,32 @@ class TestTraining:
         m3 = train(corpus, TrainConfig(dim=8, window=3, negatives=3, epochs=2,
                                        seed=12))
         assert not np.array_equal(m1.w_in, m3.w_in)
+
+    def test_bit_deterministic_across_blas_threads(self):
+        """The per-row sums are BLAS gemm calls: 64 pairs by a few hundred
+        distinct rows by dim 64 here, large enough for OpenBLAS to split
+        them over threads. A model trained under one BLAS thread must equal
+        one trained under two, byte for byte."""
+        child = ("import hashlib, random\n"
+                 "from specwalk.skipgram import TrainConfig, train\n"
+                 "rng = random.Random(0)\n"
+                 "tokens = [f't{i}' for i in range(300)]\n"
+                 "corpus = [rng.choices(tokens, k=20) for _ in range(60)]\n"
+                 "m = train(corpus, TrainConfig(dim=64, window=5, "
+                 "negatives=10, epochs=1, seed=0))\n"
+                 "print(hashlib.sha256(m.w_in.tobytes() + m.w_out.tobytes())"
+                 ".hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(specwalk.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            done = subprocess.run([sys.executable, "-c", child], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120, check=True)
+            digests.append(done.stdout)
+        assert len(digests[0]) == 65 and digests[0] == digests[1]
 
     @pytest.mark.parametrize("subsample", [0.0, 0.01])
     def test_learning_rate_decays_to_floor(self, subsample):
@@ -367,14 +455,17 @@ class TestTraining:
 
 # -- byte-identity oracle ----------------------------------------------------
 # The trainer as it was before negatives and row plans were built per chunk
-# of batches: every batch draws its own negatives, sorts its own rows and
-# allocates its own temporaries. The chunked trainer must match it bit for bit.
+# of batches: every batch draws its own negatives, finds its own distinct
+# rows and allocates its own temporaries. The chunked trainer must match it
+# bit for bit.
 
-def _reference_scatter_add(w, rows, updates):
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    w[rows[first]] += np.add.reduceat(updates[order], first, axis=0)
+def _reference_scatter_add(w, rows, pair, scale, x):
+    """w[r] += the sum of scale[e] * x[pair[e]] over the entries e on row r:
+    per-(distinct row, pair) coefficients by bincount, then one product."""
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    coef = np.bincount(inverse * len(x) + pair, scale,
+                       len(distinct) * len(x)).astype(x.dtype)
+    w[distinct] += coef.reshape(len(distinct), len(x)) @ x
 
 
 def _reference_sgns_batch(w_in, w_out, centers, contexts, negatives, lr):
@@ -388,10 +479,11 @@ def _reference_sgns_batch(w_in, w_out, centers, contexts, negatives, lr):
     gscale = -f
     gscale[:, 0] += 1.0
     gscale *= lr
-    _reference_scatter_add(w_in, centers, np.einsum("bk,bkd->bd", gscale, us))
-    _reference_scatter_add(
-        w_out, idx.ravel(),
-        (gscale[:, :, None] * v[:, None, :]).reshape(-1, v.shape[1]))
+    pairs = np.arange(len(centers))
+    _reference_scatter_add(w_in, centers, pairs, np.ones(len(centers)),
+                           np.einsum("bk,bkd->bd", gscale, us))
+    _reference_scatter_add(w_out, idx.ravel(),
+                           np.repeat(pairs, idx.shape[1]), gscale.ravel(), v)
     return float(obj)
 
 
