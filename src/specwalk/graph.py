@@ -87,19 +87,19 @@ class TripleSet(Set):
 
 
 class EdgeLists(Sequence):
-    """Read-only per-node view of one side of the triple arrays: view[v] is
-    the list of (predicate, other end) pairs in v's slice [ptr[v],
-    ptr[v + 1]), in array order."""
+    """Read-only per-node view of the out side: view[v] is the list of
+    (predicate, object) pairs in v's slice [ptr[v], ptr[v + 1]), in array
+    order."""
 
-    def __init__(self, ptr: np.ndarray, pred: np.ndarray, other: np.ndarray):
-        self._ptr, self._pred, self._other = ptr, pred, other
+    def __init__(self, ptr: np.ndarray, pred: np.ndarray, obj: np.ndarray):
+        self._ptr, self._pred, self._obj = ptr, pred, obj
 
     def __len__(self) -> int:
         return len(self._ptr) - 1
 
     def __getitem__(self, v: int) -> list[tuple[int, int]]:
         lo, hi = self._ptr[v], self._ptr[v + 1]
-        return list(zip(self._pred[lo:hi].tolist(), self._other[lo:hi].tolist()))
+        return list(zip(self._pred[lo:hi].tolist(), self._obj[lo:hi].tolist()))
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -164,18 +164,18 @@ def slice_pick(lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 class Graph:
     """Immutable triple store: int64 arrays, built once, that hold each
-    triple once on the out side and once on the in side.
+    triple once, on the out side; the in side is an order over its rows.
 
     A term's kind comes from its N-Triples text: a literal starts with '"'
     (tag or datatype kept), a blank node with "_:", and any other term is an
-    IRI without its angle brackets; literal[v] follows this rule.
+    IRI without its angle brackets; the bool array literal follows it.
 
     Out side, in ascending (s, p, o) order: out_src, out_pred and out_obj;
     out_key = s * n_terms + p, so each (node, predicate) owns one slice of
-    out_key; out_ptr, the offsets of each subject's slice. In side, in
-    (object, subject, predicate) order: in_src, in_pred and in_ptr, the
-    offsets of each object's slice. out_adj[v] and in_adj[v] list v's
-    (predicate, other end) pairs from these arrays.
+    out_key; out_ptr, the offsets of each subject's slice. In side: in_edge,
+    the out-edge rows in (object, subject, predicate) order, and in_ptr, the
+    offsets of each object's slice of in_edge. out_adj[v] lists v's
+    (predicate, object) pairs.
     """
 
     def __init__(self, terms: list[str], triples: np.ndarray,
@@ -185,7 +185,7 @@ class Graph:
         is out of range, a subject or predicate is a literal or a term is
         repeated."""
         self.terms = terms
-        self.literal = [t[:1] == '"' for t in terms]
+        self.literal = np.array([t[:1] == '"' for t in terms], dtype=bool)
         self.rdf_type = rdf_type
         self._ids = {t: i for i, t in enumerate(terms)}
         if len(self._ids) != len(terms):
@@ -209,15 +209,12 @@ class Graph:
         reject(np.append(False, (key[1:] < key[:-1]) | (
             (key[1:] == key[:-1]) & (obj[1:] <= obj[:-1]))),
                "triples must be sorted and distinct")
-        lit = np.array(self.literal, dtype=bool)
-        reject(lit[spo[:, 0]] | lit[spo[:, 1]],
+        reject(self.literal[spo[:, 0]] | self.literal[spo[:, 1]],
                "literal in subject or predicate position")
         self.out_ptr = np.searchsorted(self.out_src, np.arange(n + 1))
-        order = np.argsort(obj, kind="stable")
-        self.in_src, self.in_pred = self.out_src[order], self.out_pred[order]
-        self.in_ptr = np.searchsorted(obj[order], np.arange(n + 1))
+        self.in_edge = np.argsort(obj, kind="stable")
+        self.in_ptr = np.append(0, np.cumsum(np.bincount(obj, minlength=n)))
         self.out_adj = EdgeLists(self.out_ptr, self.out_pred, self.out_obj)
-        self.in_adj = EdgeLists(self.in_ptr, self.in_pred, self.in_src)
         self.triples = TripleSet(self)
         self.report = None  # set by parsers
         self._checksum: str | None = None
@@ -312,9 +309,9 @@ class Graph:
             t = tid
         else:
             self._check(t)
-        lo, hi = self.in_ptr[t:t + 2].tolist()
+        e = self.in_edge[self.in_ptr[t]:self.in_ptr[t + 1]]
         return frozenset(
-            self.in_src[lo:hi][self.in_pred[lo:hi] == self.rdf_type_id].tolist())
+            self.out_src[e][self.out_pred[e] == self.rdf_type_id].tolist())
 
     def sample_entities(self, t, n: int, seed: int) -> list[int]:
         """Sample n distinct type-t entities uniformly; deterministic in seed.
@@ -356,8 +353,8 @@ class Graph:
         string, by (s, p, o) compared as rendered: the lines' text order
         unless a term is a prefix of another that goes on with a character
         at or below sep or end, as no two N-Triples terms do."""
-        r = [t if lit or t[:2] == "_:" else f"<{t}>"
-             for t, lit in zip(self.terms, self.literal)]
+        r = [t if t[:1] == '"' or t[:2] == "_:" else f"<{t}>"
+             for t in self.terms]
         order = self._rendered_order(r)
         word = np.array(r, dtype=object)
         for lo in range(0, len(order), 4096):  # bounds the strings held

@@ -25,17 +25,16 @@ class ScoreMap:
 
     scores: dict[str, float]
 
-    def bind(self, graph: Graph) -> dict[int, float]:
-        """Resolve term strings to graph ids; unmatched entries are reported."""
-        bound: dict[int, float] = {}
-        unmatched = 0
-        for term, score in self.scores.items():
-            if graph.has_term(term):
-                bound[graph.term_id(term)] = score
-            else:
-                unmatched += 1
-        if unmatched:
-            log.warning("%d score entries did not match any graph term", unmatched)
+    def bind(self, graph: Graph) -> np.ndarray:
+        """One float64 score per term id of the graph, 0 for an unscored
+        term; entries that match no term are dropped with a warning."""
+        bound = np.zeros(graph.n_terms)
+        known = [t for t in self.scores if graph.has_term(t)]
+        bound[[graph.term_id(t) for t in known]] = [
+            self.scores[t] for t in known]
+        if len(known) < len(self.scores):
+            log.warning("%d score entries did not match any graph term",
+                        len(self.scores) - len(known))
         return bound
 
 
@@ -48,14 +47,14 @@ def compute_pagerank(graph: Graph, damping: float = 0.85) -> ScoreMap:
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0,1)")
-    literal = np.array(graph.literal, dtype=bool)
-    nodes = np.flatnonzero(~literal)
+    resource = ~graph.literal
+    nodes = np.flatnonzero(resource)
     if not len(nodes):
         raise GraphError("graph has no resource nodes")
     n = len(nodes)
-    index = np.cumsum(~literal) - 1  # resource id -> its row
+    index = np.cumsum(resource) - 1  # resource id -> its row
     # resource-to-resource edges only, in triple order
-    to_resource = ~literal[graph.out_obj]
+    to_resource = resource[graph.out_obj]
     src_a = index[graph.out_src[to_resource]]
     dst_a = index[graph.out_obj[to_resource]]
     out_deg = np.bincount(src_a, minlength=n).astype(float)

@@ -302,6 +302,8 @@ def sgns_step(model: EmbeddingModel, centers, contexts, negatives,
     """
     centers, contexts = np.atleast_1d(centers), np.atleast_1d(contexts)
     n = len(centers)
+    if n == 0:
+        raise ValueError("a step needs at least one (center, context) pair")
     negatives = np.asarray(negatives, dtype=np.int64).reshape(n, -1)
     (plan,) = _batch_plans(centers, contexts, negatives, n, len(model.w_in),
                            model.w_in.dtype)

@@ -234,7 +234,7 @@ def trial_outcomes(g: Graph, rels, seeds, type_set, n_walks: int,
             v = g.out_obj[last[done]]
             for k in range(depth):  # v = -1 reads in_ptr[-1] >= in_ptr[0]
                 i = slice_pick(g.in_ptr[v], g.in_ptr[v + 1], u[:, k])
-                v = np.where(i >= 0, g.in_src[i], -1)
+                v = np.where(i >= 0, g.out_src[g.in_edge[i]], -1)
             hit[rows[done]] = member[v]
         todo = np.concatenate(left)
     dead = np.zeros(len(hit), dtype=bool)

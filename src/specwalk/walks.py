@@ -1,7 +1,7 @@
 """Walk corpus extraction with biased edge choice and pruning.
 
 Bias modes: uniform over outgoing edges; frequency (global predicate
-frequency); pagerank (next-node score, literals unscored); specificity (walk
+frequency); pagerank (next-node score per term id); specificity (walk
 follows a relationship template drawn from above-threshold table entries with
 probability proportional to score). Pruning predicates follow the four
 schemes NRSE / UE / NRST / UET.
@@ -61,7 +61,7 @@ class WalkStrategy:
     walks_per_entity: int = 500
     specificity_table: SpecificityTable | None = None
     threshold: float = 0.5
-    pagerank_scores: dict[int, float] | None = None
+    pagerank_scores: np.ndarray | None = None  # per term id: ScoreMap.bind
 
     def __post_init__(self):
         if self.bias not in BIASES:
@@ -76,10 +76,10 @@ class WalkStrategy:
             raise ValueError("threshold must be in [0,1]")
         if self.bias == "specificity" and self.specificity_table is None:
             raise ValueError("specificity bias requires a specificity table")
-        if self.bias == "pagerank" and self.pagerank_scores is None:
+        s = self.pagerank_scores
+        if self.bias == "pagerank" and s is None:
             raise ValueError("pagerank bias requires node scores")
-        if self.bias == "pagerank" and not all(
-                0.0 <= s < math.inf for s in self.pagerank_scores.values()):
+        if self.bias == "pagerank" and not np.all((0 <= s) & (s < math.inf)):
             raise ValueError("pagerank scores must be finite and >= 0")
 
 
@@ -231,9 +231,10 @@ def _edge_picker(g: Graph, strategy: WalkStrategy):
     if strategy.bias == "frequency":
         weights = g.predicate_frequency()[g.out_pred]
     else:
-        scores = np.zeros(g.n_terms)
-        scores[list(strategy.pagerank_scores)] = list(
-            strategy.pagerank_scores.values())
+        scores = strategy.pagerank_scores
+        if len(scores) != g.n_terms:
+            raise ValueError(f"pagerank scores cover {len(scores)} terms, "
+                             f"but the graph has {g.n_terms}")
         weights = scores[g.out_obj]
     cum, last = _cumulative(weights)
     return lambda lo, hi, u: weighted_pick(cum, last, lo, hi, u)

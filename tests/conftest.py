@@ -17,7 +17,8 @@ def v1_snapshot_bytes(g):
     rt = g.rdf_type.encode()
     return (b"SWSNAP01" + struct.pack("<IQH", g.n_terms, g.n_triples, len(rt))
             + rt + b"".join(struct.pack("<I", len(t.encode())) + t.encode()
-                            + bytes([f]) for t, f in zip(g.terms, g.literal))
+                            + bytes([f])
+                            for t, f in zip(g.terms, g.literal.tolist()))
             + b"".join(struct.pack("<III", *t) for t in g.triples))
 
 
@@ -30,6 +31,12 @@ def v2_snapshot_bytes(g):
             + rt + struct.pack(f"<{len(blobs)}I", *map(len, blobs))
             + bytes(g.literal) + b"".join(blobs)
             + b"".join(struct.pack("<III", *t) for t in g.triples))
+
+
+def in_edges(g, v):
+    """v's (predicate, subject) pairs, read through in_ptr and in_edge."""
+    e = g.in_edge[g.in_ptr[v]:g.in_ptr[v + 1]]
+    return list(zip(g.out_pred[e].tolist(), g.out_src[e].tolist()))
 
 
 def build(triples, rdf_type=RDF_TYPE):

@@ -5,12 +5,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import settings, given
 from hypothesis import strategies as st
 
+import specwalk
 from specwalk.cli import main
 from specwalk.graph import read_snapshot
 from specwalk.ntriples import open_text
@@ -1119,6 +1122,40 @@ def _run_pipeline(d):
 
 
 class TestPipelineContract:
+    def test_runtime_needs_only_numpy(self, tmp_path):
+        # the whole pipeline, in a process where importing scipy or
+        # hypothesis (test-only dependencies) raises ImportError
+        child = (
+            "import os, sys\n"
+            "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+            "from specwalk.cli import main\n"
+            "def at(name):\n"
+            "    return os.path.join(sys.argv[1], name)\n"
+            "for argv in (\n"
+            "        ['synth', '--kind', 'franchise', '--out', at('g.nt')],\n"
+            "        ['ingest', at('g.nt'), '--out', at('g.snap')],\n"
+            "        ['pagerank', at('g.snap'), '--out', at('pr.tsv')],\n"
+            "        ['walk', at('g.snap'), '--out', at('w.txt'), '--type',\n"
+            f"         '{FILM}', '--bias', 'pagerank', '--scores',\n"
+            "         at('pr.tsv'), '--walks', '5'],\n"
+            "        ['train', at('w.txt'), '--out', at('m.txt'), '--dim',\n"
+            "         '8', '--epochs', '1']):\n"
+            "    if main(argv) != 0:\n"
+            "        sys.exit(f'{argv[0]} failed')\n"
+            "with open(at('w.txt'), encoding='utf-8') as f:\n"
+            "    query = f.readlines()[1].split()[0]\n"
+            "sys.exit(main(['recommend', at('m.txt'), '--query', query,\n"
+            "               '--k', '3']))\n")
+        src = os.path.dirname(os.path.dirname(specwalk.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", child, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        ranked = done.stdout.splitlines()[-3:]
+        assert len(ranked) == 3 and all("\t" in row for row in ranked)
+
     @settings(max_examples=12, deadline=None)
     @given(lines=_FUZZ_LINES)
     def test_odd_terms_keep_the_pipeline_contract(self, lines):

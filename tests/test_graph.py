@@ -21,11 +21,13 @@ from specwalk.graph import (RDF_TYPE, GraphBuilder, GraphError,
 from specwalk import ntriples
 from specwalk.ntriples import (_LINE_RE, ParseError, ParseReport, load_graph,
                                parse_ntriples, serialize_ntriples)
+from specwalk.synth import (franchise_graph, layered_graph,
+                            relevance_inversion_graph, sensitivity_fixture)
 from specwalk.walks import (WalkStrategy, _cumulative, extract_corpus,
                             weighted_pick)
 
-from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, scan_pick,
-                      small_edges, small_graph, small_graphs,
+from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, in_edges,
+                      scan_pick, small_edges, small_graph, small_graphs,
                       v1_snapshot_bytes, v2_snapshot_bytes)
 
 
@@ -340,7 +342,7 @@ class TestBlockParse:
         assert (g.report.parsed, g.n_triples) == (4, 3)
         assert g.terms == ["http://x/a", "http://x/p", "_:b", "http://x/c",
                            "http://x/q", '"x"']
-        assert g.literal == [False] * 5 + [True]
+        assert g.literal.tolist() == [False] * 5 + [True]
         assert_parses_like_reference(lines)
 
 
@@ -387,13 +389,13 @@ class TestAdjacency:
 
     def test_in_neighbors_mirror(self):
         g = build([(EX + "a", EX + "p", EX + "v")])
-        (p, s), = g.in_adj[g.term_id(EX + "v")]
+        (p, s), = in_edges(g, g.term_id(EX + "v"))
         assert g.terms[s] == EX + "a"
-        assert g.in_adj[g.term_id(EX + "a")] == []
+        assert in_edges(g, g.term_id(EX + "a")) == []
 
     def test_in_neighbors_star_hub(self):
         g = build([(EX + f"s{i}", EX + "p", EX + "hub") for i in range(7)])
-        assert len(g.in_adj[g.term_id(EX + "hub")]) == 7
+        assert len(in_edges(g, g.term_id(EX + "hub"))) == 7
 
     def test_round_trip_consistency_and_degree_sums(self):
         rng = random.Random(0)
@@ -401,11 +403,11 @@ class TestAdjacency:
                     EX + f"n{rng.randrange(30)}") for _ in range(120)}
         g = build(sorted(triples))
         out_total = sum(len(g.out_adj[v]) for v in range(g.n_terms))
-        in_total = sum(len(g.in_adj[v]) for v in range(g.n_terms))
+        in_total = sum(len(in_edges(g, v)) for v in range(g.n_terms))
         assert out_total == in_total == g.n_triples
         for s, p, o in g.triples:
             assert (p, o) in g.out_adj[s]
-            assert (p, s) in g.in_adj[o]
+            assert (p, s) in in_edges(g, o)
 
 
 class TestTypeIndex:
@@ -439,6 +441,24 @@ class TestTypeIndex:
         assert g.entities_of_type(TYPE_T) == {g.term_id(EX + "e")}
 
 
+class TestMemory:
+    @pytest.mark.parametrize("make", [franchise_graph, layered_graph,
+                                      relevance_inversion_graph,
+                                      sensitivity_fixture])
+    def test_array_bytes_per_triple(self, make, tmp_path):
+        # each triple is stored once: out_src, out_pred, out_obj and out_key
+        # plus one in_edge row, 8 bytes each; per term an out_ptr and an
+        # in_ptr offset and a literal flag
+        g, _ = make(seed=1)
+        path = str(tmp_path / "g.snap")
+        write_snapshot(g, path)
+        for graph in (g, read_snapshot(path)):
+            held = sum(a.nbytes for a in vars(graph).values()
+                       if isinstance(a, np.ndarray))
+            n, m = graph.n_terms, graph.n_triples
+            assert held <= 40 * m + 16 * (n + 1) + n, (held, m, n)
+
+
 class TestTripleStore:
     @settings(max_examples=150, deadline=None)
     @given(edges=small_edges)
@@ -456,7 +476,8 @@ class TestTripleStore:
         rdf_type = g.rdf_type_id
         for v in range(g.n_terms):
             assert g.out_adj[v] == [(p, o) for s, p, o in sorted(want) if s == v]
-            assert g.in_adj[v] == [(p, s) for s, p, o in sorted(want) if o == v]
+            assert in_edges(g, v) == [(p, s) for s, p, o in sorted(want)
+                                      if o == v]
             assert g.entities_of_type(v) == {
                 s for s, p, o in want if p == rdf_type and o == v}
             assert g.types_of(v) == {
@@ -772,7 +793,7 @@ class TestSerialization:
         write_snapshot(g, path)
         g2 = read_snapshot(path)
         assert g2.terms == g.terms
-        assert g2.literal == g.literal
+        assert g2.literal.tolist() == g.literal.tolist()
         assert g2.triples == g.triples
         assert g2.checksum() == g.checksum()
 
@@ -783,7 +804,7 @@ class TestSerialization:
         terms = [EX + "a", EX + "p", EX + "b", EX + "q", '"lit"']
         triples = [(0, 1, 2), (0, 3, 4), (2, 1, 0)]
         assert g.terms == terms
-        assert g.literal == [False] * 4 + [True]
+        assert g.literal.tolist() == [False] * 4 + [True]
         want = (b"SWSNAP03" + struct.pack("<IQ", 5, 3)
                 + struct.pack("<H", len(RDF_TYPE)) + RDF_TYPE.encode()
                 + struct.pack("<5I", 10, 10, 10, 10, 5)
@@ -795,7 +816,8 @@ class TestSerialization:
         path.write_bytes(want)
         g2 = read_snapshot(str(path))
         assert list(g2.triples) == triples
-        assert g2.terms == g.terms and g2.literal == g.literal
+        assert g2.terms == g.terms
+        assert g2.literal.tolist() == g.literal.tolist()
 
     def test_snapshot_repeated_term(self, tmp_path):
         g = build([(EX + "a", EX + "p", EX + "b"), (EX + "b", EX + "p", EX + "c")])
@@ -938,7 +960,8 @@ class TestSerialization:
             g2 = read_snapshot(str(path))
             write_snapshot(g2, str(path))
             assert path.read_bytes() == data
-        assert g2.terms == g.terms and g2.literal == g.literal
+        assert g2.terms == g.terms
+        assert g2.literal.tolist() == g.literal.tolist()
         for a in ("out_src", "out_pred", "out_obj"):
             assert np.array_equal(getattr(g2, a), getattr(g, a))
         assert g2.checksum() == g.checksum()

@@ -1,4 +1,5 @@
 import io
+import logging
 import random
 
 import numpy as np
@@ -132,8 +133,21 @@ class TestScoreIO:
         sm = load_scores(["# two\tcolumns\n", "#x\t0.5\n"])
         assert sm.scores == {"#x": 0.5}
 
-    def test_bind_resolves_and_drops_unmatched(self, chain_graph):
+    def test_bind_resolves_and_drops_unmatched(self, chain_graph, caplog):
         g = chain_graph
-        sm = ScoreMap({EX + "f": 0.3, "http://nowhere/z": 0.7})
-        bound = sm.bind(g)
-        assert bound == {g.term_id(EX + "f"): 0.3}
+        sm = ScoreMap({EX + "f": 0.3, "http://nowhere/z": 0.7, EX + "x": 2})
+        with caplog.at_level(logging.WARNING, logger="specwalk.pagerank"):
+            bound = sm.bind(g)
+        want = [0.0] * g.n_terms
+        want[g.term_id(EX + "f")], want[g.term_id(EX + "x")] = 0.3, 2.0
+        assert isinstance(bound, np.ndarray) and bound.dtype == np.float64
+        assert bound.tolist() == want
+        assert "1 score entries did not match any graph term" in caplog.text
+
+    def test_bind_of_nothing_is_all_zero_and_silent(self, chain_graph,
+                                                    caplog):
+        g = chain_graph
+        with caplog.at_level(logging.WARNING, logger="specwalk.pagerank"):
+            bound = ScoreMap({}).bind(g)
+        assert bound.tolist() == [0.0] * g.n_terms
+        assert caplog.text == ""

@@ -146,6 +146,16 @@ class TestGradients:
         assert np.array_equal(model.w_in, w_in_before)
         assert np.array_equal(model.w_out, w_out_before)
 
+    def test_empty_batch_names_the_rule(self):
+        model = init_model(build_vocab([["a", "b", "c"]]),
+                           TrainConfig(dim=8, seed=1))
+        w_in, w_out = model.w_in.copy(), model.w_out.copy()
+        with pytest.raises(ValueError, match=r"at least one \(center, "
+                                             r"context\) pair"):
+            sgns_step(model, [], [], np.zeros((0, 2), dtype=np.int64), 0.1)
+        assert np.array_equal(model.w_in, w_in)
+        assert np.array_equal(model.w_out, w_out)
+
     def test_gradient_matches_finite_differences(self):
         """One pair via sgns_step, then batches whose centers, contexts and
         negatives repeat, against the summed objective's finite differences."""

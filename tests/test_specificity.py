@@ -21,8 +21,8 @@ from specwalk.specificity import (FORWARD_RETRY_LIMIT, EstimatorParams,
                                   rank_by_specificity, trial_outcomes)
 from specwalk.synth import layered_graph, relevance_inversion_graph
 
-from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, scan_trials,
-                      small_graphs)
+from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, in_edges,
+                      scan_trials, small_graphs)
 
 
 def rel(g, *preds):
@@ -76,7 +76,7 @@ def brute_force_specificity(g, relationship, t, seeds=None):
         if depth == 0:
             return [v]
         origins = []
-        for _, u in g.in_adj[v]:
+        for _, u in in_edges(g, v):
             origins.extend(incoming_paths(u, depth - 1))
         return origins
 
@@ -97,7 +97,7 @@ def _reference_incoming_path_counts(g, node, depth, origins):
     for _ in range(depth):
         nxt = {}
         for v, c in counts.items():
-            for _, u in g.in_adj[v]:
+            for _, u in in_edges(g, v):
                 nxt[u] = nxt.get(u, 0) + c
         counts = nxt
     return (sum(counts.values()),
@@ -184,8 +184,8 @@ def alg2_expectation(g, relationship, seeds, type_set):
     for _ in range(relationship.depth):
         nxt = {}
         for v, m in back.items():
-            for _, u in g.in_adj[v]:
-                nxt[u] = nxt.get(u, 0.0) + m / len(g.in_adj[v])
+            for _, u in in_edges(g, v):
+                nxt[u] = nxt.get(u, 0.0) + m / len(in_edges(g, v))
         back = nxt
     return success * sum(m for v, m in back.items() if v in type_set)
 
@@ -361,7 +361,7 @@ class TestExact:
         t = g.term_id(TYPE_T)
         seeds = g.entities_of_type(t)
         hub_in = [g.term_id(EX + f"h{h}") for h in range(3)]
-        assert [len(g.in_adj[h]) for h in hub_in] == [2000] * 3
+        assert [len(in_edges(g, h)) for h in hub_in] == [2000] * 3
         rels = _reference_select_paths(g, sorted(seeds), 3, 3)
         assert rel(g, EX + "link", EX + "in", EX + "out") in rels
         for r in rels:

@@ -206,7 +206,8 @@ class TestBiases:
     def test_pagerank_bias_prefers_high_score(self):
         g = build([(EX + "root", EX + "p", EX + "hi"),
                    (EX + "root", EX + "p", EX + "lo")])
-        scores = {g.term_id(EX + "hi"): 0.9, g.term_id(EX + "lo"): 0.1}
+        scores = np.zeros(g.n_terms)
+        scores[[g.term_id(EX + "hi"), g.term_id(EX + "lo")]] = 0.9, 0.1
         strategy = WalkStrategy(bias="pagerank", depth=1, walks_per_entity=2000,
                                 pagerank_scores=scores)
         corpus = extract_corpus(g, [g.term_id(EX + "root")], strategy, seed=0)
@@ -216,7 +217,8 @@ class TestBiases:
     def test_pagerank_unscored_literal_never_taken(self):
         g = build([(EX + "root", EX + "p", '"literal leaf"'),
                    (EX + "root", EX + "p", EX + "node")])
-        scores = {g.term_id(EX + "node"): 0.5}
+        scores = np.zeros(g.n_terms)
+        scores[g.term_id(EX + "node")] = 0.5
         strategy = WalkStrategy(bias="pagerank", depth=1, walks_per_entity=200,
                                 pagerank_scores=scores)
         corpus = extract_corpus(g, [g.term_id(EX + "root")], strategy, seed=0)
@@ -289,8 +291,9 @@ class TestBiases:
                                                           "y")]
                   + [(EX + "b", EX + "q", EX + "w"),
                      (EX + "c", EX + "q", EX + "z")])
-        scores = {g.term_id(EX + n): s for n, s in zip(
-            ("x1", "x2", "x3", "y", "w", "z"), (10, 10, 10, bad, 5, 7))}
+        names = ("x1", "x2", "x3", "y", "w", "z")
+        scores = np.zeros(g.n_terms)
+        scores[[g.term_id(EX + n) for n in names]] = 10, 10, 10, bad, 5, 7
         strategy = WalkStrategy(depth=1, walks_per_entity=20)
         with pytest.raises(ValueError, match="finite and >= 0"):
             replace(strategy, bias="pagerank", pagerank_scores=scores)
@@ -299,6 +302,16 @@ class TestBiases:
             strategy, bias="pagerank", pagerank_scores=scores))
         assert {w.tokens for w in corpus.walks} == {tuple(
             g.term_id(EX + n) for n in ("b", "q", "w"))}
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_pagerank_scores_must_cover_the_graph(self, chain_graph, delta):
+        g = chain_graph
+        strategy = WalkStrategy(bias="pagerank", depth=1, walks_per_entity=2,
+                                pagerank_scores=np.ones(g.n_terms + delta))
+        with pytest.raises(ValueError, match=f"cover {g.n_terms + delta} "
+                                             f"terms, but the graph has "
+                                             f"{g.n_terms}"):
+            extract_corpus(g, [g.term_id(EX + "f")], strategy)
 
     def test_template_length_must_match_depth(self, chain_graph):
         g = chain_graph
@@ -348,7 +361,7 @@ class TestBiases:
             SpecificityEntry(SemanticRelationship((1,)), 1.0, 1)]})
         strategy = WalkStrategy(bias=bias, depth=1, walks_per_entity=4,
                                 specificity_table=table,
-                                pagerank_scores={0: 1.0})
+                                pagerank_scores=np.array([1.0, 0.0]))
         corpus = extract_corpus(g, [0], strategy)
         assert corpus.walks == [] and corpus.counters["dead"] == 4
 
@@ -523,9 +536,9 @@ def scan_attempt(g, e, a, strategy, seed):
             tokens += [pred, v]
         return tuple(tokens)
     freq = g.predicate_frequency()
-    scores = strategy.pagerank_scores or {}
+    scores = strategy.pagerank_scores
     weight = {"frequency": lambda p, o: freq[p],
-              "pagerank": lambda p, o: scores.get(o, 0.0)}.get(strategy.bias)
+              "pagerank": lambda p, o: float(scores[o])}.get(strategy.bias)
     for k in range(strategy.depth):
         edges = g.out_adj[v]
         if weight is None:
@@ -571,8 +584,9 @@ def walk_cases(draw, bias, pruning, max_depth=3):
             for names, score in draw(st.lists(st.tuples(templates, weight),
                                               max_size=4))]})
     if bias == "pagerank":
-        scores = dict(enumerate(draw(st.lists(weight, min_size=N_NODES,
-                                              max_size=N_NODES))))
+        scores = np.zeros(g.n_terms)
+        scores[:N_NODES] = draw(st.lists(weight, min_size=N_NODES,
+                                         max_size=N_NODES))
     strategy = WalkStrategy(bias=bias, pruning=pruning, depth=depth,
                             walks_per_entity=draw(st.integers(1, 8)),
                             specificity_table=table, threshold=0.0,
@@ -811,10 +825,10 @@ def walk_distribution(g, root, strategy):
                 dist[tokens] += p
     else:
         freq = g.predicate_frequency()
-        scores = strategy.pagerank_scores or {}
+        scores = strategy.pagerank_scores
         weight = {"uniform": lambda p, o: 1.0,
                   "frequency": lambda p, o: float(freq[p]),
-                  "pagerank": lambda p, o: scores.get(o, 0.0)}[strategy.bias]
+                  "pagerank": lambda p, o: float(scores[o])}[strategy.bias]
 
         def extend(tokens, p, steps):
             edges = g.out_adj[tokens[-1]]
