@@ -16,13 +16,20 @@ the same start. ``sgns_step`` takes one such step on a batch it is given.
 Everything a batch needs that does not depend on the weights is built once
 per chunk of ``PLAN_BATCHES`` batches: the negatives (one draw, the same
 bits as one draw per batch), the learning rates, and each batch's distinct
-rows with the map from its entries to them. A batch step sums each row's
-updates with two small matrix products: one ``np.bincount`` of the gradient
-scales gives the (distinct output rows x pairs) coefficients, which multiply
-the center vectors, and the (distinct centers x pairs) indicator matrix
-multiplies the per-pair input gradients. Each distinct row is then added
-once. The models are bit-identical to computing each batch from scratch,
-and under OpenBLAS they do not depend on its number of threads.
+rows with the map from its entries to them. Negatives come from a guide
+table built once per run, which returns exactly the indices a binary search
+of the unigram table would (see ``_negative_sampler``). Distinct rows come
+from a presence table over the chunk's (batch x vocabulary) cells while
+there are at most ``DENSE_CELLS_PER_ENTRY`` cells per entry, and from one
+sort of the entries beyond that. A batch step sums each row's updates with
+two small matrix products: one ``np.bincount`` of the gradient scales gives
+the (distinct output rows x pairs) coefficients, which multiply the center
+vectors, and the (distinct centers x pairs) indicator matrix multiplies the
+per-pair input gradients. Each distinct row is then added once. Each step
+stores its sigmoid outputs, and the chunk's per-batch objectives are summed
+from them at its end. The models are bit-identical to computing each batch
+from scratch, and under OpenBLAS they do not depend on its number of
+threads.
 
 The learning rate decays linearly from ``lr`` to ``lr * 1e-4`` over the pairs
 actually trained: epoch e covers the fraction [e/epochs, (e+1)/epochs) of the
@@ -45,8 +52,12 @@ SIGMOID_CLAMP = 30.0  # |x| beyond this contributes negligible gradient
 BATCH_SIZE = 64
 # Batches whose negatives and row plans are built at once. Plans take tens of
 # bytes per (pair, row) they cover: planning a whole epoch at once added
-# about 720 bytes of peak memory per pair (dim 16, 10 negatives, 40 tokens).
+# about 530 bytes of peak memory per pair (dim 16, 10 negatives, 40 tokens).
 PLAN_BATCHES = 16
+# A batch plan finds each batch's distinct rows with a presence table over
+# its (batch x vocabulary) cells when those are at most this many times the
+# entries, and by sorting the entries otherwise.
+DENSE_CELLS_PER_ENTRY = 16
 
 
 @dataclass
@@ -103,7 +114,9 @@ def context_pair_arrays(flat: np.ndarray, lengths: np.ndarray,
     apart within a line, for lines stored back to back in `flat`.
 
     Lines of one length share one (i, j) offset pattern, so the only Python
-    loop is over the distinct lengths.
+    loop is over the distinct lengths. The pattern lists each center i's
+    contexts j in ascending order, i ascending, and is built in
+    O(n * window) for a line of n tokens.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -111,8 +124,11 @@ def context_pair_arrays(flat: np.ndarray, lengths: np.ndarray,
     centers, contexts = [], []
     for n in np.flatnonzero(np.bincount(lengths)[2:]) + 2:
         pos = np.arange(n)
-        gap = np.abs(pos[:, None] - pos[None, :])
-        i, j = np.nonzero((gap > 0) & (gap <= window))
+        lo = np.maximum(pos - window, 0)
+        span = np.minimum(pos + window, n - 1) - lo + 1  # i's window, i too
+        i = np.repeat(pos, span)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(span) - span - lo, span)
+        i, j = i[i != j], j[i != j]
         rows = flat[starts[lengths == n][:, None] + pos]
         centers.append(rows[:, i].ravel())
         contexts.append(rows[:, j].ravel())
@@ -128,13 +144,39 @@ def unigram_table(vocab: Vocabulary, power: float = 0.75) -> np.ndarray:
     return cum / cum[-1]
 
 
+def _negative_sampler(cum: np.ndarray):
+    """A function (shape, rng) that draws vocabulary indices of that shape
+    from the table `cum`: exactly ``np.searchsorted(cum, rng.random(shape))``.
+
+    A guide table (Chen & Asau 1974) over M >= 4 * len(cum) equal buckets,
+    M a power of two, holds for bucket j the index of the first entry of
+    `cum` that is >= j / M. A draw u lies in bucket floor(u * M), which is
+    exact because M is a power of two. Where that bucket holds at most one
+    boundary of `cum`, one comparison with it finds the index; draws in
+    wider buckets (the rare-token tail) fall back to a binary search.
+    """
+    m = 1 << (4 * len(cum) - 1).bit_length()
+    guide = np.searchsorted(cum, np.arange(m + 1) / m)
+    first = guide[:-1]
+    cut = np.append(cum, np.inf)[first]  # the one boundary a bucket can hold
+    wide = np.diff(guide) > 1
+    any_wide = bool(wide.any())
+
+    def draw(shape, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random(shape)
+        bucket = (u * m).astype(np.intp)
+        idx = first[bucket] + (cut[bucket] < u)
+        if any_wide:
+            slow = wide[bucket]
+            idx[slow] = np.searchsorted(cum, u[slow])
+        return idx.astype(np.int64, copy=False)
+
+    return draw
+
+
 def sample_negatives(cum: np.ndarray, shape, rng: np.random.Generator) -> np.ndarray:
     """Vocabulary indices of the given shape drawn from the table `cum`."""
-    return np.searchsorted(cum, rng.random(shape)).astype(np.int64, copy=False)
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -SIGMOID_CLAMP, SIGMOID_CLAMP)))
+    return _negative_sampler(cum)(shape, rng)
 
 
 @dataclass
@@ -219,21 +261,37 @@ def _distinct_rows(rows: np.ndarray, per_batch: int, n_rows: int):
     """Each batch's distinct rows, for batches of `per_batch` consecutive
     entries of `rows`. Returns (distinct, inverse, bounds): batch b's
     distinct rows, ascending, are `distinct[bounds[b]:bounds[b + 1]]`, and
-    its entry j is row `distinct[bounds[b] + inverse[j]]`. One sort of
-    `batch * n_rows + row` gives every batch's.
+    its entry j is row `distinct[bounds[b] + inverse[j]]`.
+
+    Batch b's entry on row r is cell `b * n_rows + r`. Where there are at
+    most ``DENSE_CELLS_PER_ENTRY`` cells per entry, a presence table over
+    the cells finds the distinct ones; for larger vocabularies one sort of
+    the entries' cells does.
     """
-    batch = np.arange(len(rows)) // per_batch
-    keys = batch * n_rows + rows
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    # sorting keeps every batch in place, so batch b holds the sorted
-    # positions [b * per_batch, (b + 1) * per_batch)
-    bounds = np.searchsorted(np.flatnonzero(first),
-                             np.arange(0, len(rows) + per_batch, per_batch))
-    return keys[first] % n_rows, inverse - bounds[batch], bounds
+    n_batches = -(-len(rows) // per_batch)
+    offset = np.arange(n_batches + 1) * n_rows  # batch b's first cell
+    keys = np.repeat(offset[:-1], per_batch)[:len(rows)] + rows
+    dense = offset[-1] <= DENSE_CELLS_PER_ENTRY * len(rows)
+    if dense:
+        present = np.zeros(offset[-1], dtype=bool)
+        present[keys] = True
+        cells = np.flatnonzero(present)
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))
+        cells = keys[first]
+    bounds = np.searchsorted(cells, offset)
+    size = np.diff(bounds)
+    rank = np.arange(len(cells)) - np.repeat(bounds[:-1], size)  # in batch
+    if dense:
+        cell_rank = np.empty(offset[-1], dtype=np.int64)
+        cell_rank[cells] = rank
+        inverse = cell_rank[keys]
+    else:
+        inverse = np.empty(len(rows), dtype=np.int64)
+        inverse[order] = rank[np.cumsum(first) - 1]
+    return cells - np.repeat(offset[:-1], size), inverse, bounds
 
 
 def _batch_plans(centers: np.ndarray, contexts: np.ndarray,
@@ -269,14 +327,16 @@ def _batch_plans(centers: np.ndarray, contexts: np.ndarray,
     return plans
 
 
-def _sgns_step(w_in: np.ndarray, w_out: np.ndarray, plan, lr: float) -> float:
-    """One summed gradient step over the batch `plan` describes."""
+def _sgns_step(w_in: np.ndarray, w_out: np.ndarray, plan, lr: float,
+               f: np.ndarray) -> None:
+    """One summed gradient step over the batch `plan` describes. Writes each
+    (pair, row) entry's sigmoid output, from the weights before the step, to
+    `f`."""
     centers, idx, in_rows, onehot, out_rows, out_cell = plan
     v = w_in[centers]
     us = w_out[idx]
-    f = _sigmoid(np.einsum("bd,bkd->bk", v, us))
-    obj = (np.log(np.maximum(f[:, 0], 1e-12)).sum(dtype=np.float64)
-           + np.log(np.maximum(1.0 - f[:, 1:], 1e-12)).sum(dtype=np.float64))
+    x = np.clip(np.einsum("bd,bkd->bk", v, us), -SIGMOID_CLAMP, SIGMOID_CLAMP)
+    np.divide(1.0, 1.0 + np.exp(-x), out=f)
     gscale = -f
     gscale[:, 0] += 1.0
     gscale *= lr
@@ -286,7 +346,26 @@ def _sgns_step(w_in: np.ndarray, w_out: np.ndarray, plan, lr: float) -> float:
     # in the weights' dtype, so that the product is one BLAS gemm
     w_out[out_rows] += coef.astype(v.dtype, copy=False).reshape(
         len(out_rows), -1) @ v
-    return float(obj)
+
+
+def _objectives(f: np.ndarray, per_batch: int) -> list[float]:
+    """sum log s(u_ctx.v) + sum log s(-u_neg.v) of each batch of `per_batch`
+    consecutive pairs, from their sigmoid outputs `f` (pairs x rows).
+
+    Each batch's two float64 sums run over its own entries as one
+    contiguous block, so they equal summing that batch alone.
+    """
+    pos = np.log(np.maximum(f[:, 0], 1e-12))
+    neg = np.log(np.maximum(1.0 - f[:, 1:], 1e-12))
+    n_full = len(f) // per_batch
+    cut = n_full * per_batch
+    obj = (pos[:cut].reshape(n_full, per_batch).sum(axis=1, dtype=np.float64)
+           + neg[:cut].reshape(n_full, per_batch * neg.shape[1])
+           .sum(axis=1, dtype=np.float64))
+    if cut < len(f):
+        obj = np.append(obj, pos[cut:].sum(dtype=np.float64)
+                        + neg[cut:].sum(dtype=np.float64))
+    return obj.tolist()
 
 
 def sgns_step(model: EmbeddingModel, centers, contexts, negatives,
@@ -307,7 +386,9 @@ def sgns_step(model: EmbeddingModel, centers, contexts, negatives,
     negatives = np.asarray(negatives, dtype=np.int64).reshape(n, -1)
     (plan,) = _batch_plans(centers, contexts, negatives, n, len(model.w_in),
                            model.w_in.dtype)
-    return _sgns_step(model.w_in, model.w_out, plan, lr)
+    f = np.empty((n, negatives.shape[1] + 1), model.w_in.dtype)
+    _sgns_step(model.w_in, model.w_out, plan, lr, f)
+    return _objectives(f, n)[0]
 
 
 def train(token_lines, config: TrainConfig) -> EmbeddingModel:
@@ -327,7 +408,7 @@ def train(token_lines, config: TrainConfig) -> EmbeddingModel:
     flat = np.fromiter((t for s in ids for t in s), dtype=np.int32,
                        count=int(lengths.sum()))
     rng = np.random.Generator(np.random.PCG64(config.seed + 1))
-    cum = unigram_table(vocab)
+    draw_negatives = _negative_sampler(unigram_table(vocab))
 
     keep_prob = None
     if config.subsample > 0:
@@ -355,14 +436,18 @@ def train(token_lines, config: TrainConfig) -> EmbeddingModel:
         for c0 in range(0, n_pairs, chunk):
             c1 = min(c0 + chunk, n_pairs)
             picked = order[c0:c1]  # the chunk's pairs, in shuffled order
-            negs = sample_negatives(cum, (c1 - c0, config.negatives), rng)
+            negs = draw_negatives((c1 - c0, config.negatives), rng)
             starts = np.arange(c0, c1, BATCH_SIZE)
             lrs = np.maximum(lr_floor, config.lr * (
                 1.0 - (epoch + starts / n_pairs) / config.epochs)).tolist()
             plans = _batch_plans(centers[picked], contexts[picked], negs,
                                  BATCH_SIZE, len(vocab), model.w_in.dtype)
-            for plan, lr in zip(plans, lrs):
-                epoch_obj += _sgns_step(model.w_in, model.w_out, plan, lr)
+            f = np.empty((c1 - c0, config.negatives + 1), model.w_in.dtype)
+            for b0, plan, lr in zip(range(0, c1 - c0, BATCH_SIZE), plans, lrs):
+                _sgns_step(model.w_in, model.w_out, plan, lr,
+                           f[b0:b0 + BATCH_SIZE])
+            for obj in _objectives(f, BATCH_SIZE):
+                epoch_obj += obj
         mean = epoch_obj / n_pairs if n_pairs else 0.0
         model.epoch_losses.append(-mean)  # negative objective = loss
         model.epoch_pairs.append(n_pairs)

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specwalk
-from specwalk.skipgram import (BATCH_SIZE, PLAN_BATCHES, EmbeddingModel,
-                               TrainConfig, Vocabulary, build_vocab,
+from specwalk.skipgram import (BATCH_SIZE, DENSE_CELLS_PER_ENTRY,
+                               PLAN_BATCHES, EmbeddingModel, TrainConfig,
+                               Vocabulary, _distinct_rows, build_vocab,
                                context_pair_arrays, init_model,
                                sample_negatives, sgns_step, train,
                                unigram_table)
@@ -108,9 +108,25 @@ class TestContextPairs:
                           max_size=8),
            window=st.integers(1, 12))
     def test_matches_reference_loop(self, lines, window):
-        want = Counter(p for line in lines
-                       for p in reference_pairs(line, window))
-        assert Counter(vectorised_pairs(lines, window)) == want
+        # lines grouped by length, shortest first; each line's pairs in the
+        # reference loop's order (the order training shuffles from)
+        want = [p for line in sorted(lines, key=len)
+                for p in reference_pairs(line, window)]
+        assert vectorised_pairs(lines, window) == want
+
+    def test_memory_grows_with_the_pairs_not_the_line_squared(self):
+        """A 4,000-token line builds its pairs in O(n * window) memory: an
+        n x n offset mask would peak at about 6.4 KB a pair here."""
+        n, window = 4000, 5
+        flat = (np.arange(n) % 97).astype(np.int32)
+        tracemalloc.start()
+        try:
+            centers, _ = context_pair_arrays(flat, np.array([n]), window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(centers) == 2 * window * n - window * (window + 1)
+        assert peak / len(centers) <= 64
 
 
 class TestNegativeSampling:
@@ -134,6 +150,86 @@ class TestNegativeSampling:
         observed = np.bincount(draws, minlength=len(v)) / n
         tv = 0.5 * np.abs(observed - expected).sum()
         assert tv <= 0.01
+
+
+def searchsorted_draws(cum, shape, seed):
+    return np.searchsorted(
+        cum, np.random.Generator(np.random.PCG64(seed)).random(shape))
+
+
+def flat_tail_table(head, tail):
+    """A unigram table whose `tail` count-1 tokens follow `head` tokens of
+    count 10**6: most tail tokens share a guide bucket with another."""
+    return unigram_table(Vocabulary(
+        {f"t{i:05d}": 10**6 if i < head else 1 for i in range(head + tail)}))
+
+
+class TestSampleNegativesOracle:
+    """sample_negatives draws exactly np.searchsorted(cum, rng.random(shape))
+    with the same generator."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=st.lists(st.integers(1, 10**6), min_size=1, max_size=60),
+           tail=st.sampled_from([0, 0, 50, 500]),
+           shape=st.one_of(st.integers(0, 3000),
+                           st.tuples(st.integers(0, 40), st.integers(0, 30))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_searchsorted(self, counts, tail, shape, seed):
+        counts = counts + [1] * tail
+        cum = unigram_table(Vocabulary(
+            {f"t{i:05d}": c for i, c in enumerate(counts)}))
+        got = sample_negatives(cum, shape, np.random.Generator(
+            np.random.PCG64(seed)))
+        want = searchsorted_draws(cum, shape, seed)
+        assert got.dtype == np.int64
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [0, (0,), (0, 5), (3, 0)])
+    def test_empty_shapes(self, shape):
+        cum = flat_tail_table(4, 100)
+        got = sample_negatives(cum, shape, np.random.Generator(
+            np.random.PCG64(0)))
+        assert got.shape == np.empty(shape).shape
+        assert got.dtype == np.int64
+
+    def test_draws_on_a_boundary(self):
+        """A draw equal to a table entry takes that entry's token, as a
+        left binary search does; the generator is a stub that returns
+        draws on and next to the boundaries of four equal tokens."""
+        cum = unigram_table(Vocabulary({t: 2 for t in "abcd"}))
+        below = np.nextafter(cum, 0)
+        u = np.concatenate(([0.0], cum[:-1], below, np.nextafter(cum[:-1], 1)))
+
+        class Stub:
+            def random(self, shape):
+                return u.reshape(shape)
+
+        got = sample_negatives(cum, u.shape, Stub())
+        assert np.array_equal(got, np.searchsorted(cum, u))
+        assert got[1:4].tolist() == [0, 1, 2]
+
+    def test_one_token_table(self):
+        cum = unigram_table(Vocabulary({"a": 3}))
+        got = sample_negatives(cum, (50, 7), np.random.Generator(
+            np.random.PCG64(2)))
+        assert got.shape == (50, 7)
+        assert not got.any()
+
+    @pytest.mark.parametrize("head,tail", [(1, 3000), (4, 996), (30, 5000)])
+    def test_flat_tail_takes_the_binary_search(self, head, tail):
+        """Many draws land in a guide bucket that holds several boundaries
+        of the table, where the sampler falls back to a binary search."""
+        cum = flat_tail_table(head, tail)
+        shape, seed = (4000, 5), 9
+        u = np.random.Generator(np.random.PCG64(seed)).random(shape)
+        m = 1 << (4 * len(cum) - 1).bit_length()  # buckets, a power of two
+        guide = np.searchsorted(cum, np.arange(m + 1) / m)
+        wide = np.diff(guide)[(u * m).astype(np.int64)] > 1
+        assert wide.sum() >= 20
+        got = sample_negatives(cum, shape, np.random.Generator(
+            np.random.PCG64(seed)))
+        assert np.array_equal(got, searchsorted_draws(cum, shape, seed))
 
 
 class TestGradients:
@@ -537,7 +633,8 @@ def _reference_train(token_lines, config):
             stop = min(start + BATCH_SIZE, n_pairs)
             progress = (epoch + start / n_pairs) / config.epochs
             lr = max(lr_floor, config.lr * (1.0 - progress))
-            negs = sample_negatives(cum, (stop - start, config.negatives), rng)
+            negs = np.searchsorted(cum, rng.random((stop - start,
+                                                    config.negatives)))
             epoch_obj += _reference_sgns_batch(
                 model.w_in, model.w_out, centers[start:stop],
                 contexts[start:stop], negs, lr)
@@ -598,6 +695,23 @@ class TestByteIdentity:
         assert got.epoch_pairs == [2 * n_lines] * 2
         assert_same_model(got, _reference_train(corpus, cfg))
 
+    @pytest.mark.parametrize("negatives", [1, 3])
+    def test_large_vocabulary_sorts_rows(self, negatives):
+        """3,000 tokens seen once each: a chunk's (batch x vocabulary) cells
+        outnumber its centers more than DENSE_CELLS_PER_ENTRY times, so
+        their distinct rows come from the sort; with one negative the
+        output rows' do too, with three from the presence table."""
+        corpus = [[f"t{i}", f"t{i + 1}"] for i in range(0, 3000, 2)]
+        cfg = TrainConfig(dim=4, window=1, negatives=negatives, epochs=1,
+                          seed=3)
+        cells = PLAN_BATCHES * 3000  # a full chunk's (batch x row) cells
+        centers = PLAN_BATCHES * BATCH_SIZE
+        assert cells > DENSE_CELLS_PER_ENTRY * centers
+        sorts_outputs = cells > DENSE_CELLS_PER_ENTRY * centers * (
+            1 + negatives)
+        assert sorts_outputs == (negatives == 1)
+        assert_same_model(train(corpus, cfg), _reference_train(corpus, cfg))
+
     @settings(max_examples=100, deadline=None)
     @given(dtype=st.sampled_from([np.float32, np.float64]),
            pairs=st.integers(1, 2 * BATCH_SIZE), negatives=st.integers(0, 4),
@@ -620,6 +734,54 @@ class TestByteIdentity:
         assert got == want
         assert w_in.tobytes() == ref_in.tobytes()
         assert w_out.tobytes() == ref_out.tobytes()
+
+
+def argsort_distinct_rows(rows, per_batch, n_rows):
+    """The batch plans' distinct rows by one argsort of every entry's
+    (batch, row) cell, as they were found before the presence table."""
+    batch = np.arange(len(rows)) // per_batch
+    keys = batch * n_rows + rows
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    bounds = np.searchsorted(np.flatnonzero(first),
+                             np.arange(0, len(rows) + per_batch, per_batch))
+    return keys[first] % n_rows, inverse - bounds[batch], bounds
+
+
+class TestDistinctRows:
+    @settings(max_examples=200, deadline=None)
+    @given(dense=st.booleans(), per_batch=st.integers(1, 70),
+           n_batches=st.integers(1, PLAN_BATCHES), last=st.integers(1, 70),
+           n_rows=st.integers(1, 4 * DENSE_CELLS_PER_ENTRY),
+           int32=st.booleans(), seed=st.integers(0, 2**16))
+    def test_equals_argsort_oracle(self, dense, per_batch, n_batches, last,
+                                   n_rows, int32, seed):
+        """Both sides of the presence-table threshold, with a partial last
+        batch when `last` < `per_batch`."""
+        n = (n_batches - 1) * per_batch + min(last, per_batch)
+        dense_max = DENSE_CELLS_PER_ENTRY * n // n_batches  # rows kept dense
+        n_rows = (min(n_rows, dense_max) if dense
+                  else dense_max + n_rows)
+        rows = np.random.default_rng(seed).integers(
+            n_rows, size=n, dtype=np.int32 if int32 else np.int64)
+        got = _distinct_rows(rows, per_batch, n_rows)
+        want = argsort_distinct_rows(rows, per_batch, n_rows)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    def test_vocabulary_at_the_threshold(self):
+        rows = np.arange(BATCH_SIZE * 3) % 7
+        for n_rows in (DENSE_CELLS_PER_ENTRY * BATCH_SIZE,
+                       DENSE_CELLS_PER_ENTRY * BATCH_SIZE + 1):
+            got = _distinct_rows(rows, BATCH_SIZE, n_rows)
+            for g, w in zip(got, argsort_distinct_rows(rows, BATCH_SIZE,
+                                                      n_rows)):
+                assert np.array_equal(g, w)
 
 
 def traced_peak(fn, *args):
