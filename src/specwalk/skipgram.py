@@ -56,7 +56,13 @@ BATCH_SIZE = 64
 PLAN_BATCHES = 16
 # A batch plan finds each batch's distinct rows with a presence table over
 # its (batch x vocabulary) cells when those are at most this many times the
-# entries, and by sorting the entries otherwise.
+# entries, and by sorting the entries otherwise. The two cross here for the
+# output rows, which cost the most: timed per chunk of 16 batches of
+# Zipf-drawn rows (one Xeon core), the table was faster at up to 12 cells
+# per entry and the sort at 32 to 128, with the two within 20% of each other
+# in between, at 384, 704 and 1,664 entries a batch (5, 10 and 25
+# negatives). For the 64 centers of a batch the table stays faster up to
+# about 64 cells per entry, but either takes under 40 us there.
 DENSE_CELLS_PER_ENTRY = 16
 
 
@@ -154,22 +160,33 @@ def _negative_sampler(cum: np.ndarray):
     exact because M is a power of two. Where that bucket holds at most one
     boundary of `cum`, one comparison with it finds the index; draws in
     wider buckets (the rare-token tail) fall back to a binary search.
+
+    The table keeps 5 bytes a bucket (an int32 index and a flag), 20 to 40
+    bytes a vocabulary token, and is built from arrays of the vocabulary's
+    size: entry i of `cum` lies in bucket min(floor(cum[i] * M), M), and
+    bucket j's index counts the entries in buckets before j.
     """
     m = 1 << (4 * len(cum) - 1).bit_length()
-    guide = np.searchsorted(cum, np.arange(m + 1) / m)
-    first = guide[:-1]
-    cut = np.append(cum, np.inf)[first]  # the one boundary a bucket can hold
-    wide = np.diff(guide) > 1
+    at = np.clip(np.floor(cum * m), -1, m).astype(np.int64)
+    guide = np.repeat(np.arange(len(cum) + 1, dtype=np.int32),
+                      np.diff(at, prepend=-1, append=m))
+    shared = at[1:][at[1:] == at[:-1]]  # buckets holding a second boundary
+    wide = np.zeros(m, dtype=bool)
+    wide[shared[(shared >= 0) & (shared < m)]] = True
     any_wide = bool(wide.any())
+    cum_ext = np.append(cum, np.inf)
 
     def draw(shape, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(shape)
-        bucket = (u * m).astype(np.intp)
-        idx = first[bucket] + (cut[bucket] < u)
+        u = rng.random(shape)  # a float when shape is None
+        flat = np.ravel(u)
+        bucket = (flat * m).astype(np.intp)
+        lo = guide[bucket].astype(np.intp)
+        idx = lo + (cum_ext[lo] < flat)
         if any_wide:
             slow = wide[bucket]
-            idx[slow] = np.searchsorted(cum, u[slow])
-        return idx.astype(np.int64, copy=False)
+            idx[slow] = np.searchsorted(cum, flat[slow])
+        # a scalar, as np.searchsorted returns, for shape None or ()
+        return idx.astype(np.int64, copy=False).reshape(np.shape(u))[()]
 
     return draw
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import specwalk
 from specwalk.skipgram import (BATCH_SIZE, DENSE_CELLS_PER_ENTRY,
                                PLAN_BATCHES, EmbeddingModel, TrainConfig,
-                               Vocabulary, _distinct_rows, build_vocab,
+                               Vocabulary, _distinct_rows,
+                               _negative_sampler, build_vocab,
                                context_pair_arrays, init_model,
                                sample_negatives, sgns_step, train,
                                unigram_table)
@@ -193,6 +194,19 @@ class TestSampleNegativesOracle:
         assert got.shape == np.empty(shape).shape
         assert got.dtype == np.int64
 
+    @pytest.mark.parametrize("shape", [None, ()])
+    @pytest.mark.parametrize("head,tail", [(1, 0), (4, 100), (1, 3000)])
+    def test_scalar_shapes(self, shape, head, tail):
+        """One draw is a numpy int64 scalar, as np.searchsorted returns,
+        also from tables whose flat tails take the binary search."""
+        cum = flat_tail_table(head, tail)
+        for seed in range(20):
+            got = sample_negatives(cum, shape, np.random.Generator(
+                np.random.PCG64(seed)))
+            want = searchsorted_draws(cum, shape, seed)
+            assert type(got) is np.int64
+            assert got == want
+
     def test_draws_on_a_boundary(self):
         """A draw equal to a table entry takes that entry's token, as a
         left binary search does; the generator is a stub that returns
@@ -208,6 +222,22 @@ class TestSampleNegativesOracle:
         got = sample_negatives(cum, u.shape, Stub())
         assert np.array_equal(got, np.searchsorted(cum, u))
         assert got[1:4].tolist() == [0, 1, 2]
+
+    def test_guide_table_memory_per_token(self):
+        """The sampler of a 100,000-token table peaks at about 41 bytes a
+        token while it is built (a guide of 8 bytes a bucket and a float
+        boundary per bucket peaked at 131); the model at dim 16 takes 128."""
+        cum = unigram_table(Vocabulary(
+            {f"t{i}": 10**7 // (i + 1) + 1 for i in range(100_000)}))
+        tracemalloc.start()
+        try:
+            draw = _negative_sampler(cum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(cum) <= 48
+        got = draw((1000, 5), np.random.Generator(np.random.PCG64(4)))
+        assert np.array_equal(got, searchsorted_draws(cum, (1000, 5), 4))
 
     def test_one_token_table(self):
         cum = unigram_table(Vocabulary({"a": 3}))
