@@ -246,7 +246,13 @@ class Graph:
     def out_slices(self, nodes, pred) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi): the bounds of each node's out-edges with predicate pred,
         an empty slice for a negative (dead) node. pred is one id or an array
-        of one per node. Each distinct (node, pred) key is searched once."""
+        of one per node; UnknownTermError for an id outside the term table,
+        whose key would be another node's. Each distinct (node, pred) key is
+        searched once."""
+        pred = np.asarray(pred, dtype=np.int64)
+        if pred.size and (pred.min() < 0 or pred.max() >= len(self.terms)):
+            bad = pred[(pred < 0) | (pred >= len(self.terms))].flat[0]
+            raise UnknownTermError(f"unknown predicate id: {bad}")
         # a negative node's key is negative, below every out_key
         keys, inv = np.unique(np.asarray(nodes, dtype=np.int64)
                               * len(self.terms) + pred, return_inverse=True)
@@ -254,29 +260,35 @@ class Graph:
                 np.searchsorted(self.out_key, keys, "right")[inv])
 
     def sample_paths(self, starts, u: np.ndarray, predicates=None,
-                     pick=None) -> np.ndarray:
+                     pick=None, inward=False) -> np.ndarray:
         """The out-edge indices of a walk from each start, shape u.shape =
         (len(starts), d), -1 from a dead end on.
 
         Step k takes pick(lo, hi, u[:, k]) (default slice_pick) among the
         current node's out-edges [lo, hi): all of them when predicates is
         None, else its out_slices for predicates[k], one id or one per row
-        when predicates is a (d, rows) matrix.
+        when predicates is a (d, rows) matrix. An inward walk (predicates
+        None) picks among the node's in-edge slots [lo, hi) instead, records
+        the edge in_edge[i] and moves to its subject.
         """
         pick = pick or slice_pick
+        ptr, head = (self.in_ptr, self.out_src) if inward else \
+            (self.out_ptr, self.out_obj)
         edges = np.full(u.shape, -1, dtype=np.int64)
         live = np.arange(len(edges))
         v = np.asarray(starts, dtype=np.int64)
         for k in range(edges.shape[1]):
             if predicates is None:
-                lo, hi = self.out_ptr[v], self.out_ptr[v + 1]
+                lo, hi = ptr[v], ptr[v + 1]
             else:
                 pred = np.asarray(predicates[k])
                 lo, hi = self.out_slices(v, pred[live] if pred.ndim else pred)
             e = pick(lo, hi, u[live, k])
             live, e = live[e >= 0], e[e >= 0]
+            if inward:
+                e = self.in_edge[e]
             edges[live, k] = e
-            v = self.out_obj[e]
+            v = head[e]
         return edges
 
     def path_counts(self, sources, predicates) -> tuple[np.ndarray, np.ndarray]:

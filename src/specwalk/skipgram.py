@@ -222,8 +222,8 @@ class EmbeddingModel:
 
         ValueError naming the line unless the header is a row count >= 0 and
         a dimension >= 1, followed by exactly that many rows, each a token
-        and `dim` floats that are finite in float32 (no nan, inf or value
-        beyond float32's range).
+        not on an earlier row and `dim` floats that are finite in float32
+        (no nan, inf or value beyond float32's range).
         """
         header = stream.readline().split()
         if (len(header) != 2 or not all(h.isdigit() for h in header)
@@ -231,7 +231,7 @@ class EmbeddingModel:
             raise ValueError(f"model line 1: expected '<rows> <dim>' with "
                              f"dim >= 1, got {' '.join(header)!r}")
         n, dim = int(header[0]), int(header[1])
-        tokens = []
+        index = {}  # token -> row
         w_in = np.empty((n, dim), dtype=np.float32)
         with np.errstate(over="ignore"):  # out-of-range values fail below
             for i in range(n):
@@ -245,7 +245,11 @@ class EmbeddingModel:
                     raise ValueError(f"model line {lineno}: expected a token "
                                      f"and {dim} values, got {len(parts) - 1} "
                                      "values")
-                tokens.append(parts[0])
+                first = index.setdefault(parts[0], i)
+                if first != i:
+                    raise ValueError(f"model line {lineno}: token "
+                                     f"{parts[0]!r} is also on line "
+                                     f"{first + 2}")
                 try:
                     w_in[i] = np.array(parts[1:], dtype=np.float32)
                 except ValueError as exc:
@@ -260,8 +264,8 @@ class EmbeddingModel:
             raise ValueError(f"model line {n + 2}: more rows than the "
                              f"header's {n}")
         vocab = Vocabulary.__new__(Vocabulary)
-        vocab.tokens = tokens
-        vocab.index = {t: i for i, t in enumerate(tokens)}
+        vocab.tokens = list(index)
+        vocab.index = index
         vocab.counts = np.zeros(n, dtype=np.int64)
         return cls(vocab, w_in, None, TrainConfig(dim=dim))
 

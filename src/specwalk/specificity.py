@@ -196,20 +196,19 @@ def trial_outcomes(g: Graph, rels, seeds, type_set, n_walks: int,
     candidate's predicates with Graph.sample_paths to the object of the
     last edge taken. Rows that dead-end retry with the next attempt, up to
     FORWARD_RETRY_LIMIT times, and only they draw its columns. The reverse
-    walk reads the d columns after the last attempt's: each step takes an
-    in-edge of the current node, lo + floor(u * (hi - lo)) of its in-edge
-    slice. A trial hits when it lands on a member of type_set; a forward or
-    reverse dead-end is a miss. Trial i depends on the seed, its candidate
-    and i alone, so the outcomes at budget n are the first n outcomes at any
-    larger budget, whatever the other candidates and the block bounds.
+    walk takes any in-edges with Graph.sample_paths(inward=True), reading
+    the d columns after the last attempt's. A trial hits when it lands on a
+    member of type_set; a forward or reverse dead-end is a miss. Trial i
+    depends on the seed, its candidate and i alone, so the outcomes at
+    budget n are the first n outcomes at any larger budget, whatever the
+    other candidates and the block bounds.
     """
     depth = rels[0].depth if rels else 1
     preds = np.array([r.predicates for r in rels],
                      dtype=np.int64).reshape(len(rels), depth)
     seeds = np.array(sorted(seeds), dtype=np.int64)
     width = 1 + depth
-    # one slot past the last term, False, is what a reverse dead-end reads
-    member = np.zeros(g.n_terms + 1, dtype=bool)
+    member = np.zeros(g.n_terms, dtype=bool)
     member[list(type_set)] = True
     prefix = hashed_state(seed, depth, *preds.T)  # one per candidate
     hit = np.zeros(len(rels) * n_walks, dtype=bool)
@@ -231,11 +230,8 @@ def trial_outcomes(g: Graph, rels, seeds, type_set, n_walks: int,
             left.append(rows[~done])
             u = hashed_uniforms(state[done], (FORWARD_RETRY_LIMIT + 1) * width
                                 + np.arange(depth))
-            v = g.out_obj[last[done]]
-            for k in range(depth):  # v = -1 reads in_ptr[-1] >= in_ptr[0]
-                i = slice_pick(g.in_ptr[v], g.in_ptr[v + 1], u[:, k])
-                v = np.where(i >= 0, g.out_src[g.in_edge[i]], -1)
-            hit[rows[done]] = member[v]
+            back = g.sample_paths(g.out_obj[last[done]], u, inward=True)[:, -1]
+            hit[rows[done]] = (back >= 0) & member[g.out_src[back]]
         todo = np.concatenate(left)
     dead = np.zeros(len(hit), dtype=bool)
     dead[todo] = True

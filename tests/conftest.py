@@ -138,6 +138,18 @@ def chain_graph():
     ])
 
 
+@pytest.fixture
+def aliasing_graph():
+    """(graph, bad): e0 and e1 of type T, e0 p x, e1 q y and x q e1, and the
+    predicate id bad = (e1 - e0) * n_terms + q, outside the term table, whose
+    out_key from e0 is e1's q key."""
+    g = build([(EX + "e0", RDF_TYPE, TYPE_T), (EX + "e1", RDF_TYPE, TYPE_T),
+               (EX + "e0", EX + "p", EX + "x"), (EX + "e1", EX + "q", EX + "y"),
+               (EX + "x", EX + "q", EX + "e1")])
+    e0, e1, q = (g.term_id(EX + n) for n in ("e0", "e1", "q"))
+    return g, (e1 - e0) * g.n_terms + q
+
+
 @pytest.fixture(scope="session")
 def franchise():
     return franchise_graph(seed=1)

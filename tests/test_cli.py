@@ -775,8 +775,9 @@ class TestTrainRecommendEval:
         ("2 2\na 0.1 0.2\nb nan 0.4\n", 3),     # not a number
         ("2 2\na 0.1 inf\nb 0.3 0.4\n", 2),     # infinite
         ("1 1\na 1e39\n", 2),                  # beyond float32
+        ("3 2\na 1 0\nb 0.9 0.1\na 0 1\n", 4),  # a token on two rows
     ], ids=["empty", "short", "ragged", "too-wide", "nan", "inf",
-            "float32-overflow"])
+            "float32-overflow", "repeated"])
     def test_recommend_malformed_model_is_data_error(self, tmp_path, capsys,
                                                      text, line):
         model = tmp_path / "model.txt"

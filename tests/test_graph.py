@@ -53,6 +53,16 @@ def scan_path(g, v, predicates, u, weights=None):
     return edges
 
 
+def draw_uniforms(data, rows, depth):
+    """A (rows, depth) array of hashed_uniforms values: 0, 0.5, the largest
+    one, or any k / 2**53."""
+    return np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, TOP_UNIFORM])
+                 | st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53),
+                 min_size=depth, max_size=depth),
+        min_size=rows, max_size=rows))).reshape(rows, depth)
+
+
 def splitmix_reference(seed, *counters):
     """hashed_uniforms for one draw, in Python integers: SplitMix64 of the
     state xor each counter in turn, starting from seed mod 2**64."""
@@ -544,6 +554,15 @@ class TestOutSlices:
                 sorted(o for p, o in g.out_adj[v] if p == pred)
                 if v >= 0 else [])
 
+    @pytest.mark.parametrize("pred, bad", [
+        (-1, -1), (10, 10), (2 ** 40, 2 ** 40), ([3, -2], -2), ([3, 10], 10)])
+    def test_predicate_outside_terms_raises(self, pred, bad):
+        # ids 0-9 are interned; a key from any other id is another node's
+        g = small_graph([(0, PREDICATES[0], 1), (1, PREDICATES[1], 0)])
+        with pytest.raises(UnknownTermError,
+                           match=f"unknown predicate id: {bad}$"):
+            g.out_slices(np.array([0, 1]), np.array(pred))
+
 
 class TestSamplePath:
     @settings(max_examples=150, deadline=None)
@@ -569,12 +588,7 @@ class TestSamplePath:
                 len(starts), depth).T
         else:
             predicates, per_row = None, [[None] * depth] * len(starts)
-        u = np.array(data.draw(st.lists(
-            st.lists(st.sampled_from([0.0, 0.5, TOP_UNIFORM])
-                     | st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53),
-                     min_size=depth, max_size=depth),
-            min_size=len(starts), max_size=len(starts)))).reshape(
-                len(starts), depth)
+        u = draw_uniforms(data, len(starts), depth)
         weights = pick = None
         if weighted:  # dyadic, zero included, so running sums are exact
             weights = data.draw(st.lists(
@@ -589,6 +603,30 @@ class TestSamplePath:
         assert got.shape == (len(starts), depth)
         assert got.tolist() == [scan_path(g, v, preds, row, weights)
                                 for v, preds, row in zip(starts, per_row, u)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), data=st.data(),
+           starts=st.lists(st.integers(0, N_NODES - 1), min_size=1,
+                           max_size=8),
+           depth=st.integers(0, 4))
+    def test_inward_matches_triple_scan(self, g, data, starts, depth):
+        # node v's in-edges are the triples (s, p, v) in (s, p) order, and a
+        # triple's out-edge row is its rank among the sorted triples
+        triples = sorted(g.triples)
+        u = draw_uniforms(data, len(starts), depth)
+        want = []
+        for v, row in zip(starts, u.tolist()):
+            path = []
+            for uk in row:
+                into = [(i, s) for i, (s, _, o) in enumerate(triples)
+                        if o == v]
+                i, v = (into[min(int(uk * len(into)), len(into) - 1)]
+                        if into else (-1, -1))
+                path.append(i)
+            want.append(path)
+        got = g.sample_paths(np.array(starts), u, inward=True)
+        assert got.shape == (len(starts), depth)
+        assert got.tolist() == want
 
     def test_pick_rule_on_every_slice_width(self):
         # one node with w edges for predicate p{w}, w = 1..40, and a second

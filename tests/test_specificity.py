@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specwalk.graph import (RDF_TYPE, Graph, GraphBuilder, GraphError,
-                            exact_counts, slice_members)
+                            UnknownTermError, exact_counts, slice_members)
 from specwalk import specificity
 from specwalk.recommend import SweepPoint, ndcg, sensitivity_sweep
 from specwalk.specificity import (FORWARD_RETRY_LIMIT, EstimatorParams,
@@ -456,6 +456,18 @@ class TestEstimator:
             estimate_specificity(chain_graph, [rel(chain_graph, EX + "p")],
                                  [], chain_graph.term_id(TYPE_T), 10)
 
+    def test_predicate_id_outside_terms_raises(self, aliasing_graph):
+        # such an id used to read another node's edges: e0's key for bad is
+        # e1's q key, so the trial found e1 q y and scored 1.0
+        g, bad = aliasing_graph
+        e0, t = g.term_id(EX + "e0"), g.term_id(TYPE_T)
+        for pred in (bad, -1, g.n_terms):
+            cand = SemanticRelationship((pred,))
+            with pytest.raises(UnknownTermError, match=f"id: {pred}$"):
+                estimate_specificity(g, [cand], [e0], t, 50)
+            with pytest.raises(UnknownTermError, match=f"id: {pred}$"):
+                exact_specificity(g, cand, t, seeds=[e0])
+
     def test_close_to_exact_on_layered_graph(self, layered):
         g, info = layered
         t = g.term_id(info["type"])
@@ -679,9 +691,10 @@ class TestLockstep:
         sample_paths = Graph.sample_paths
 
         def counting_sample_paths(self, starts, u, predicates=None,
-                                  pick=None):
-            calls.append(len(predicates))  # one call per step count (depth)
-            return sample_paths(self, starts, u, predicates, pick)
+                                  pick=None, inward=False):
+            # one forward and one reverse call per step count (depth)
+            calls.append(("in" if inward else "out", u.shape[1]))
+            return sample_paths(self, starts, u, predicates, pick, inward)
 
         monkeypatch.setattr(Graph, "sample_paths", counting_sample_paths)
         for k in (1, 3, 8):
@@ -698,11 +711,11 @@ class TestLockstep:
             calls.clear()
             entries = estimate_specificity(g, candidates, seeds, t, 100)
             assert [e.score for e in entries] == [1.0] * len(candidates)
-            assert calls == [1, 2]
+            assert calls == [("out", 1), ("in", 1), ("out", 2), ("in", 2)]
             calls.clear()
             rank_by_specificity(g, t, EstimatorParams(
                 seed_set_size=5, n_walks=100, max_depth=2, threshold=0.0))
-            assert calls == [1, 2]
+            assert calls == [("out", 1), ("in", 1), ("out", 2), ("in", 2)]
 
 
 class TestSelectPaths:

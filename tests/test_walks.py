@@ -242,6 +242,16 @@ class TestBiases:
         assert len(corpus.walks) == 100
         assert all(w.predicates == chain for w in corpus.walks)
 
+    def test_template_predicate_outside_terms_raises(self, aliasing_graph):
+        # e0's key for bad is e1's q key: the walk used to write e0 q y
+        g, bad = aliasing_graph
+        table = SpecificityTable(depths={1: [
+            SpecificityEntry(SemanticRelationship((bad,)), 1.0, 10)]})
+        strategy = WalkStrategy(bias="specificity", depth=1,
+                                specificity_table=table, walks_per_entity=5)
+        with pytest.raises(UnknownTermError, match=f"id: {bad}$"):
+            extract_corpus(g, [g.term_id(EX + "e0")], strategy)
+
     def test_specificity_walks_in_attempt_order(self, franchise):
         # draw column 0 of attempt a picks the template whose cumulative
         # score first exceeds u * total; walks come out in attempt order
