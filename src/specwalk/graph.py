@@ -13,7 +13,7 @@ import random
 import re
 import struct
 from collections import defaultdict
-from collections.abc import Sequence, Set
+from collections.abc import Iterable, Sequence, Set
 from itertools import count
 
 import numpy as np
@@ -238,21 +238,29 @@ class Graph:
         except KeyError:
             raise UnknownTermError(f"term not in graph: {term!r}") from None
 
-    def _check(self, tid: int) -> None:
-        if (not isinstance(tid, (int, np.integer)) or isinstance(tid, bool)
-                or tid < 0 or tid >= len(self.terms)):
-            raise UnknownTermError(f"unknown term id: {tid!r}")
+    def ids(self, x, what: str = "term") -> np.ndarray:
+        """x, one id or an iterable of ids, as int64 (0-d for one id).
+        UnknownTermError names, by repr, the first that is a bool, not an
+        integer, negative or >= n_terms (an array element as a plain value)."""
+        if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
+            bad = x[(x < 0) | (x >= len(self.terms))].tolist()
+        else:
+            if isinstance(x, Iterable) and not isinstance(x, str):
+                x = x.tolist() if isinstance(x, np.ndarray) else list(x)
+            bad = [v for v in (x if isinstance(x, list) else [x])
+                   if type(v) is bool or not isinstance(v, (int, np.integer))
+                   or not 0 <= v < len(self.terms)]
+        if bad:
+            raise UnknownTermError(f"unknown {what} id: {bad[0]!r}")
+        return np.asarray(x, dtype=np.int64)
 
     def out_slices(self, nodes, pred) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi): the bounds of each node's out-edges with predicate pred,
-        an empty slice for a negative (dead) node. pred is one id or an array
-        of one per node; UnknownTermError for an id outside the term table,
-        whose key would be another node's. Each distinct (node, pred) key is
-        searched once."""
-        pred = np.asarray(pred, dtype=np.int64)
-        if pred.size and (pred.min() < 0 or pred.max() >= len(self.terms)):
-            bad = pred[(pred < 0) | (pred >= len(self.terms))].flat[0]
-            raise UnknownTermError(f"unknown predicate id: {bad}")
+        one id or an array of one per node, checked by ids (a key from an id
+        outside the term table would be another node's). The nodes are not
+        checked: -1 is a dead node, as in prune_mask's padded rows, and gets
+        an empty slice. Each distinct (node, pred) key is searched once."""
+        pred = self.ids(pred, "predicate")
         # a negative node's key is negative, below every out_key
         keys, inv = np.unique(np.asarray(nodes, dtype=np.int64)
                               * len(self.terms) + pred, return_inverse=True)
@@ -261,8 +269,8 @@ class Graph:
 
     def sample_paths(self, starts, u: np.ndarray, predicates=None,
                      pick=None, inward=False) -> np.ndarray:
-        """The out-edge indices of a walk from each start, shape u.shape =
-        (len(starts), d), -1 from a dead end on.
+        """The out-edge indices of a walk from each start (checked by ids),
+        shape u.shape = (len(starts), d), -1 from a dead end on.
 
         Step k takes pick(lo, hi, u[:, k]) (default slice_pick) among the
         current node's out-edges [lo, hi): all of them when predicates is
@@ -276,7 +284,7 @@ class Graph:
             (self.out_ptr, self.out_obj)
         edges = np.full(u.shape, -1, dtype=np.int64)
         live = np.arange(len(edges))
-        v = np.asarray(starts, dtype=np.int64)
+        v = self.ids(starts)
         for k in range(edges.shape[1]):
             if predicates is None:
                 lo, hi = ptr[v], ptr[v + 1]
@@ -292,11 +300,11 @@ class Graph:
         return edges
 
     def path_counts(self, sources, predicates) -> tuple[np.ndarray, np.ndarray]:
-        """(nodes, paths): ascending nodes reached from the sources along the
-        predicate sequence and their path counts (exact_counts); a source
-        listed twice starts two paths, an empty sequence one per source."""
-        nodes, counts = np.unique(np.fromiter(sources, np.int64),
-                                  return_counts=True)
+        """(nodes, paths): ascending nodes reached from the sources (checked
+        by ids) along the predicate sequence and their path counts
+        (exact_counts); a source listed twice starts two paths, an empty
+        sequence one per source."""
+        nodes, counts = np.unique(self.ids(sources), return_counts=True)
         for pred in predicates:
             # the matching edges of all nodes, each with its node's count
             at, owner = slice_members(*self.out_slices(nodes, pred))
@@ -306,21 +314,19 @@ class Graph:
 
     def types_of(self, v: int) -> frozenset[int]:
         """Directly asserted rdf:type objects of v (no inference)."""
-        self._check(v)
+        v = self.ids([v])  # one id: a list or an array is a bad one
         if self.rdf_type_id is None:
             return frozenset()
-        (lo,), (hi,) = self.out_slices([v], self.rdf_type_id)
+        (lo,), (hi,) = self.out_slices(v, self.rdf_type_id)
         return frozenset(self.out_obj[lo:hi].tolist())
 
     def entities_of_type(self, t) -> frozenset[int]:
         """Entities with a direct rdf:type assertion to t; empty if t unknown."""
         if isinstance(t, str):
-            tid = self._ids.get(t)
-            if tid is None:
+            if t not in self._ids:
                 return frozenset()
-            t = tid
-        else:
-            self._check(t)
+            t = self._ids[t]
+        t = self.ids([t])[0]
         e = self.in_edge[self.in_ptr[t]:self.in_ptr[t + 1]]
         return frozenset(
             self.out_src[e][self.out_pred[e] == self.rdf_type_id].tolist())

@@ -33,6 +33,10 @@ class SemanticRelationship:
     def __post_init__(self):
         if len(self.predicates) < 1:
             raise ValueError("relationship must contain at least one predicate")
+        # templates are cast to int64 arrays, where 2.0 or True would alias
+        for p in self.predicates:
+            if type(p) is bool or not isinstance(p, (int, np.integer)):
+                raise ValueError(f"predicate id must be an integer: {p!r}")
 
     @property
     def depth(self) -> int:
@@ -141,7 +145,7 @@ def _incoming_paths(g: Graph, origins):
     depth one propagation x[v] <- sum of x[u] over the triples (u, p, v),
     from all ones and from the origin indicator (see exact_counts)."""
     total, fro = np.ones(g.n_terms), np.zeros(g.n_terms)
-    fro[np.fromiter(origins, np.int64)] = 1.0
+    fro[g.ids(origins)] = 1.0
     while True:
         total = np.bincount(g.out_obj, total[g.out_src], g.n_terms)
         fro = np.bincount(g.out_obj, fro[g.out_src], g.n_terms)
@@ -171,7 +175,7 @@ def exact_specificity(g: Graph, rel: SemanticRelationship, t,
         if not seeds:
             name = t if isinstance(t, str) else g.terms[t]
             raise GraphError(f"type has no instances: {name!r}")
-    elif not seeds:
+    elif not len(seeds):
         raise ValueError("seed set must be non-empty")
     reachable, _ = g.path_counts(seeds, rel.predicates)
     return _exact_entry(rel, reachable, next(islice(
@@ -206,7 +210,7 @@ def trial_outcomes(g: Graph, rels, seeds, type_set, n_walks: int,
     depth = rels[0].depth if rels else 1
     preds = np.array([r.predicates for r in rels],
                      dtype=np.int64).reshape(len(rels), depth)
-    seeds = np.array(sorted(seeds), dtype=np.int64)
+    seeds = np.sort(g.ids(seeds))
     width = 1 + depth
     member = np.zeros(g.n_terms, dtype=bool)
     member[list(type_set)] = True
@@ -249,8 +253,8 @@ def estimate_specificity(g: Graph, candidates, seeds, t, n_walks: int,
     to FORWARD_RETRY_LIMIT times; a trial still dead-ended counts as a miss.
     The score is the mean of trial_outcomes' hits, one lockstep per depth.
     """
-    seeds = sorted(seeds)
-    if not seeds:
+    seeds = g.ids(seeds)
+    if not len(seeds):
         raise ValueError("seed set must be non-empty")
     if n_walks <= len(seeds):
         raise ValueError("n_walks must exceed the seed set size")
@@ -343,8 +347,8 @@ def rank_at_budgets(g: Graph, t, params: EstimatorParams,
                     for rel, h, d in zip(rels, hits, deads)}
             entries.sort(key=lambda e: (-e.score, e.relationship.predicates))
             table.depths[depth] = entries
-        kept = [{e.relationship.predicates for e in table.depths[depth]
-                 if e.score >= params.threshold} for table in tables]
+        kept = [{e.relationship.predicates for e in table.above_threshold(
+            depth, params.threshold)} for table in tables]
         frontiers = {seq: frontiers[seq] for seq in set().union(*kept)}
     return tables
 

@@ -2,9 +2,9 @@
 
 Bias modes: uniform over outgoing edges; frequency (global predicate
 frequency); pagerank (next-node score per term id); specificity (walk
-follows a relationship template drawn from above-threshold table entries with
-probability proportional to score). Pruning predicates follow the four
-schemes NRSE / UE / NRST / UET.
+follows a relationship template drawn, with probability proportional to
+score, from the table entries at or above the threshold). Pruning
+predicates follow the four schemes NRSE / UE / NRST / UET.
 
 Every attempt of every entity advances together, one step at a time, over
 the graph's triple arrays. Attempt a of entity e reads only the draws
@@ -198,7 +198,7 @@ def prune_mask(g: Graph, nodes: np.ndarray, scheme: str) -> np.ndarray:
 
 def prune_check(walk: Walk, scheme: str, g: Graph) -> bool:
     """True when the walk passes the pruning predicate (see prune_mask)."""
-    return bool(prune_mask(g, np.array([walk.nodes]), scheme)[0])
+    return bool(prune_mask(g, g.ids(walk.tokens)[None, ::2], scheme)[0])
 
 
 def _cumulative(weights):
@@ -288,15 +288,10 @@ def extract_corpus(g: Graph, entities, strategy: WalkStrategy,
     The budget counts attempts: walks rejected by pruning (counted as
     `pruned`), dead-ended at the root or along an incomplete specificity
     template (`dead`) consume budget without being retried. A free walk that
-    dead-ends after at least one step is kept, shorter. `workers` is
-    accepted for compatibility and ignored.
+    dead-ends after at least one step is kept, shorter. Graph.ids checks
+    the entities. `workers` is accepted for compatibility and ignored.
     """
-    roots = list(entities)
-    if not (set(map(type, roots)) <= {int}
-            and (not roots or 0 <= min(roots) and max(roots) < g.n_terms)):
-        for e in roots:  # name the first bad root
-            g._check(e)
-    roots = np.array(roots, dtype=np.int64)
+    roots = g.ids(entities)
     attempts = strategy.walks_per_entity
     blocks, n_live = [], 0  # accepted rows, each after its root's index
     for owner, tokens in _walk_tokens(g, roots, strategy, seed):

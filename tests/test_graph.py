@@ -23,8 +23,11 @@ from specwalk.ntriples import (_LINE_RE, ParseError, ParseReport, load_graph,
                                parse_ntriples, serialize_ntriples)
 from specwalk.synth import (franchise_graph, layered_graph,
                             relevance_inversion_graph, sensitivity_fixture)
-from specwalk.walks import (WalkStrategy, _cumulative, extract_corpus,
-                            weighted_pick)
+from specwalk.specificity import (EstimatorParams, SemanticRelationship,
+                                  estimate_specificity, exact_specificity,
+                                  rank_by_specificity)
+from specwalk.walks import (Walk, WalkStrategy, _cumulative, extract_corpus,
+                            prune_check, weighted_pick)
 
 from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, in_edges,
                       scan_pick, small_edges, small_graph, small_graphs,
@@ -356,6 +359,33 @@ class TestBlockParse:
         assert_parses_like_reference(lines)
 
 
+# The public entries that take caller ids, for TestAdjacency's id grid. Its
+# graph, v type T and v p a, interns v 0, rdf:type 1, T 2, p 3 and a 4, so 5
+# is n_terms.
+V, T, P = 0, 2, 3
+ID_ENTRIES = {
+    "types_of": lambda g, bad: g.types_of(bad),
+    "entities_of_type": lambda g, bad: g.entities_of_type(bad),
+    "sample_entities": lambda g, bad: g.sample_entities(bad, 1, seed=0),
+    "sample_paths": lambda g, bad: g.sample_paths([V, bad], np.zeros((2, 1))),
+    "path_counts": lambda g, bad: g.path_counts([V, bad], [P]),
+    "out_slices": lambda g, bad: g.out_slices(np.array([V]), bad),
+    "extract_corpus": lambda g, bad: extract_corpus(
+        g, [V, bad], WalkStrategy(depth=1, walks_per_entity=1)),
+    "prune_check": lambda g, bad: prune_check(Walk((V, P, bad)), "UET", g),
+    "exact_specificity(seeds)": lambda g, bad: exact_specificity(
+        g, SemanticRelationship((P,)), T, seeds=[V, bad]),
+    "exact_specificity(t)": lambda g, bad: exact_specificity(
+        g, SemanticRelationship((P,)), bad),
+    "estimate_specificity(seeds)": lambda g, bad: estimate_specificity(
+        g, [SemanticRelationship((P,))], [V, bad], T, 10),
+    "estimate_specificity(t)": lambda g, bad: estimate_specificity(
+        g, [SemanticRelationship((P,))], [V], bad, 10),
+    "rank_by_specificity(t)": lambda g, bad: rank_by_specificity(
+        g, bad, EstimatorParams(seed_set_size=1, n_walks=10)),
+}
+
+
 class TestAdjacency:
     def test_out_neighbors_lists_all_edges(self):
         g = build([(EX + "v", EX + "p", EX + "a"), (EX + "v", EX + "q", EX + "b")])
@@ -386,11 +416,24 @@ class TestAdjacency:
 
     @pytest.mark.parametrize("tid", [True, False, 1.0, np.float64(1), "1",
                                      None, -1, np.int64(-1), np.int64(999),
-                                     np.uint64(2 ** 63)])
+                                     np.uint64(2 ** 63), [1], np.array(1)])
     def test_invalid_ids_rejected(self, tid):
         g = build([(EX + "v", EX + "p", EX + "a")])
         with pytest.raises(UnknownTermError):
             g.types_of(tid)
+
+    @pytest.mark.parametrize("bad", [-1, 5, True, 2.0, np.int64(5)],
+                             ids=["-1", "n_terms", "True", "2.0",
+                                  "np.int64(n_terms)"])
+    @pytest.mark.parametrize("entry", list(ID_ENTRIES))
+    def test_bad_id_named(self, entry, bad):
+        g = build([(EX + "v", RDF_TYPE, TYPE_T), (EX + "v", EX + "p", EX + "a")])
+        assert [g.term_id(x) for x in (EX + "v", TYPE_T, EX + "p")] == \
+            [V, T, P] and g.n_terms == 5
+        what = "predicate" if entry == "out_slices" else "term"
+        with pytest.raises(UnknownTermError, match=re.escape(
+                f"unknown {what} id: {bad!r}") + "$"):
+            ID_ENTRIES[entry](g, bad)
 
     def test_duplicate_triple_collapses(self):
         line = "<http://x/v> <http://x/p> <http://x/o> .\n"

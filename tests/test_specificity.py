@@ -294,6 +294,17 @@ class TestExact:
         entry = exact_specificity(g, rel(g, EX + "p"), g.term_id(TYPE_T))
         assert entry.score == 0.5
 
+    def test_array_seeds_equal_list(self, franchise):
+        # a seed array used to fail on its truth value
+        g, info = franchise
+        t = g.term_id(info["type"])
+        films = sorted(g.entities_of_type(t))[:3]
+        r = SemanticRelationship(tuple(g.term_id(p)
+                                       for p in info["specific_chain"]))
+        entry = exact_specificity(g, r, t, seeds=films)
+        assert entry.support > 0
+        assert exact_specificity(g, r, t, seeds=np.array(films)) == entry
+
     def test_unreachable_relationship_zero_support(self):
         g = build([(EX + "f1", RDF_TYPE, TYPE_T),
                    (EX + "a", EX + "p", EX + "x")])
@@ -864,6 +875,22 @@ class TestRanking:
         ranked = [e.relationship.predicates for e in table.entries_at(2)]
         assert ranked.index(spec_chain) < ranked.index(hub_chain)
 
+    def test_score_at_threshold_extends(self):
+        # test_half_ratio's graph plus x r y: p scores exactly 0.5 (x has one
+        # in-edge from the seed f1 and one from g), so at threshold 0.5 its
+        # prefix is extended by r
+        g = build([(EX + "f1", RDF_TYPE, TYPE_T),
+                   (EX + "f1", EX + "p", EX + "x"),
+                   (EX + "g", EX + "q", EX + "x"),
+                   (EX + "x", EX + "r", EX + "y")])
+        params = EstimatorParams(seed_set_size=1, n_walks=10, max_depth=2,
+                                 threshold=0.5, mode="eq2")
+        table = rank_by_specificity(g, TYPE_T, params)
+        assert [(e.relationship, e.score) for e in table.entries_at(1)] == \
+            [(rel(g, EX + "p"), 0.5)]
+        assert [e.relationship for e in table.entries_at(2)] == \
+            [rel(g, EX + "p", EX + "r")]
+
     def test_extension_prefixes_above_threshold(self, layered):
         g, info = layered
         t = g.term_id(info["type"])
@@ -973,3 +1000,13 @@ class TestRanking:
     def test_relationship_must_be_non_empty(self):
         with pytest.raises(ValueError):
             SemanticRelationship(())
+
+    @pytest.mark.parametrize("pred", [True, 10.0, np.float64(1), "1", None])
+    def test_relationship_predicates_must_be_integers(self, pred):
+        # a template is cast to int64, where 10.0 read as predicate 10 and
+        # True as 1: estimate_specificity scored 1.0 under the wrong one
+        with pytest.raises(ValueError, match=re.escape(
+                f"predicate id must be an integer: {pred!r}")):
+            SemanticRelationship((3, pred))
+        assert SemanticRelationship((3, np.int64(4))) == \
+            SemanticRelationship((3, 4))

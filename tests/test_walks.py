@@ -242,6 +242,25 @@ class TestBiases:
         assert len(corpus.walks) == 100
         assert all(w.predicates == chain for w in corpus.walks)
 
+    def test_template_at_threshold_walked(self, franchise):
+        # a template scored exactly at the threshold is walked; the other
+        # one, below it, is not
+        g, info = franchise
+        chain = tuple(g.term_id(p) for p in info["specific_chain"])
+        table = SpecificityTable(depths={2: [
+            SpecificityEntry(SemanticRelationship(chain), 0.5, 100),
+            SpecificityEntry(SemanticRelationship(
+                (g.term_id(SYNTH + "p/director"),
+                 g.term_id(SYNTH + "p/birthPlace"))), 0.25, 100),
+        ]})
+        strategy = WalkStrategy(bias="specificity", depth=2,
+                                specificity_table=table, threshold=0.5,
+                                walks_per_entity=20)
+        films = sorted(g.entities_of_type(info["type"]))
+        corpus = extract_corpus(g, [films[0]], strategy, seed=0)
+        assert len(corpus.walks) == 20
+        assert all(w.predicates == chain for w in corpus.walks)
+
     def test_template_predicate_outside_terms_raises(self, aliasing_graph):
         # e0's key for bad is e1's q key: the walk used to write e0 q y
         g, bad = aliasing_graph
