@@ -1,9 +1,12 @@
 """Immutable, integer-indexed RDF multigraph over sorted triple arrays.
 
 Terms (IRIs, blank node labels, literal lexical forms) are interned to dense
-integer ids. After construction the graph is never mutated, so it can be
-shared freely across threads; random sampling takes an explicit seed or
-explicit uniforms (hashed_uniforms) so reads stay side-effect free.
+integer ids. After construction the graph's terms and arrays are never
+mutated, so it can be shared freely across threads; random sampling takes an
+explicit seed or explicit uniforms (hashed_uniforms) so reads stay
+side-effect free. The one thing built later is the term -> id index, on the
+first lookup by term string: two threads that build it at once build equal
+dicts, and either one is kept.
 """
 from __future__ import annotations
 
@@ -24,6 +27,18 @@ RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 SNAPSHOT_MAGIC = b"SWSNAP03"
 _TOKEN_ESCAPE = re.compile(r"[\\\s]")
+
+
+def escape_token(term: str) -> str:
+    """The term, each backslash doubled and each whitespace character (a
+    corpus separator) written \\uXXXX, so distinct terms give distinct
+    whitespace-free tokens. A printable term without a space or a backslash
+    is returned as it is: space is the only printable character that \\s
+    matches."""
+    if term.isprintable() and " " not in term and "\\" not in term:
+        return term
+    return _TOKEN_ESCAPE.sub(lambda m: "\\\\" if m[0] == "\\" else
+                             f"\\u{ord(m[0]):04X}", term)
 
 
 class GraphError(Exception):
@@ -163,8 +178,14 @@ def slice_pick(lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class Graph:
-    """Immutable triple store: int64 arrays, built once, that hold each
+    """Immutable triple store: integer arrays, built once, that hold each
     triple once, on the out side; the in side is an order over its rows.
+
+    out_src, out_pred and out_obj are int32 while the term count is below
+    2**31, int64 above it; in_edge, which holds row numbers, is int32 while
+    the triple count is. out_key is always int64, as s * n_terms + p
+    reaches 2**31 from 46,341 terms on, and so is every other product of
+    ids: a caller widens an id array before multiplying it.
 
     A term's kind comes from its N-Triples text: a literal starts with '"'
     (tag or datatype kept), a blank node with "_:", and any other term is an
@@ -187,16 +208,14 @@ class Graph:
         self.terms = terms
         self.literal = np.array([t[:1] == '"' for t in terms], dtype=bool)
         self.rdf_type = rdf_type
-        self._ids = {t: i for i, t in enumerate(terms)}
-        if len(self._ids) != len(terms):
-            term = next(t for i, t in enumerate(terms) if self._ids[t] != i)
+        self._ids = None  # term -> id, built by the first lookup by term
+        if len(set(terms)) != len(terms):
+            ids = self._term_index()
+            term = next(t for i, t in enumerate(terms) if ids[t] != i)
             raise GraphError(f"term table repeats a term: {term!r}")
-        self.rdf_type_id = self._ids.get(rdf_type)
+        self.rdf_type_id = terms.index(rdf_type) if rdf_type in terms else None
         n = len(terms)
-        spo = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        self.out_src, self.out_pred, self.out_obj = np.ascontiguousarray(spo.T)
-        self.out_key = self.out_src * n + self.out_pred
-        key, obj = self.out_key, self.out_obj
+        spo = np.asarray(triples).reshape(-1, 3)  # u32 from a snapshot
 
         def reject(bad: np.ndarray, problem: str) -> None:
             if bad.any():
@@ -204,15 +223,22 @@ class Graph:
                 raise GraphError(f"{problem}: triple {i} "
                                  f"{tuple(spo[i].tolist())}")
 
+        # checked before the cast to int32, which would wrap
         if spo.size and (spo.min() < 0 or spo.max() >= n):
             reject(((spo < 0) | (spo >= n)).any(axis=1), "term id out of range")
+        self.out_src, self.out_pred, self.out_obj = np.ascontiguousarray(
+            spo.T, dtype=np.int32 if n < 2 ** 31 else np.int64)
+        self.out_key = self.out_src.astype(np.int64) * n + self.out_pred
+        key, obj = self.out_key, self.out_obj
         reject(np.append(False, (key[1:] < key[:-1]) | (
             (key[1:] == key[:-1]) & (obj[1:] <= obj[:-1]))),
                "triples must be sorted and distinct")
-        reject(self.literal[spo[:, 0]] | self.literal[spo[:, 1]],
+        reject(self.literal[self.out_src] | self.literal[self.out_pred],
                "literal in subject or predicate position")
-        self.out_ptr = np.searchsorted(self.out_src, np.arange(n + 1))
-        self.in_edge = np.argsort(obj, kind="stable")
+        self.out_ptr = np.searchsorted(
+            self.out_src, np.arange(n + 1, dtype=self.out_src.dtype))
+        self.in_edge = np.argsort(obj, kind="stable").astype(
+            np.int32 if len(obj) < 2 ** 31 else np.int64)
         self.in_ptr = np.append(0, np.cumsum(np.bincount(obj, minlength=n)))
         self.out_adj = EdgeLists(self.out_ptr, self.out_pred, self.out_obj)
         self.triples = TripleSet(self)
@@ -229,12 +255,19 @@ class Graph:
     def n_triples(self) -> int:
         return len(self.out_src)
 
+    def _term_index(self) -> dict[str, int]:
+        """term -> id, built on the first call: a graph that is only parsed
+        and written to a snapshot never holds it."""
+        if self._ids is None:
+            self._ids = dict(zip(self.terms, range(len(self.terms))))
+        return self._ids
+
     def has_term(self, term: str) -> bool:
-        return term in self._ids
+        return term in self._term_index()
 
     def term_id(self, term: str) -> int:
         try:
-            return self._ids[term]
+            return self._term_index()[term]
         except KeyError:
             raise UnknownTermError(f"term not in graph: {term!r}") from None
 
@@ -323,9 +356,9 @@ class Graph:
     def entities_of_type(self, t) -> frozenset[int]:
         """Entities with a direct rdf:type assertion to t; empty if t unknown."""
         if isinstance(t, str):
-            if t not in self._ids:
+            t = self._term_index().get(t)
+            if t is None:
                 return frozenset()
-            t = self._ids[t]
         t = self.ids([t])[0]
         e = self.in_edge[self.in_ptr[t]:self.in_ptr[t + 1]]
         return frozenset(
@@ -360,11 +393,8 @@ class Graph:
     # -- rendering & checksum --------------------------------------------
 
     def render_token(self, tid: int) -> str:
-        """Corpus/vocabulary token for a term: the raw term, each backslash
-        doubled and each whitespace character (a corpus separator) written
-        \\uXXXX, so distinct terms give distinct whitespace-free tokens."""
-        return _TOKEN_ESCAPE.sub(lambda m: "\\\\" if m[0] == "\\" else
-                                 f"\\u{ord(m[0]):04X}", self.terms[tid])
+        """Corpus/vocabulary token for a term: escape_token of its text."""
+        return escape_token(self.terms[tid])
 
     def rendered_lines(self, sep: str, end: str):
         """Lines f"{s}{sep}{p}{sep}{o}{end}" of rendered terms, 4096 per
@@ -471,9 +501,10 @@ def read_snapshot(path: str) -> Graph:
         raise fail(f"snapshot text is {len(text)} characters, but its term "
                    f"lengths sum to {ends[-1]}")
     terms = [text[a:z] for a, z in zip(ends, ends[1:])]
-    triples = np.frombuffer(data, "<u4", 3 * n_triples, at + 4 * n_terms)
-    triples = triples.astype(np.int64).reshape(-1, 3)
-    del data, text  # free the file before Graph's arrays
+    # copied, so that the file is freed before Graph's arrays are built
+    triples = np.frombuffer(data, "<u4", 3 * n_triples,
+                            at + 4 * n_terms).reshape(-1, 3).copy()
+    del data, text
     try:
         return Graph(terms, triples, rdf_type)
     except GraphError as exc:

@@ -281,8 +281,9 @@ def _extend(g: Graph, frontiers: dict, include_type_edges: bool) -> dict:
         if not include_type_edges and g.rdf_type_id is not None:
             keep = g.out_pred[at] != g.rdf_type_id
             at, owner = at[keep], owner[keep]
-        keys, inv = np.unique(g.out_pred[at] * g.n_terms + g.out_obj[at],
-                              return_inverse=True)
+        # int64: with int32 ids the product wraps past 46,340 terms
+        keys, inv = np.unique(g.out_pred[at].astype(np.int64) * g.n_terms
+                              + g.out_obj[at], return_inverse=True)
         counts = np.bincount(inv, paths[owner], len(keys))
         preds, objs = np.divmod(keys, g.n_terms)
         lo = np.flatnonzero(np.diff(preds, prepend=-1))  # predicate starts

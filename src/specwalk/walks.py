@@ -352,8 +352,11 @@ def read_corpus_lines(stream):
     whitespace (render_token escapes it within a token). Only the first line
     can be a header, and only when it starts with '# ': a later line that
     starts with '#' is a walk rooted at an IRI such as <#a>. Blank lines are
-    skipped."""
+    skipped. Equal tokens of one stream are one str object, so a caller
+    that keeps the lists holds each distinct token once."""
+    shared = {}  # token -> the first str read for it
     for i, line in enumerate(stream):
         tokens = line.split()
         if tokens and not (i == 0 and line.startswith("# ")):
-            yield tokens
+            # a new list: split's keeps room for 12 tokens
+            yield [shared.setdefault(t, t) for t in tokens]

@@ -4,7 +4,9 @@ import io
 import random
 import re
 import struct
+import sys
 import tempfile
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from specwalk.specificity import (EstimatorParams, SemanticRelationship,
                                   estimate_specificity, exact_specificity,
                                   rank_by_specificity)
 from specwalk.walks import (Walk, WalkStrategy, _cumulative, extract_corpus,
-                            prune_check, weighted_pick)
+                            prune_check, prune_mask, weighted_pick)
 
 from conftest import (EX, N_NODES, PREDICATES, TYPE_T, build, in_edges,
                       scan_pick, small_edges, small_graph, small_graphs,
@@ -499,9 +501,9 @@ class TestMemory:
                                       relevance_inversion_graph,
                                       sensitivity_fixture])
     def test_array_bytes_per_triple(self, make, tmp_path):
-        # each triple is stored once: out_src, out_pred, out_obj and out_key
-        # plus one in_edge row, 8 bytes each; per term an out_ptr and an
-        # in_ptr offset and a literal flag
+        # each triple is stored once: out_src, out_pred, out_obj and an
+        # in_edge row, 4 bytes each (int32 ids), and out_key, 8 bytes; per
+        # term an out_ptr and an in_ptr offset and a literal flag
         g, _ = make(seed=1)
         path = str(tmp_path / "g.snap")
         write_snapshot(g, path)
@@ -509,7 +511,101 @@ class TestMemory:
             held = sum(a.nbytes for a in vars(graph).values()
                        if isinstance(a, np.ndarray))
             n, m = graph.n_terms, graph.n_triples
-            assert held <= 40 * m + 16 * (n + 1) + n, (held, m, n)
+            assert held <= 24 * m + 16 * (n + 1) + n, (held, m, n)
+
+    def test_snapshot_graph_holds_no_term_index(self, tmp_path):
+        # before its first lookup by term, a graph read from a snapshot
+        # holds its arrays and its term strings, and no term -> id dict (at
+        # 10k triples the dict would add 12.5 bytes a triple, int64 ids 16)
+        g, info = franchise_graph(1, n_franchises=40, films_per=5,
+                                  n_distractor_films=300, n_noise=1000)
+        path = str(tmp_path / "g.snap")
+        write_snapshot(g, path)
+        del g
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph = read_snapshot(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n, m = graph.n_terms, graph.n_triples
+        terms = sys.getsizeof(graph.terms) + sum(map(sys.getsizeof,
+                                                     graph.terms))
+        assert held <= 24 * m + 16 * (n + 1) + n + terms + 16 * 1024, \
+            (held / m, m, n)
+        assert graph.term_id(info["type"]) == graph.terms.index(info["type"])
+
+
+class TestWideIdProducts:
+    """Ids are int32, but a product of ids is taken in int64: in a graph of
+    50,015 terms whose predicates are interned last, p * n_terms and
+    s * n_terms pass 2**31, where an int32 product wraps."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        seeds = [EX + f"e{i}" for i in range(4)]
+        others = [EX + f"z{i}" for i in range(4)]
+        b = GraphBuilder()
+        for term in ([EX + f"fill{i}" for i in range(50_000)] + seeds + others
+                     + [RDF_TYPE, TYPE_T, EX + "D", EX + "x", EX + "y",
+                        EX + "q", EX + "p"]):
+            b.intern(term)
+        for e in seeds:  # x is reached from the seeds alone, y half from z
+            b.add(e, RDF_TYPE, TYPE_T)
+            b.add(e, EX + "p", EX + "x")
+            b.add(e, EX + "q", EX + "y")
+        for z in others:
+            b.add(z, RDF_TYPE, EX + "D")
+            b.add(z, EX + "q", EX + "y")
+        g = b.build()
+        ids = {name: g.term_id(EX + name) for name in
+               ("p", "q", "x", "y", "e0", "e1", "z0")}
+        assert ids["p"] == g.n_terms - 1 and ids["q"] * g.n_terms >= 2 ** 31
+        assert g.out_src.dtype == np.int32
+        return g, ids, [g.term_id(e) for e in seeds], \
+            [g.term_id(z) for z in others]
+
+    def test_keys_and_slices(self, wide):
+        g, ids, seeds, others = wide
+        n = g.n_terms
+        rows = list(g.triples)
+        assert g.out_key.tolist() == [s * n + p for s, p, _ in rows]
+        for pred in (ids["p"], ids["q"], g.rdf_type_id):
+            lo, hi = g.out_slices(seeds + others, pred)
+            for v, a, z in zip(seeds + others, lo.tolist(), hi.tolist()):
+                assert list(range(a, z)) == [
+                    i for i, (s, p, _) in enumerate(rows)
+                    if s == v and p == pred]
+
+    def test_path_counts(self, wide):
+        g, ids, seeds, others = wide
+        nodes, paths = g.path_counts(seeds, [ids["p"]])
+        assert (nodes.tolist(), paths.tolist()) == ([ids["x"]], [4.0])
+        nodes, paths = g.path_counts(seeds + others, [ids["q"]])
+        assert (nodes.tolist(), paths.tolist()) == ([ids["y"]], [8.0])
+
+    def test_prune_mask(self, wide):
+        g, ids, _, _ = wide
+        e0, e1, z0, x = ids["e0"], ids["e1"], ids["z0"], ids["x"]
+        nodes = np.array([[e0, e1, x], [e0, z0, x], [e0, x, e1]])
+        assert prune_mask(g, nodes, "NRST").tolist() == [False, True, True]
+        assert prune_mask(g, nodes, "UET").tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("mode", ["eq2", "alg2"])
+    def test_rank_by_specificity(self, wide, mode):
+        # eq2: every path into x starts at a seed, half of those into y;
+        # alg2: every reverse step from x lands on a seed
+        g, ids, _, _ = wide
+        table = rank_by_specificity(g, TYPE_T, EstimatorParams(
+            seed_set_size=4, n_walks=200, max_depth=1, mode=mode))
+        got = [(e.relationship.predicates, e.score, e.support)
+               for e in table.entries_at(1)]
+        if mode == "eq2":
+            assert got == [((ids["p"],), 1.0, 4), ((ids["q"],), 0.5, 8)]
+        else:
+            assert [e[0] for e in got] == [(ids["p"],), (ids["q"],)]
+            assert got[0][1:] == (1.0, 200) and 0 < got[1][1] < 1
 
 
 class TestTripleStore:

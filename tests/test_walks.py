@@ -1,6 +1,9 @@
 import io
 import math
+import random
 import re
+import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
 
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specwalk.graph import (RDF_TYPE, Graph, GraphBuilder, UnknownTermError,
-                            hashed_uniforms)
+                            escape_token, hashed_uniforms)
 from specwalk.specificity import (SemanticRelationship, SpecificityEntry,
                                   SpecificityTable)
 from specwalk import walks
@@ -415,6 +418,25 @@ class TestCorpusIO:
         assert len(lines) == 2
         assert lines[0] == [EX + "f", EX + "p", EX + "x"]
 
+    def test_read_corpus_lines_shares_equal_tokens(self):
+        # 35,000 tokens over 200 distinct ones: each list holds references
+        # to one str per distinct token, about 19 bytes a token, where a
+        # str per token took 84
+        rng = random.Random(1)
+        vocab = [f"{EX}n{i}" for i in range(200)]
+        text = "# header\n" + "".join(
+            " ".join(rng.choices(vocab, k=7)) + "\n" for _ in range(5000))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lines = list(read_corpus_lines(io.StringIO(text)))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 32 * 7 * 5000, held / (7 * 5000)
+        assert lines == [line.split(" ") for line in text.splitlines()[1:]]
+        assert len({id(t) for line in lines for t in line}) == len(vocab)
+
     def test_literal_whitespace_escaped_in_tokens(self):
         g = build([(EX + "f", EX + "p", '"two words"')])
         w = Walk((g.term_id(EX + "f"), g.term_id(EX + "p"),
@@ -495,6 +517,20 @@ def unescape_token(token):
 
 
 class TestCorpusTokens:
+    def test_escape_fast_path_equals_regex_rule_at_every_code_point(self):
+        # escape_token returns a printable term without " " or "\\" as it
+        # is; the rule it shortcuts escapes "\\" and every \s character
+        def rule(term):
+            return re.sub(r"[\\\s]", lambda m: "\\\\" if m[0] == "\\" else
+                          f"\\u{ord(m[0]):04X}", term)
+
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        escaped = set(re.findall(r"[\\\s]", chars))
+        assert {" ", "\\", "\t", "\u3000"} <= escaped
+        for c in chars:
+            assert escape_token(c) == (rule(c) if c in escaped else c)
+        assert escape_token("a\\ b\u2028c") == rule("a\\ b\u2028c")
+
     @settings(max_examples=200, deadline=None)
     @given(terms=_terms)
     def test_render_token_injective_and_whitespace_free(self, terms):
