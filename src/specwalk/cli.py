@@ -129,12 +129,7 @@ def _walk_entities(g: Graph, args) -> list[int]:
     if args.entities is not None:
         with open_text(args.entities) as f:
             return [g.term_id(line.strip()) for line in f if line.strip()]
-    members = sorted(g.entities_of_type(g.term_id(args.type)))
-    if not members:
-        raise GraphError(f"type has no instances: {args.type!r}")
-    if args.limit is not None and args.limit < len(members):
-        return g.sample_entities(g.term_id(args.type), args.limit, args.seed)
-    return members
+    return g.sample_entities(args.type, args.limit, args.seed)
 
 
 def cmd_walk(args) -> int:
@@ -209,8 +204,7 @@ def _candidate_tokens(args) -> set[str] | None:
     if args.snapshot is None:
         return None
     g = read_snapshot(args.snapshot)
-    return {g.render_token(v)
-            for v in g.entities_of_type(g.term_id(args.type))}
+    return {g.render_token(v) for v in g.sample_entities(args.type)}
 
 
 def cmd_recommend(args) -> int:

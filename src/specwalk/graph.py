@@ -364,26 +364,25 @@ class Graph:
         return frozenset(
             self.out_src[e][self.out_pred[e] == self.rdf_type_id].tolist())
 
-    def sample_entities(self, t, n: int, seed: int) -> list[int]:
-        """Sample n distinct type-t entities uniformly; deterministic in seed.
-
-        Returns all members (shuffled) when fewer than n exist; raises for a
-        type with zero instances.
-        """
-        if n < 1:
+    def sample_entities(self, t, n: int | None = None,
+                        seed: int = 0) -> list[int]:
+        """Entities of type t, a term or an id: all, ascending, when n is None
+        or at least their count (warning when above it), else n distinct ones
+        drawn uniformly, deterministic in seed. UnknownTermError for a term
+        the graph lacks, GraphError for a type with no instances."""
+        if n is not None and n < 1:
             raise ValueError("n must be >= 1")
+        if isinstance(t, str):
+            t = self.term_id(t)
         members = sorted(self.entities_of_type(t))
         if not members:
-            name = t if isinstance(t, str) else self.terms[t]
-            raise GraphError(f"type has no instances: {name!r}")
-        rng = random.Random(seed)
-        if len(members) <= n:
-            if len(members) < n:
+            raise GraphError(f"type has no instances: {self.terms[t]!r}")
+        if n is None or n >= len(members):
+            if n is not None and n > len(members):
                 log.warning("requested %d entities of type, only %d exist",
                             n, len(members))
-            rng.shuffle(members)
             return members
-        return rng.sample(members, n)
+        return random.Random(seed).sample(members, n)
 
     def predicate_frequency(self) -> np.ndarray:
         """Global triple count per term id (0 for a term that is never a

@@ -15,7 +15,7 @@ from itertools import islice
 
 import numpy as np
 
-from .graph import (Graph, GraphError, UnknownTermError, exact_counts,
+from .graph import (Graph, UnknownTermError, exact_counts,
                     hashed_state, hashed_uniforms, slice_members, slice_pick)
 
 # Fixed implementation values, not parameters of the method.
@@ -105,11 +105,12 @@ class SpecificityTable:
         """Read the table that to_tsv writes.
 
         ValueError naming the line for a row that is not four tab-separated
-        fields, names a term the graph lacks, holds a score outside [0, 1]
-        or a relationship with a different number of predicates than its
-        depth column.
+        fields, names a term the graph lacks, holds a score outside [0, 1],
+        a relationship with a different number of predicates than its depth
+        column or one an earlier line holds.
         """
         table = cls()
+        first = {}  # predicates -> the line that holds them
         lines = iter(lines)
         header = next(lines, None)
         if header is None or not header.startswith("depth\t"):
@@ -129,6 +130,9 @@ class SpecificityTable:
                 if len(preds) != depth:
                     raise ValueError(f"depth {depth} but {len(preds)} "
                                      f"predicates in {fields[1]!r}")
+                if first.setdefault(preds, lineno) != lineno:
+                    raise ValueError(f"relationship {fields[1]!r} at depth "
+                                     f"{depth} is also on line {first[preds]}")
                 table.depths.setdefault(depth, []).append(SpecificityEntry(
                     SemanticRelationship(preds), score, support))
             except (ValueError, UnknownTermError) as exc:
@@ -171,10 +175,7 @@ def exact_specificity(g: Graph, rel: SemanticRelationship, t,
     all incoming length-d paths (any predicates) that originate in the seed
     set. Seeds default to every entity of type t."""
     if seeds is None:
-        seeds = g.entities_of_type(t)
-        if not seeds:
-            name = t if isinstance(t, str) else g.terms[t]
-            raise GraphError(f"type has no instances: {name!r}")
+        seeds = g.sample_entities(t)
     elif not len(seeds):
         raise ValueError("seed set must be non-empty")
     reachable, _ = g.path_counts(seeds, rel.predicates)
@@ -312,9 +313,8 @@ def rank_at_budgets(g: Graph, t, params: EstimatorParams,
     """
     for n in budgets:  # each budget must make valid params
         replace(params, n_walks=n)
-    t_id = g.term_id(t) if isinstance(t, str) else t
-    seeds = sorted(g.sample_entities(t_id, params.seed_set_size, params.seed))
-    type_set = g.entities_of_type(t_id)
+    seeds = sorted(g.sample_entities(t, params.seed_set_size, params.seed))
+    type_set = g.entities_of_type(t)
     incoming = _incoming_paths(g, seeds)
     tables = [SpecificityTable() for _ in budgets]
     frontiers = {(): g.path_counts(seeds, ())}

@@ -2,6 +2,7 @@ import csv
 import gzip
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -612,14 +613,19 @@ class TestWalk:
 
     @pytest.mark.parametrize("limit", [None, "30", "31"])
     def test_limit_at_or_above_member_count_walks_all(self, pipeline,
-                                                      tmp_path, limit):
+                                                      tmp_path, caplog, limit):
         # the franchise graph has 30 films; corpus headers omit --limit
         out = tmp_path / "c.txt"
         extra = [] if limit is None else ["--limit", limit]
-        assert main(["walk", str(pipeline / "g.snap"), "--out", str(out),
-                     "--type", FILM, "--depth", "2", "--walks", "60",
-                     "--seed", "3", "--workers", "2"] + extra) == 0
+        # outside pytest the warning reaches stderr through logging's
+        # last-resort handler; pytest's own handlers take it here
+        with caplog.at_level(logging.WARNING, logger="specwalk.graph"):
+            assert main(["walk", str(pipeline / "g.snap"), "--out", str(out),
+                         "--type", FILM, "--depth", "2", "--walks", "60",
+                         "--seed", "3", "--workers", "2"] + extra) == 0
         assert out.read_bytes() == (pipeline / "walks.txt").read_bytes()
+        assert caplog.text.count("requested 31 entities of type, only 30 "
+                                 "exist") == (limit == "31")
 
     def test_space_and_underscore_literals_keep_apart(self, tmp_path):
         # "x y" once became the token "x_y", so the two nodes shared a vector
@@ -761,6 +767,20 @@ class TestTrainRecommendEval:
                  else ["--truth", str(pipeline / "truth.json")])
         assert main([command, str(pipeline / "model.txt"), "--out", str(out),
                      half, value] + extra) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["recommend", "eval"])
+    def test_memberless_type_is_data_error(self, pipeline, tmp_path, capsys,
+                                           command):
+        # a film is no type: walk and specificity reject it the same way
+        film = SYNTH + "film/f0_0"
+        extra = (["--query", film] if command == "recommend"
+                 else ["--truth", str(pipeline / "truth.json")])
+        assert main([command, str(pipeline / "model.txt"),
+                     "--out", str(tmp_path / "out.csv"),
+                     "--snapshot", str(pipeline / "g.snap"),
+                     "--type", film] + extra) == 2
+        assert f"type has no instances: {film!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_recommend_unknown_query_is_data_error(self, pipeline):

@@ -643,6 +643,22 @@ class TestSampling:
         g = build([(EX + f"e{i}", RDF_TYPE, TYPE_T) for i in range(5)])
         assert len(g.sample_entities(TYPE_T, 10, seed=1)) == 5
 
+    def test_member_count_returns_members_ascending(self):
+        g = build([(EX + f"e{i}", RDF_TYPE, TYPE_T) for i in range(5)])
+        members = sorted(g.entities_of_type(TYPE_T))
+        for seed in range(5):
+            assert g.sample_entities(TYPE_T, 5, seed) == members
+
+    def test_no_n_returns_all_members(self):
+        g = build([(EX + f"e{i}", RDF_TYPE, TYPE_T) for i in range(50)])
+        assert g.sample_entities(TYPE_T) == sorted(g.entities_of_type(TYPE_T))
+        assert g.sample_entities(g.term_id(TYPE_T)) == g.sample_entities(TYPE_T)
+
+    def test_unknown_term_error(self):
+        g = build([(EX + "e", RDF_TYPE, TYPE_T)])
+        with pytest.raises(UnknownTermError, match="term not in graph"):
+            g.sample_entities(EX + "Nope")
+
     def test_deterministic_given_seed(self):
         g = build([(EX + f"e{i}", RDF_TYPE, TYPE_T) for i in range(50)])
         assert g.sample_entities(TYPE_T, 10, 42) == g.sample_entities(TYPE_T, 10, 42)
@@ -650,8 +666,8 @@ class TestSampling:
 
     def test_zero_instances_error(self):
         g = build([(EX + "a", EX + "p", EX + "b")])
-        with pytest.raises(GraphError):
-            g.sample_entities(EX + "T", 1, seed=0)
+        with pytest.raises(GraphError, match="type has no instances"):
+            g.sample_entities(EX + "b", 1, seed=0)
 
     def test_uniformity_chi_square(self):
         n_pop, n_sample, reps = 10_000, 300, 1000

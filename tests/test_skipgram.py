@@ -538,9 +538,10 @@ class TestTraining:
         with pytest.raises(ValueError):
             train([["a"], ["b"]], TrainConfig(dim=4, min_count=5))
 
-    def test_save_load_round_trip(self):
+    @pytest.mark.parametrize("dim", [1, 8])
+    def test_save_load_round_trip(self, dim):
         corpus, a, _ = two_clique_corpus(lines=50)
-        model = train(corpus, TrainConfig(dim=8, window=2, negatives=2,
+        model = train(corpus, TrainConfig(dim=dim, window=2, negatives=2,
                                           epochs=1, seed=0))
         buf = io.StringIO()
         model.save_text(buf)

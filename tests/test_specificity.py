@@ -987,9 +987,12 @@ class TestRanking:
         ("1\tp\t1.500000\t3", "line 3: score outside [0,1]: 1.5"),
         ("1\tp\tnan\t3", "line 3: score outside [0,1]: nan"),
         ("1\tz\t0.500000\t3", "line 3: term not in graph: 'z'"),
+        # walk would follow a repeated template at double weight
+        ("1\tq\t0.500000\t3",
+         "line 3: relationship 'q' at depth 1 is also on line 2"),
     ], ids=["longer-than-depth", "shorter-than-depth", "three-fields",
             "five-fields", "bad-depth", "score-above-one", "score-nan",
-            "unknown-predicate"])
+            "unknown-predicate", "repeated-relationship"])
     def test_table_tsv_malformed_row(self, row, message):
         g = build([("a", "p", "b"), ("b", "q", "c")])
         lines = ["depth\trelationship\tscore\tsupport\n",
